@@ -6,9 +6,18 @@ Three ingredients:
 * the projection-formula branches for P(E) -> X (and thus for F_r over
   P^1): for O(pullback(B) + kH) the derived pushforward is Sym^k(E)(B)
   in degree 0 when k >= 0, zero in the dead band -rank < k < 0, and
-  dual(Sym^{-k-rank}E)(B - c1(E)) in degree rank-1 when k <= -rank,
+  dual(Sym^{-k-rank}E)(B - c1(E)) in degree rank-1 when k <= -rank.
+  ``pushforward_terms`` alone knows these branches; it counts the base
+  twists with their multiplicities instead of enumerating Sym^k,
 * an independent combinatorial Cech oracle on small toric targets which
   recomputes tables character by character.
+
+On P(E) the tables (``cohomology``) and chi (``euler_characteristic``)
+share ``pushforward_terms`` and differ only in what they evaluate on the
+base: line tables or Riemann-Roch polynomials.  The Ulrich criterion
+enumerates Sym^k with ``picard.sym_power`` instead, so the direct check
+on P(E) and the criterion expand the pushforward in two different ways.
+The oracle shares no code with either.
 
 All values are exact integers; generic-curve answers are flagged.
 """
@@ -19,6 +28,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
+from operator import add
 
 from . import exactlinalg
 from .errors import GenericModeUnsupported, ScanBoxTooSmall, UnsupportedVariety
@@ -30,7 +40,6 @@ from .picard import (
     ProjSpace,
     SplitBundle,
     Variety,
-    sym_power,
 )
 
 
@@ -60,16 +69,6 @@ class CohomologyTable:
         return CohomologyTable.make(
             tuple(a + b for a, b in zip(self.h, other.h)),
             self.generic or other.generic)
-
-    def shifted(self, offset: int, total_len: int) -> "CohomologyTable":
-        h = [0] * total_len
-        for i, x in enumerate(self.h):
-            if x:
-                h[i + offset] = x
-        return CohomologyTable.make(tuple(h), self.generic)
-
-    def padded(self, total_len: int) -> "CohomologyTable":
-        return self.shifted(0, total_len)
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.h)
@@ -108,38 +107,73 @@ def _line_table(v: Variety, coords: tuple) -> CohomologyTable:
     if isinstance(v, GenericCurve):
         return _curve_line(v.genus, coords[0])
     if isinstance(v, Hirzebruch):
-        base = ProjSpace(1)
-        summands = ((0,), (v.r,))
-        return _pushforward_table(base, summands, (coords[0],), coords[1])
+        return pushforward_table(2, ((0,), (v.r,)), (coords[0],), coords[1],
+                                 lambda e: _proj_space_line(1, e[0]))
     if isinstance(v, ProjBundle):
         summands = tuple(s.coords for s in v.summands.summands)
-        return _pushforward_table(v.base, summands, coords[:-1], coords[-1])
+        return pushforward_table(v.dim, summands, coords[:-1], coords[-1],
+                                 lambda e: _line_table(v.base, e))
     raise UnsupportedVariety(f"no cohomology rule for {v!r}")
 
 
-def _pushforward_table(base: Variety, summands: tuple, b_coords: tuple,
-                       k: int) -> CohomologyTable:
+def pushforward_terms(summands: tuple, b_coords: tuple, k: int):
+    """Projection formula for O(pullback(B) + kH) on P(E) -> X.
+
+    ``summands`` are the coordinate tuples of the split E and ``b_coords``
+    those of B.  Returns ``(shift, terms)``: the derived pushforward is
+    the direct sum of O(twist)^mult over ``terms = {twist: mult}``, placed
+    in degree ``shift``, so H^i(P(E), O(pullback(B) + kH)) is the sum of
+    mult * H^(i - shift)(X, O(twist)).  With p = k (or -k - rank on the
+    dual branch) the multiplicities are the coefficients of z^p in
+    prod_i 1/(1 - z t^(+-s_i)), counted by a DP over the summands instead
+    of enumerating the C(rank+p-1, p) index tuples of Sym^p.
+    """
     rho = len(summands)
-    fibre_dim = rho - 1
-    total_len = base.dim + fibre_dim + 1
     if -rho < k < 0:
-        return CohomologyTable.zero(total_len - 1)
+        return 0, {}
     if k >= 0:
-        power, shift = k, 0
-        twist = b_coords
+        power, shift, start, steps = k, 0, tuple(b_coords), summands
     else:
-        power, shift = -k - rho, fibre_dim
-        c1 = tuple(sum(col) for col in zip(*summands))
-        twist = tuple(b - c for b, c in zip(b_coords, c1))
-    table = CohomologyTable.zero(total_len - 1)
-    for combo in itertools.combinations_with_replacement(summands, power):
-        e = list(twist)
-        for s in combo:
-            for i, c in enumerate(s):
-                e[i] += c if k >= 0 else -c
-        part = _line_table(base, tuple(e))
-        table = table + part.shifted(shift, total_len)
-    return table
+        power, shift = -k - rho, rho - 1
+        c1 = [sum(col) for col in zip(*summands)]
+        start = tuple(b - c for b, c in zip(b_coords, c1))
+        steps = [tuple(-c for c in s) for s in summands]
+    # layers[j]: twist -> multiplicity in the coefficient of z^j, over the
+    # summands processed so far
+    layers = [{start: 1}] + [{} for _ in range(power)]
+    for step in steps[:-1]:
+        for j in range(1, power + 1):
+            layer = layers[j]
+            for e, mult in layers[j - 1].items():
+                twist = tuple(map(add, e, step))
+                layer[twist] = layer.get(twist, 0) + mult
+    # of the last summand only z^power is needed: m copies of it complete
+    # layer power - m
+    terms = {}
+    for m, layer in enumerate(reversed(layers)):
+        offset = tuple(m * c for c in steps[-1])
+        for e, mult in layer.items():
+            twist = tuple(map(add, e, offset))
+            terms[twist] = terms.get(twist, 0) + mult
+    return shift, terms
+
+
+def pushforward_table(dim: int, summands: tuple, b_coords: tuple, k: int,
+                      base_table) -> CohomologyTable:
+    """Table on the dim-dimensional P(E) of pullback(F)(pullback(B) + kH).
+
+    ``base_table(twist)`` returns the base table of F(twist); see
+    ``pushforward_terms`` for the other arguments.
+    """
+    shift, terms = pushforward_terms(summands, b_coords, k)
+    h = [0] * (dim + 1)
+    generic = False
+    for twist, mult in terms.items():
+        part = base_table(twist)
+        generic = generic or part.generic
+        for i, x in enumerate(part.h):
+            h[i + shift] += mult * x
+    return CohomologyTable.make(h, generic)
 
 
 def cohomology(v: Variety, bundle) -> CohomologyTable:
@@ -177,32 +211,21 @@ def _line_chi(v: Variety, coords: tuple) -> int:
             "euler_characteristic is exact-mode only; generic curves are excluded")
     if isinstance(v, ProjBundle):
         summands = tuple(s.coords for s in v.summands.summands)
-        rho = len(summands)
-        k = coords[-1]
-        b_coords = coords[:-1]
-        if -rho < k < 0:
-            return 0
-        if k >= 0:
-            power, sign = k, 1
-            twist = b_coords
-        else:
-            power, sign = -k - rho, (-1) ** (rho - 1)
-            c1 = tuple(sum(col) for col in zip(*summands))
-            twist = tuple(b - c for b, c in zip(b_coords, c1))
-        total = 0
-        for combo in itertools.combinations_with_replacement(summands, power):
-            e = list(twist)
-            for s in combo:
-                for i, c in enumerate(s):
-                    e[i] += c if k >= 0 else -c
-            total += _line_chi(v.base, tuple(e))
-        return sign * total
+        shift, terms = pushforward_terms(summands, coords[:-1], coords[-1])
+        return (-1) ** shift * sum(mult * _line_chi(v.base, e)
+                                   for e, mult in terms.items())
     raise UnsupportedVariety(f"no chi polynomial for {v!r}")
 
 
 def euler_characteristic(v: Variety, bundle) -> int:
-    """chi from the closed Riemann-Roch polynomial, independent of the table
-    assembly; always equal to the alternating sum of cohomology(v, bundle)."""
+    """chi from the closed Riemann-Roch polynomials of the line bundles.
+
+    Always equal to the alternating sum of cohomology(v, bundle).  On P^n
+    and F_r the polynomial shares no code with the tables.  On P(E) it
+    shares the expansion of ``pushforward_terms`` with them and only
+    replaces each base table by its polynomial, so it checks the base
+    tables but not the expansion.
+    """
     if isinstance(bundle, DivisorClass):
         bundle = SplitBundle(v, (bundle,))
     return sum(_line_chi(v, s.coords) for s in bundle.summands)

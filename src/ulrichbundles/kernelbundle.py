@@ -28,10 +28,10 @@ import random as _random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, gcd
 
 from . import exactlinalg
-from .cohomology import CohomologyTable
+from .cohomology import CohomologyTable, _line_chi, _proj_space_line
 from .errors import InternalInconsistency, NotSurjective, UnsupportedVariety
 from .picard import DivisorClass, ProjBundle, ProjSpace, SplitBundle
 
@@ -433,10 +433,6 @@ def random_presentation(n: int, d: int, seed: int) -> KernelBundlePresentation:
     return KernelBundlePresentation(random_matrix(n, d, seed), "random", seed=seed)
 
 
-def _section_dim(n: int, q: int) -> int:
-    return comb(n + q, n) if q >= 0 else 0
-
-
 def _multiplication_rank(entries: tuple, n: int, src_deg: int) -> int:
     """Exact rank of the section-level map induced in degree src_deg by a
     matrix of linear forms (rows = target copies, columns = source)."""
@@ -471,8 +467,8 @@ def _multiplication_rank(entries: tuple, n: int, src_deg: int) -> int:
 
 def h0_multiplication_rank(m: LinearFormMatrix, t: int):
     """(dim source, dim target, exact rank) of H^0(alpha(t)) in monomial bases."""
-    src = m.b1 * _section_dim(m.n, m.d + t)
-    tgt = m.b2 * _section_dim(m.n, m.d + 1 + t)
+    src = m.b1 * _proj_space_line(m.n, m.d + t).h[0]
+    tgt = m.b2 * _proj_space_line(m.n, m.d + 1 + t).h[0]
     if src == 0 or tgt == 0:
         return (src, tgt, 0)
     rk = _multiplication_rank(m.entries, m.n, m.d + t)
@@ -502,8 +498,8 @@ def kernel_cohomology(p: KernelBundlePresentation, t: int) -> CohomologyTable:
     s0, t0, r0 = cached
     # Serre-dual side: the top-level map dualises to multiplication by the
     # transposed matrix from degree e to e+1
-    sn = m.b1 * _section_dim(n, -(d + t) - n - 1)
-    tn = m.b2 * _section_dim(n, -(d + 1 + t) - n - 1)
+    sn = m.b1 * _proj_space_line(n, d + t).h[n]
+    tn = m.b2 * _proj_space_line(n, d + 1 + t).h[n]
     e = -(d + 1 + t) - n - 1
     rn = _multiplication_rank(m.transposed_entries(), n, e) if tn else 0
     if tn - rn != 0:
@@ -577,18 +573,11 @@ def _pn_bundle(n: int, d: int):
     return base, e, one
 
 
-def _line_chi_pn(n: int, q: int) -> int:
-    total = 1
-    for j in range(1, n + 1):
-        total *= q + j
-    return total // factorial(n)
-
-
 def _kernel_table_or_chi(p: KernelBundlePresentation, t: int):
     """(is_zero, evidence) with a cheap chi rejection before exact ranks."""
     m = p.matrix
-    chi = (m.b1 * _line_chi_pn(m.n, m.d + t)
-           - m.b2 * _line_chi_pn(m.n, m.d + 1 + t))
+    pn = ProjSpace(m.n)
+    chi = m.b1 * _line_chi(pn, (m.d + t,)) - m.b2 * _line_chi(pn, (m.d + 1 + t,))
     if chi != 0:
         return False, f"chi = {chi}"
     table = kernel_cohomology(p, t)
@@ -650,8 +639,8 @@ def prop61_builder(n: int, d: int, line_box: int = 8,
             evidence = []
             # cheap twists first: sort by total section dimension involved
             order = sorted([0] + [-s for s in twists],
-                           key=lambda t: (_section_dim(n, dp + t)
-                                          + _section_dim(n, dp + 1 + t)))
+                           key=lambda t: (_proj_space_line(n, dp + t).h[0]
+                                          + _proj_space_line(n, dp + 1 + t).h[0]))
             for t in order:
                 good, why = _kernel_table_or_chi(pres, t)
                 evidence.append(f"t={t}: {why}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cohomology import CohomologyTable, cohomology
+from .cohomology import CohomologyTable, cohomology, pushforward_table
 from .errors import BadTwist, InternalInconsistency, NotVeryAmple, UnsupportedVariety
 from .picard import (
     DivisorClass,
@@ -198,26 +198,10 @@ def pullback_ulrich_criterion(x: Variety, e: SplitBundle, cand, a) -> UlrichRepo
 
 def _pb_twist_table(pb: ProjBundle, cand, b: DivisorClass, k: int) -> CohomologyTable:
     """Table of pullback(cand)(pullback(b) + kH) on P(E)."""
-    if isinstance(cand, SplitBundle):
-        lifted = SplitBundle(pb, tuple(
-            DivisorClass(pb, (s + b).coords + (k,)) for s in cand.summands))
-        return cohomology(pb, lifted)
-    # kernel candidate: expand the pushforward branches over the base
-    rho = pb.rank
-    total_len = pb.dim + 1
-    if -rho < k < 0:
-        return CohomologyTable.zero(pb.dim)
-    if k >= 0:
-        power, shift, sign = k, 0, 1
-        twist = b
-    else:
-        power, shift, sign = -k - rho, rho - 1, -1
-        twist = b - pb.summands.c1
-    table = CohomologyTable.zero(pb.dim)
-    for s in sym_power(pb.summands, power).summands:
-        part = _base_table(pb.base, cand, twist + sign * s)
-        table = table + part.shifted(shift, total_len)
-    return table
+    summands = tuple(s.coords for s in pb.summands.summands)
+    return pushforward_table(
+        pb.dim, summands, b.coords, k,
+        lambda e: _base_table(pb.base, cand, DivisorClass(pb.base, e)))
 
 
 def direct_ulrich_check(pb: ProjBundle, cand, a) -> UlrichReport:

@@ -1,6 +1,7 @@
 """Cohomology engine: line-bundle tables, pushforward branches, chi."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,7 +21,9 @@ from ulrichbundles import (
     line_bundle,
     parse_bundle,
     parse_variety,
+    sym_power,
 )
+from ulrichbundles.cohomology import pushforward_terms
 
 P1 = ProjSpace(1)
 P2 = ProjSpace(2)
@@ -95,6 +98,40 @@ class TestEulerCharacteristic:
         for coords in [(0, 0, 0), (1, 2, 3), (-2, 1, -4), (3, -3, 2)]:
             d = DivisorClass(v, coords)
             assert euler_characteristic(v, d) == cohomology(v, d).chi
+
+
+# E takes the first `rank` summands of the pool for its Picard rank
+_SUMMAND_POOL = {1: [(0,), (1,), (3,), (-2,), (2,)],
+                 2: [(0, 0), (1, 0), (0, 1), (2, -1), (-1, 3)]}
+_TWIST = {1: (-2,), 2: (1, -3)}
+
+
+class TestPushforwardTerms:
+    """Counted projection-formula terms against the enumerated Sym^p."""
+
+    @pytest.mark.parametrize("base", [P1, P2, P3, F0, F2, GenericCurve(2)],
+                             ids=lambda v: v.name)
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_terms_match_sym_power(self, base, rank):
+        pool = _SUMMAND_POOL[base.picard_rank][:rank]
+        e = SplitBundle(base, tuple(DivisorClass(base, s) for s in pool))
+        b = DivisorClass(base, _TWIST[base.picard_rank])
+        v = ProjBundle(base, e)
+        for k in range(-rank - 6, 9):
+            shift, terms = pushforward_terms(tuple(pool), b.coords, k)
+            if k >= 0:
+                assert shift == 0
+                expected = Counter((b + s).coords for s in sym_power(e, k).summands)
+            elif k <= -rank:
+                assert shift == rank - 1
+                expected = Counter((b - e.c1 - s).coords
+                                   for s in sym_power(e, -k - rank).summands)
+            else:
+                expected = Counter()
+            assert terms == dict(expected), (base.name, rank, k)
+            if not isinstance(base, GenericCurve):
+                d = DivisorClass(v, b.coords + (k,))
+                assert euler_characteristic(v, d) == cohomology(v, d).chi
 
 
 class TestTableInvariants:

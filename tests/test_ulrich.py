@@ -150,6 +150,21 @@ class TestDirect:
         r = direct_ulrich_check(v, kern, DivisorClass(P2, (1,)))
         assert r.verdict and [c.table.h for c in r.checks] == [(0, 0, 0, 0)] * 3
 
+    @pytest.mark.parametrize("shift, tables", [
+        (-1, [(0, 3, 0, 0, 0), (0,) * 5, (0,) * 5, (0, 0, 0, 0, 23)]),
+        (0, [(0,) * 5] * 3 + [(0, 0, 0, 0, 5)]),
+        (1, [(10, 0, 0, 0, 0), (0,) * 5, (0, 0, 2, 0, 0), (0,) * 5]),
+    ])
+    def test_kernel_candidate_dual_branch(self, shift, tables):
+        # on PB(P3;[1],[0]) the -4D twist is k = -3, Sym power 1 on the
+        # k <= -rank branch
+        from ulrichbundles import TwistedKernel, staircase_presentation
+
+        v = parse_variety("PB(P3;[1],[0])")
+        kern = TwistedKernel(staircase_presentation(3, 1), shift)
+        r = direct_ulrich_check(v, kern, DivisorClass(ProjSpace(3), (1,)))
+        assert not r.verdict and [c.table.h for c in r.checks] == tables
+
     def test_agreement_note(self):
         v = parse_variety("PB(P1;[0],[1])")
         r = direct_ulrich_check(v, line_bundle(P1, (-1,)), DivisorClass(P1, (1,)))
