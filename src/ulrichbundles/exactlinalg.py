@@ -1,37 +1,77 @@
-"""Exact linear algebra helpers: fraction-free rank, small rational solves,
+"""Exact linear algebra helpers: exact rank, small rational solves,
 and binary-form gcd.
 
-Rank uses Bareiss (fraction-free Gaussian) elimination over the integers,
-so every intermediate value is a minor of the input matrix and all
-divisions are exact.  No floating point anywhere.
+Rank is exact and never uses floating point.  After clearing
+denominators, the rank is first taken modulo the fixed prime ``PRIME`` by
+sparse row elimination.  Reduction mod p is a ring homomorphism, so a
+nonzero minor mod p is a nonzero integer minor: when the rank mod p
+reaches min(nonzero rows, columns), that bound is the exact rank.  Only
+when it falls short does Bareiss (fraction-free Gaussian) elimination run
+over the integers, where every intermediate value is a minor of the input
+and all divisions are exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import compress
+from math import lcm
+
+PRIME = 2**31 - 1
 
 
-def integer_rows(rows):
-    """Clear denominators row by row (row scaling preserves rank)."""
+def _sparse_integer_rows(rows) -> list:
+    """The nonzero rows as (columns, integer values) pairs.
+
+    Only the nonzero entries are type-tested; a row holding a Fraction is
+    scaled by the lcm of its denominators (row scaling preserves rank).
+    """
     out = []
     for row in rows:
-        if any(isinstance(x, Fraction) for x in row):
-            denom = 1
-            for x in row:
-                if isinstance(x, Fraction):
-                    denom = denom * x.denominator // gcd(denom, x.denominator)
-            out.append([int(x * denom) for x in row])
-        else:
-            out.append([int(x) for x in row])
+        cols = list(compress(range(len(row)), row))
+        if not cols:
+            continue
+        vals = [row[c] for c in cols]
+        if Fraction in set(map(type, vals)):
+            denom = lcm(*(v.denominator for v in vals))
+            vals = [v.numerator * (denom // v.denominator) for v in vals]
+        out.append((cols, vals))
     return out
 
 
-def rank(rows) -> int:
-    """Exact rank of a matrix with integer or Fraction entries."""
-    m = [r for r in integer_rows(rows) if any(r)]
-    if not m:
-        return 0
+def _rank_mod_prime(rows, target: int) -> int:
+    """Rank mod PRIME of sparse integer rows, by row elimination.
+
+    Each row becomes a {column: value mod p} dict and is reduced against
+    the stored pivot rows, which are monic and keyed by leading column.
+    Stops once the rank reaches ``target`` or can no longer reach it.
+    """
+    pivots = {}
+    left = len(rows)
+    for cols, vals in rows:
+        left -= 1
+        vec = {c: r for c, v in zip(cols, vals) if (r := v % PRIME)}
+        while vec:
+            lead = min(vec)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(vec[lead], -1, PRIME)
+                pivots[lead] = {c: v * inv % PRIME for c, v in vec.items()}
+                break
+            f = vec[lead]
+            for c, v in pivot.items():
+                r = (vec.get(c, 0) - f * v) % PRIME
+                if r:
+                    vec[c] = r
+                else:
+                    del vec[c]
+        if len(pivots) == target or len(pivots) + left < target:
+            break
+    return len(pivots)
+
+
+def _bareiss_rank(m) -> int:
+    """Rank of nonzero dense integer rows by Bareiss elimination (mutates m)."""
     nrows, ncols = len(m), len(m[0])
     rk = 0
     prev = 1
@@ -63,6 +103,24 @@ def rank(rows) -> int:
         prev = piv
         rk += 1
     return rk
+
+
+def rank(rows) -> int:
+    """Exact rank of a matrix with integer or Fraction entries."""
+    m = _sparse_integer_rows(rows)
+    if not m:
+        return 0
+    ncols = len(rows[0])
+    bound = min(len(m), ncols)
+    if _rank_mod_prime(m, bound) == bound:
+        return bound
+    dense = []
+    for cols, vals in m:
+        row = [0] * ncols
+        for c, v in zip(cols, vals):
+            row[c] = v
+        dense.append(row)
+    return _bareiss_rank(dense)
 
 
 def solve_square(matrix, rhs):

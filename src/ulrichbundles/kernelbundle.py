@@ -16,9 +16,11 @@ H^*(F(-d-k)) for k = 2..n are exactly the conditions for F(d+2) to be an
 Ulrich bundle on P^2 (w.r.t. O(d+2)), and feed the rank-n construction on
 P(O(1) + O^d) over P^2.
 
-All ranks are certified over the rationals by fraction-free elimination;
-surjectivity of the sheaf map is certified exactly where possible (see
-``_certify_surjective``) and honestly marked heuristic otherwise.
+All ranks are exact over the rationals: ``exactlinalg.rank`` proves them
+by full rank modulo a fixed prime and falls back to fraction-free
+(Bareiss) elimination only when that fails.  Surjectivity of the sheaf
+map is certified exactly where possible (see ``_certify_surjective``) and
+honestly marked heuristic otherwise.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import random as _random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, lcm
 
 from . import exactlinalg
 from .cohomology import CohomologyTable, _line_chi, _proj_space_line
@@ -440,28 +442,23 @@ def _multiplication_rank(entries: tuple, n: int, src_deg: int) -> int:
     mons_tgt = monomial_exponents(n, src_deg + 1)
     if not mons_src or not mons_tgt:
         return 0
-    nrows_blocks = len(entries)
-    ncols_blocks = len(entries[0])
+    denom = lcm(*(c.denominator for row in entries for entry in row for c in entry))
+    # each entry as (variable, integer coefficient) pairs, scaled by denom
+    forms = [[[(var, c.numerator * (denom // c.denominator))
+               for var, c in enumerate(entry) if c] for entry in row]
+             for row in entries]
     tgt_index = {mono: i for i, mono in enumerate(mons_tgt)}
-    denom = 1
-    for row in entries:
-        for entry in row:
-            for c in entry:
-                if isinstance(c, Fraction):
-                    denom = denom * c.denominator // gcd(denom, c.denominator)
-    rows = [[0] * (ncols_blocks * len(mons_src))
-            for _ in range(nrows_blocks * len(mons_tgt))]
-    for cblock in range(ncols_blocks):
-        for mi, mono in enumerate(mons_src):
-            col = cblock * len(mons_src) + mi
-            for rblock in range(nrows_blocks):
-                entry = entries[rblock][cblock]
-                for var, coeff in enumerate(entry):
-                    if coeff:
-                        shifted = list(mono)
-                        shifted[var] += 1
-                        row = rblock * len(mons_tgt) + tgt_index[tuple(shifted)]
-                        rows[row][col] += int(coeff * denom)
+    # raised[mi][var] = target index of mons_src[mi] * x_var
+    raised = [[tgt_index[mono[:var] + (mono[var] + 1,) + mono[var + 1:]]
+               for var in range(n + 1)] for mono in mons_src]
+    nsrc, ntgt = len(mons_src), len(mons_tgt)
+    rows = [[0] * (len(entries[0]) * nsrc) for _ in range(len(entries) * ntgt)]
+    for rblock, form_row in enumerate(forms):
+        base = rblock * ntgt
+        for cblock, form in enumerate(form_row):
+            for col, up in enumerate(raised, cblock * nsrc):
+                for var, coeff in form:
+                    rows[base + up[var]][col] += coeff
     return exactlinalg.rank(rows)
 
 

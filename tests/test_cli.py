@@ -3,11 +3,15 @@
 import contextlib
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ulrichbundles
 from ulrichbundles.cli import run
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -113,6 +117,36 @@ class TestMinusBasis:
         plus = run_cli(["coh", "F2", "[0,-2]", "--json"])
         minus = run_cli(["coh", "F2", "[-4,-2]", "--minus-basis", "--json"])
         assert plus == minus
+
+
+class TestRepeatedCalls:
+    # pairs that differ only in a flag, and failures next to successes
+    SEQUENCE = [
+        ["coh", "F2", "[-4,-2]", "--minus-basis", "--json"],
+        ["coh", "F2", "[-4,-2]", "--json"],
+        ["coh", "F2", "[-4,-2]"],
+        ["coh", "Q7", "[1]", "--json"],  # parse error
+        ["enum-ulrich", "F2", "--box", "3"],  # usage error: no --pol
+        ["enum-ulrich", "F2", "--pol", "[1,2]", "--box", "3"],
+        ["kernel", "2", "1", "--sym", "--twist", "1", "--json"],
+        ["kernel", "2", "1"],
+    ]
+
+    @staticmethod
+    def first_call(args):
+        """(exit code, stdout) of args as the only call of a fresh process."""
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(ulrichbundles.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "ulrichbundles.cli", *args],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        return proc.returncode, proc.stdout
+
+    def test_no_state_leaks_between_calls(self):
+        fresh = {tuple(args): self.first_call(args) for args in self.SEQUENCE}
+        order = self.SEQUENCE + self.SEQUENCE[::-1] + self.SEQUENCE[::2]
+        for args in order:
+            assert run_cli(args) == fresh[tuple(args)], args
 
 
 class TestHumanOutput:

@@ -22,6 +22,7 @@ from ulrichbundles import (
     sym_euler_matrix,
     sym_euler_presentation,
 )
+from ulrichbundles.exactlinalg import PRIME
 from ulrichbundles.kernelbundle import KernelBundlePresentation, LinearFormMatrix
 
 P2 = ProjSpace(2)
@@ -151,7 +152,31 @@ class TestH0Rank:
         assert src == tgt == rank
 
 
+class TestScaledCoefficients:
+    """Scaling every coefficient by a unit of Q changes no rank.  Scaling by
+    PRIME makes every rank vanish mod PRIME, so the exact fallback runs."""
+
+    @pytest.mark.parametrize("scale", [PRIME, Fraction(1, 3)])
+    @pytest.mark.parametrize("t", [0, 2, -6])
+    def test_same_ranks_and_table(self, scale, t):
+        base = staircase_presentation(2, 1)
+        m = base.matrix
+        scaled = LinearFormMatrix(m.n, m.d, tuple(
+            tuple(tuple(scale * c for c in entry) for entry in row)
+            for row in m.entries))
+        # a unit multiple of a surjective map is surjective
+        pres = KernelBundlePresentation(scaled, base.kind,
+                                        surjectivity=base.surjectivity)
+        assert h0_multiplication_rank(scaled, t) == h0_multiplication_rank(m, t)
+        assert kernel_cohomology(pres, t).h == kernel_cohomology(base, t).h
+
+
 class TestKernelCohomology:
+    def test_sym_euler_p3_d2_twist6(self):
+        # 2200 x 3300 section map; chi = 20 C(11,3) - 10 C(12,3)
+        table = kernel_cohomology(sym_euler_presentation(3, 2), 6)
+        assert table.h == (1100, 0, 0, 0)
+
     def test_omega1_twists(self):
         p = staircase_presentation(2, 0)
         assert kernel_cohomology(p, 0).h == (0, 0, 0)
