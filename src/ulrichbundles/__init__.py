@@ -1,11 +1,11 @@
 """Exact sheaf cohomology of split bundles and Ulrich-bundle search on
-projective spaces, Hirzebruch surfaces, generic curves and projective
-bundles over them.
+projective spaces, generic curves and towers of projective bundles over
+them, such as the Hirzebruch surfaces.
 
 Quick tour::
 
     >>> from ulrichbundles import *
-    >>> F1 = Hirzebruch(1)
+    >>> F1 = hirzebruch(1)
     >>> cohomology(F1, DivisorClass(F1, (0, 1))).h
     (3, 0, 0)
     >>> is_ulrich(F1, line_bundle(F1, (0, 1)), DivisorClass(F1, (1, 1))).verdict
@@ -51,12 +51,12 @@ from .picard import (
     AmpleVerdict,
     DivisorClass,
     GenericCurve,
-    Hirzebruch,
     P1xP1,
     ProjBundle,
     ProjSpace,
     SplitBundle,
     canonical_class,
+    hirzebruch,
     is_ample,
     is_very_ample,
     line_bundle,

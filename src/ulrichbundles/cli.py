@@ -178,6 +178,14 @@ def _scan_lines(result) -> list:
     return lines
 
 
+def _scan_output(variety_text: str, result) -> tuple:
+    """Scan output; the F_r closed form is shown for the names F<r>/P1xP1
+    only, PB(P1;[0],[r]) prints bare results as pinned in bench/references."""
+    if "PB" in variety_text:
+        result = search.ScanResult(result.results)
+    return result.to_json(), _scan_lines(result)
+
+
 def _dispatch(args) -> tuple:
     """Returns (payload, human lines) plus an optional exit-code override."""
     minus = args.minus_basis
@@ -225,13 +233,13 @@ def _dispatch(args) -> tuple:
         v = parse_variety(args.variety)
         box = SearchBox.symmetric(v, args.box)
         result = search.zero_cohomology_line_bundles(v, box, _scan_cap())
-        return result.to_json(), _scan_lines(result)
+        return _scan_output(args.variety, result)
     if args.command == "enum-ulrich":
         v = parse_variety(args.variety)
         pol = parse_divisor(args.pol, v, minus)
         box = SearchBox.symmetric(v, args.box)
         result = search.ulrich_line_bundles(v, pol, box, _scan_cap())
-        return result.to_json(), _scan_lines(result)
+        return _scan_output(args.variety, result)
     if args.command == "search-pb":
         pb = _parse_pb(args.pb)
         pol = parse_divisor(args.pol, pb.base, minus)

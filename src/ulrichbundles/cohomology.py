@@ -3,21 +3,22 @@
 Three ingredients:
 
 * closed line-bundle tables on P^n and on generic curves,
-* the projection-formula branches for P(E) -> X (and thus for F_r over
-  P^1): for O(pullback(B) + kH) the derived pushforward is Sym^k(E)(B)
-  in degree 0 when k >= 0, zero in the dead band -rank < k < 0, and
-  dual(Sym^{-k-rank}E)(B - c1(E)) in degree rank-1 when k <= -rank.
-  ``pushforward_terms`` alone knows these branches; it counts the base
-  twists with their multiplicities instead of enumerating Sym^k,
+* the projection-formula branches for P(E) -> X over any supported base,
+  a P(E) such as F_r included: for O(pullback(B) + kH) the derived
+  pushforward is Sym^k(E)(B) in degree 0 when k >= 0, zero in the dead
+  band -rank < k < 0, and dual(Sym^{-k-rank}E)(B - c1(E)) in degree
+  rank-1 when k <= -rank.  ``pushforward_terms`` alone knows these
+  branches; it counts the base twists with their multiplicities instead
+  of enumerating Sym^k,
 * an independent combinatorial Cech oracle on small toric targets which
   recomputes tables character by character.
 
-On P(E) the tables (``cohomology``) and chi (``euler_characteristic``)
-share ``pushforward_terms`` and differ only in what they evaluate on the
-base: line tables or Riemann-Roch polynomials.  The Ulrich criterion
-enumerates Sym^k with ``picard.sym_power`` instead, so the direct check
-on P(E) and the criterion expand the pushforward in two different ways.
-The oracle shares no code with either.
+chi (``euler_characteristic``) is a closed polynomial on P^n and on every
+P(E) over P^1, F_r included; elsewhere on P(E) it shares
+``pushforward_terms`` with the tables.  The Ulrich criterion enumerates
+Sym^k with ``picard.sym_power`` instead, so the direct check on P(E) and
+the criterion expand the pushforward in two different ways.  The oracle
+shares no code with either.
 
 All values are exact integers; generic-curve answers are flagged.
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from math import comb, factorial, prod
 from operator import add
@@ -35,11 +37,11 @@ from .errors import GenericModeUnsupported, ScanBoxTooSmall, UnsupportedVariety
 from .picard import (
     DivisorClass,
     GenericCurve,
-    Hirzebruch,
     ProjBundle,
     ProjSpace,
     SplitBundle,
     Variety,
+    hirzebruch_parameter,
 )
 
 
@@ -86,12 +88,13 @@ class CohomologyTable:
 # --------------------------------------------------------------------------
 
 def _proj_space_line(n: int, d: int) -> CohomologyTable:
-    h = [0] * (n + 1)
     if d >= 0:
-        h[0] = comb(n + d, n)
-    elif d <= -n - 1:
-        h[n] = comb(-d - 1, n)
-    return CohomologyTable.make(h)
+        top = comb(n + d, n)
+        return CohomologyTable((top,) + (0,) * n, top)
+    if d <= -n - 1:
+        top = comb(-d - 1, n)
+        return CohomologyTable((0,) * n + (top,), (-1) ** n * top)
+    return CohomologyTable.zero(n)
 
 
 def _curve_line(g: int, d: int) -> CohomologyTable:
@@ -106,13 +109,9 @@ def _line_table(v: Variety, coords: tuple) -> CohomologyTable:
         return _proj_space_line(v.n, coords[0])
     if isinstance(v, GenericCurve):
         return _curve_line(v.genus, coords[0])
-    if isinstance(v, Hirzebruch):
-        return pushforward_table(2, ((0,), (v.r,)), (coords[0],), coords[1],
-                                 lambda e: _proj_space_line(1, e[0]))
     if isinstance(v, ProjBundle):
-        summands = tuple(s.coords for s in v.summands.summands)
-        return pushforward_table(v.dim, summands, coords[:-1], coords[-1],
-                                 lambda e: _line_table(v.base, e))
+        return pushforward_table(v.dim, v.summand_coords, coords[:-1], coords[-1],
+                                 partial(_line_table, v.base))
     raise UnsupportedVariety(f"no cohomology rule for {v!r}")
 
 
@@ -197,21 +196,25 @@ def hom_complex_dims(v: Variety, e1: SplitBundle, e2: SplitBundle) -> Cohomology
 # Euler characteristics from closed polynomials
 # --------------------------------------------------------------------------
 
+def _binomial(x: int, j: int) -> int:
+    """C(x, j) = x (x-1) ... (x-j+1) / j! read as a polynomial in x."""
+    return prod(range(x - j + 1, x + 1)) // factorial(j)
+
+
 def _line_chi(v: Variety, coords: tuple) -> int:
     if isinstance(v, ProjSpace):
-        d, n = coords[0], v.n
-        num = prod(range(d + 1, d + n + 1))
-        assert num % factorial(n) == 0
-        return num // factorial(n)
-    if isinstance(v, Hirzebruch):
-        a, b = coords
-        return (a + 1) * (b + 1) + v.r * b * (b + 1) // 2
+        return _binomial(coords[0] + v.n, v.n)
     if isinstance(v, GenericCurve):
         raise GenericModeUnsupported(
             "euler_characteristic is exact-mode only; generic curves are excluded")
     if isinstance(v, ProjBundle):
-        summands = tuple(s.coords for s in v.summands.summands)
-        shift, terms = pushforward_terms(summands, coords[:-1], coords[-1])
+        if isinstance(v.base, ProjSpace) and v.base.n == 1:
+            # Riemann-Roch: C(k+rho-1, rho-1)(a+1) + c1(E) C(k+rho-1, rho)
+            (a, k), rho = coords, v.rank
+            c1 = sum(s for (s,) in v.summand_coords)
+            return (_binomial(k + rho - 1, rho - 1) * (a + 1)
+                    + c1 * _binomial(k + rho - 1, rho))
+        shift, terms = pushforward_terms(v.summand_coords, coords[:-1], coords[-1])
         return (-1) ** shift * sum(mult * _line_chi(v.base, e)
                                    for e, mult in terms.items())
     raise UnsupportedVariety(f"no chi polynomial for {v!r}")
@@ -221,10 +224,10 @@ def euler_characteristic(v: Variety, bundle) -> int:
     """chi from the closed Riemann-Roch polynomials of the line bundles.
 
     Always equal to the alternating sum of cohomology(v, bundle).  On P^n
-    and F_r the polynomial shares no code with the tables.  On P(E) it
-    shares the expansion of ``pushforward_terms`` with them and only
-    replaces each base table by its polynomial, so it checks the base
-    tables but not the expansion.
+    and on every P(E) over P^1, F_r among them, the polynomial shares no
+    code with the tables.  Over other bases it shares the expansion of
+    ``pushforward_terms`` with them and only replaces each base table by
+    its polynomial, so it checks the base tables but not the expansion.
     """
     if isinstance(bundle, DivisorClass):
         bundle = SplitBundle(v, (bundle,))
@@ -250,10 +253,10 @@ def _fan(v: Variety):
         rays.append(tuple(-1 for _ in range(n)))
         cones = [frozenset(c) for c in itertools.combinations(range(n + 1), n)]
         return rays, cones, n
-    if isinstance(v, Hirzebruch):
-        if v.r > 4:
+    if (r := hirzebruch_parameter(v)) is not None:
+        if r > 4:
             raise UnsupportedVariety("oracle supports F_r only for r <= 4")
-        rays = [(1, 0), (0, 1), (-1, v.r), (0, -1)]
+        rays = [(1, 0), (0, 1), (-1, r), (0, -1)]
         cones = [frozenset(p) for p in ((0, 1), (1, 2), (2, 3), (3, 0))]
         return rays, cones, 2
     raise UnsupportedVariety(f"no fan for {getattr(v, 'name', v)!r}")
@@ -262,10 +265,8 @@ def _fan(v: Variety):
 def _ray_coefficients(v: Variety, d: DivisorClass):
     if isinstance(v, ProjSpace):
         return (d.coords[0],) + (0,) * v.n
-    if isinstance(v, Hirzebruch):
-        # f = D_{(1,0)} and C+ = D_{(0,-1)}
-        a, b = d.coords
-        return (a, 0, 0, b)
+    if hirzebruch_parameter(v) is not None:
+        return (d.coords[0], 0, 0, d.coords[1])  # f = D_(1,0), C+ = D_(0,-1)
     raise UnsupportedVariety("oracle coefficients undefined")
 
 

@@ -7,14 +7,15 @@ variety        Picard basis                   coordinates
 =============  =============================  =========================
 P^n            hyperplane h                   (d)
 generic curve  a point                        (degree)
+P(E) -> X      base classes, then H           base coords + (k)
 F_r            fibre f, section C+ (C+^2=r)   (a, b) meaning a*f + b*C+
 P^1 x P^1      the two rulings f, f'          (a, b); same as F_0
-P(E) -> X      base classes, then H           base coords + (k)
 =============  =============================  =========================
 
-The section ``C-`` with square ``-r`` satisfies ``C+ = r*f + C-``; the
-minus basis is accepted on input only (``parse_divisor(minus_basis=True)``)
-and converted immediately, internal storage is always ``(f, C+)``.
+F_r is P(O + O(r)) over P^1 (``hirzebruch(r)``), so (f, C+) are its
+(base, H) coordinates; the base of a P(E) may be a P(E) itself.  The
+section ``C-`` with square ``-r`` satisfies ``C+ = r*f + C-``; the minus
+basis is accepted on input only (``parse_divisor(minus_basis=True)``).
 
 Everything here is an immutable value; all operations are pure functions.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Union
 
@@ -82,33 +84,6 @@ class GenericCurve:
     @property
     def name(self) -> str:
         return f"C{self.genus}"
-
-
-@dataclass(frozen=True)
-class Hirzebruch:
-    """Hirzebruch surface F_r = P(O + O(r)) over P^1; F_0 is P^1 x P^1.
-
-    Negative r is rejected, normalise via F_r = F_{-r} before constructing.
-    """
-
-    r: int
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise UnsupportedVariety(
-                f"Hirzebruch parameter must be >= 0 (F_r = F_-r), got {self.r}")
-
-    @property
-    def dim(self) -> int:
-        return 2
-
-    @property
-    def picard_rank(self) -> int:
-        return 2
-
-    @property
-    def name(self) -> str:
-        return "P1xP1" if self.r == 0 else f"F{self.r}"
 
 
 @dataclass(frozen=True)
@@ -206,17 +181,13 @@ class SplitBundle:
 class ProjBundle:
     """Projective bundle P(E) -> X for a split bundle E on a supported base.
 
-    Nested projective bundles are rejected; express F_r directly as a
-    Hirzebruch surface instead of P(O + O(r)) when it is the base.
+    The base may be a P(E) itself, e.g. the Bott 3-folds P(O + O(D)) -> F_r.
     """
 
     base: "Variety"
     summands: SplitBundle
 
     def __post_init__(self):
-        if isinstance(self.base, ProjBundle):
-            raise UnsupportedVariety("projective bundles over projective bundles "
-                                     "are not supported")
         if self.summands.variety != self.base:
             raise UnsupportedVariety("bundle summands must live on the base")
         if self.summands.rank < 2:
@@ -226,30 +197,48 @@ class ProjBundle:
     def rank(self) -> int:
         return self.summands.rank
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return self.base.dim + self.rank - 1
 
-    @property
+    @cached_property
     def picard_rank(self) -> int:
         return self.base.picard_rank + 1
+
+    @cached_property
+    def summand_coords(self) -> tuple:
+        """The coordinate tuples of the summands of E, in order."""
+        return tuple(s.coords for s in self.summands.summands)
 
     @property
     def name(self) -> str:
         return render_variety(self)
 
-    def pullback(self, d: DivisorClass) -> DivisorClass:
-        if d.variety != self.base:
-            raise UnsupportedVariety("pullback expects a base divisor")
-        return DivisorClass(self, d.coords + (0,))
 
-    def hyperplane(self) -> DivisorClass:
-        return DivisorClass(self, (0,) * self.base.picard_rank + (1,))
+Variety = Union[ProjSpace, GenericCurve, ProjBundle]
+
+_P1 = ProjSpace(1)
 
 
-Variety = Union[ProjSpace, GenericCurve, Hirzebruch, ProjBundle]
+def hirzebruch(r: int) -> ProjBundle:
+    """F_r = P(O + O(r)) over P^1; normalise F_-r to F_r before calling."""
+    if r < 0:
+        raise UnsupportedVariety(
+            f"Hirzebruch parameter must be >= 0 (F_r = F_-r), got {r}")
+    return ProjBundle(_P1, SplitBundle(_P1, (DivisorClass(_P1, (0,)),
+                                             DivisorClass(_P1, (r,)))))
 
-P1xP1 = Hirzebruch(0)
+
+P1xP1 = hirzebruch(0)
+
+
+def hirzebruch_parameter(v: Variety) -> int | None:
+    """r when v is exactly hirzebruch(r), i.e. P(O + O(r)) over P^1 with
+    the summands [0], [r] in that order; None for every other variety."""
+    if (isinstance(v, ProjBundle) and v.base == _P1 and v.rank == 2
+            and v.summand_coords[0] == (0,) and v.summand_coords[1][0] >= 0):
+        return v.summand_coords[1][0]
+    return None
 
 
 def zero_divisor(v: Variety) -> DivisorClass:
@@ -267,15 +256,13 @@ def line_bundle(v: Variety, coords) -> SplitBundle:
 def canonical_class(v: Variety) -> DivisorClass:
     """K_V in the fixed basis.
 
-    K_{P^n} = -(n+1)h, K_{F_r} = (r-2)f - 2C+, a genus-g curve has
-    deg K = 2g-2, and K_{P(E)} = pullback(K_X + c1(E)) - rank(E)*H.
+    K_{P^n} = -(n+1)h, a genus-g curve has deg K = 2g-2, and
+    K_{P(E)} = pullback(K_X + c1(E)) - rank(E)*H ((r-2)f - 2C+ on F_r).
     """
     if isinstance(v, ProjSpace):
         return DivisorClass(v, (-v.n - 1,))
     if isinstance(v, GenericCurve):
         return DivisorClass(v, (2 * v.genus - 2,))
-    if isinstance(v, Hirzebruch):
-        return DivisorClass(v, (v.r - 2, -2))
     if isinstance(v, ProjBundle):
         down = canonical_class(v.base) + v.summands.c1
         return DivisorClass(v, down.coords + (-v.rank,))
@@ -327,55 +314,53 @@ class AmpleVerdict:
 def is_ample(v: Variety, d: DivisorClass) -> bool:
     """Exact ampleness test.
 
-    On the smooth toric targets ample and very ample coincide; on a curve
-    a divisor is ample iff its degree is positive.  Projective bundles are
-    only tested for classes of the form pullback(A) + H.
+    On a curve a divisor is ample iff its degree is positive.  On P(E) with
+    E split, pullback(B) + kH is ample iff k >= 1 and B + k*s_i is ample on
+    the base for every summand s_i; on F_r that reads a >= 1, b >= 1.
     """
     if d.variety != v:
         raise UnsupportedVariety("divisor not on the given variety")
-    if isinstance(v, ProjSpace):
+    if isinstance(v, (ProjSpace, GenericCurve)):
         return d.coords[0] >= 1
-    if isinstance(v, GenericCurve):
-        return d.coords[0] >= 1
-    if isinstance(v, Hirzebruch):
-        return d.coords[0] >= 1 and d.coords[1] >= 1
     if isinstance(v, ProjBundle):
-        base_part, h_coeff = _split_pb_divisor(v, d)
-        return all(is_ample(v.base, s + base_part) for s in v.summands.summands)
+        k, twists = _pb_summand_twists(v, d)
+        return k >= 1 and all(is_ample(v.base, t) for t in twists)
     raise UnsupportedVariety(f"no ampleness test for {v!r}")
 
 
 def is_very_ample(v: Variety, d: DivisorClass) -> AmpleVerdict:
     """Very-ampleness test; see AmpleVerdict for the generic-curve caveat.
 
-    On P(E) with D = pullback(A) + H the test reduces to every summand
-    twist D_i + A being very ample on the base, which is exact on toric
-    bases and sufficiency-flagged over generic curves.
+    On toric varieties (P^n and split P(E) towers over it) very ample is
+    ample, so P(E) tests the twists B + k*s_i of ``is_ample`` very ample on
+    the base.  Over a curve, at any depth, only k = 1 is supported.
     """
     if d.variety != v:
         raise UnsupportedVariety("divisor not on the given variety")
     if isinstance(v, ProjSpace):
         return AmpleVerdict(d.coords[0] >= 1)
-    if isinstance(v, Hirzebruch):
-        return AmpleVerdict(d.coords[0] >= 1 and d.coords[1] >= 1)
     if isinstance(v, GenericCurve):
         return AmpleVerdict(d.coords[0] >= 2 * v.genus + 1, sufficient_only=True)
     if isinstance(v, ProjBundle):
-        base_part, _ = _split_pb_divisor(v, d)
-        verdicts = [is_very_ample(v.base, s + base_part)
-                    for s in v.summands.summands]
-        return AmpleVerdict(all(bool(x) for x in verdicts),
+        k, twists = _pb_summand_twists(v, d)
+        verdicts = [is_very_ample(v.base, t) for t in twists]
+        return AmpleVerdict(k >= 1 and all(verdicts),
                             sufficient_only=any(x.sufficient_only for x in verdicts))
     raise UnsupportedVariety(f"no very-ampleness test for {v!r}")
 
 
-def _split_pb_divisor(v: ProjBundle, d: DivisorClass):
-    h_coeff = d.coords[-1]
-    if h_coeff != 1:
+def _pb_summand_twists(v: ProjBundle, d: DivisorClass):
+    """(k, [B + k*s_i]) for d = pullback(B) + kH on P(E); over a curve,
+    whose very-ampleness bound does not scale with k, only k = 1."""
+    k, root = d.coords[-1], v
+    while isinstance(root, ProjBundle):
+        root = root.base
+    if k != 1 and isinstance(root, GenericCurve):
         raise UnsupportedPolarisation(
-            f"only polarisations pullback(A) + H are supported on P(E); "
-            f"got H-coefficient {h_coeff}")
-    return DivisorClass(v.base, d.coords[:-1]), h_coeff
+            f"only polarisations pullback(A) + H are supported on P(E) "
+            f"over a curve; got H-coefficient {k}")
+    base_part = DivisorClass(v.base, d.coords[:-1])
+    return k, [base_part + k * s for s in v.summands.summands]
 
 
 def very_ample_threshold(v: ProjBundle, direction: DivisorClass) -> int:
@@ -397,13 +382,12 @@ def very_ample_threshold(v: ProjBundle, direction: DivisorClass) -> int:
 
 
 def minimal_ample_direction(v: Variety) -> DivisorClass:
-    """The lexicographically smallest ample class with all coordinates >= 1
-    where applicable; used as the default search direction."""
-    if isinstance(v, (ProjSpace, GenericCurve)):
-        return DivisorClass(v, (1,))
-    if isinstance(v, Hirzebruch):
-        return DivisorClass(v, (1, 1))
-    raise UnsupportedVariety(f"no canonical ample direction on {v!r}")
+    """The all-ones class, checked by ``is_ample``; used as the default
+    search direction."""
+    d = DivisorClass(v, (1,) * v.picard_rank)
+    if not is_ample(v, d):
+        raise UnsupportedVariety(f"the all-ones class is not ample on {v.name}")
+    return d
 
 
 # --------------------------------------------------------------------------
@@ -413,6 +397,9 @@ def minimal_ample_direction(v: Variety) -> DivisorClass:
 #   variety := "P"INT | "F"INT | "P1xP1" | "C"INT | "PB(" variety ";" divisor ("," divisor)* ")"
 #   divisor := "[" INT ("," INT)* "]"
 #   bundle  := divisor | "{" divisor ("," divisor)* "}"
+#
+# F<r> and P1xP1 name PB(P1;[0],[r]) and PB(P1;[0],[0]).  A PB base may be
+# a PB, so the base ends at the first ';' outside parentheses.
 
 _DIVISOR_RE = re.compile(r"\[(-?\d+(?:,-?\d+)*)\]")
 
@@ -422,38 +409,39 @@ def parse_variety(text: str) -> Variety:
     if not s:
         raise ParseError("empty variety expression")
     if s == "P1xP1":
-        return Hirzebruch(0)
+        return P1xP1
     m = re.fullmatch(r"P(-?\d+)", s)
     if m:
         return ProjSpace(int(m.group(1)))
     m = re.fullmatch(r"F(-?\d+)", s)
     if m:
-        return Hirzebruch(int(m.group(1)))
+        return hirzebruch(int(m.group(1)))
     m = re.fullmatch(r"C(-?\d+)", s)
     if m:
         return GenericCurve(int(m.group(1)))
     if s.startswith("PB(") and s.endswith(")"):
         inner = s[3:-1]
-        if ";" not in inner:
+        parts = _split_top(inner, ";")
+        if len(parts) < 2:
             raise ParseError(f"PB(...) needs 'base;divisors': {text!r}")
-        base_text, rest = inner.split(";", 1)
-        base = parse_variety(base_text)
-        divisors = [parse_divisor(part, base) for part in _split_top(rest)]
+        base = parse_variety(parts[0])
+        rest = inner[len(parts[0]) + 1:]
+        divisors = [parse_divisor(part, base) for part in _split_top(rest, ",")]
         if not divisors:
             raise ParseError(f"PB(...) needs at least one divisor: {text!r}")
         return ProjBundle(base, SplitBundle(base, tuple(divisors)))
     raise ParseError(f"cannot parse variety {text!r}")
 
 
-def _split_top(text: str):
-    """Split on commas that are outside [...] groups."""
+def _split_top(text: str, sep: str):
+    """Split on the separator where it is outside [...] and (...) groups."""
     parts, depth, cur = [], 0, []
     for ch in text:
-        if ch == "[":
+        if ch in "[(":
             depth += 1
-        elif ch == "]":
+        elif ch in "])":
             depth -= 1
-        if ch == "," and depth == 0:
+        if ch == sep and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:
@@ -469,16 +457,17 @@ def parse_divisor(text: str, v: Variety, minus_basis: bool = False) -> DivisorCl
     if not m:
         raise ParseError(f"cannot parse divisor {text!r}")
     coords = tuple(int(x) for x in m.group(1).split(","))
-    if minus_basis and isinstance(v, Hirzebruch) and len(coords) == 2:
+    r = hirzebruch_parameter(v) if minus_basis else None
+    if r is not None and len(coords) == 2:
         a, b = coords
-        coords = (a - v.r * b, b)  # a*f + b*C-  ->  (a - r*b)*f + b*C+
+        coords = (a - r * b, b)  # a*f + b*C-  ->  (a - r*b)*f + b*C+
     return DivisorClass(v, coords)
 
 
 def parse_bundle(text: str, v: Variety, minus_basis: bool = False) -> SplitBundle:
     s = "".join(text.split())
     if s.startswith("{") and s.endswith("}"):
-        parts = _split_top(s[1:-1])
+        parts = _split_top(s[1:-1], ",")
         if not parts:
             raise ParseError(f"empty bundle {text!r}")
         return SplitBundle(v, tuple(parse_divisor(p, v, minus_basis) for p in parts))
@@ -496,6 +485,8 @@ def render_bundle(e: SplitBundle) -> str:
 
 
 def render_variety(v: Variety) -> str:
+    if (r := hirzebruch_parameter(v)) is not None:
+        return "P1xP1" if r == 0 else f"F{r}"
     if isinstance(v, ProjBundle):
         return ("PB(" + render_variety(v.base) + ";"
                 + ",".join(render_divisor(s) for s in v.summands.summands) + ")")

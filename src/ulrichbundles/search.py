@@ -1,7 +1,8 @@
 """Box-bounded classification scans.
 
 Runtime answers always come from exhaustive scans over a lattice box; the
-known closed-form classifications on Hirzebruch surfaces are emitted
+known closed-form classifications on the Hirzebruch surfaces F_r =
+P(O + O(r)) over P^1 (``picard.hirzebruch_parameter``) are emitted
 alongside and asserted to agree with the scan inside the box, so the scan
 validates the formulas rather than the other way round.
 
@@ -27,11 +28,10 @@ from .errors import BoxTooLarge, GenericModeUnsupported, InternalInconsistency
 from .picard import (
     DivisorClass,
     GenericCurve,
-    Hirzebruch,
     ProjBundle,
     SplitBundle,
     Variety,
-    render_divisor,
+    hirzebruch_parameter,
 )
 from .ulrich import Polarisation, is_ulrich, pullback_ulrich_criterion
 
@@ -110,11 +110,11 @@ def zero_cohomology_line_bundles(v: Variety, box: SearchBox,
         if cohomology(v, DivisorClass(v, coords)).is_zero()))
     closed_form = None
     notes = ()
-    if isinstance(v, Hirzebruch):
+    if (r := hirzebruch_parameter(v)) is not None:
         lo, hi = box.bounds[0]
-        if v.r > 0:
-            families = ["(-1, 0)", "(i, -1) for all i", f"({v.r - 1}, -2)"]
-            expected = {(-1, 0), (v.r - 1, -2)} | {(i, -1) for i in range(lo, hi + 1)}
+        if r > 0:
+            families = ["(-1, 0)", "(i, -1) for all i", f"({r - 1}, -2)"]
+            expected = {(-1, 0), (r - 1, -2)} | {(i, -1) for i in range(lo, hi + 1)}
             notes = (ERRATUM_NOTE,)
         else:
             families = ["(-1, j) for all j", "(i, -1) for all i"]
@@ -139,13 +139,10 @@ def ulrich_line_bundles(v: Variety, a, box: SearchBox,
         if is_ulrich(v, SplitBundle(v, (DivisorClass(v, coords),)), pol).verdict))
     closed_form = None
     notes = ()
-    if isinstance(v, Hirzebruch):
+    if (r := hirzebruch_parameter(v)) is not None:
         ap, bp = pol.divisor.coords
-        if v.r > 0:
-            if bp == 1:
-                members = {(ap - 1, 1), (v.r - 1 + 2 * ap, 0)}
-            else:
-                members = set()
+        if r > 0:
+            members = {(ap - 1, 1), (r - 1 + 2 * ap, 0)} if bp == 1 else set()
             notes = (ERRATUM_NOTE,)
         else:
             members = {(ap - 1, 2 * bp - 1), (2 * ap - 1, bp - 1)}

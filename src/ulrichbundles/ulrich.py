@@ -198,9 +198,8 @@ def pullback_ulrich_criterion(x: Variety, e: SplitBundle, cand, a) -> UlrichRepo
 
 def _pb_twist_table(pb: ProjBundle, cand, b: DivisorClass, k: int) -> CohomologyTable:
     """Table of pullback(cand)(pullback(b) + kH) on P(E)."""
-    summands = tuple(s.coords for s in pb.summands.summands)
     return pushforward_table(
-        pb.dim, summands, b.coords, k,
+        pb.dim, pb.summand_coords, b.coords, k,
         lambda e: _base_table(pb.base, cand, DivisorClass(pb.base, e)))
 
 

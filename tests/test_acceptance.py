@@ -13,7 +13,6 @@ import time
 
 from ulrichbundles import (
     DivisorClass,
-    Hirzebruch,
     ProjBundle,
     ProjSpace,
     SearchBox,
@@ -23,6 +22,7 @@ from ulrichbundles import (
     direct_ulrich_check,
     euler_characteristic,
     h0_multiplication_rank,
+    hirzebruch,
     is_ulrich,
     kernel_cohomology,
     lemma_conditions_check,
@@ -78,8 +78,8 @@ def test_criterion_02_higher_degree_emptiness():
         for a in range(1, 4):
             for b in (2, 3):
                 result = ulrich_line_bundles(
-                    Hirzebruch(r), DivisorClass(Hirzebruch(r), (a, b)),
-                    SearchBox.symmetric(Hirzebruch(r), 10))
+                    hirzebruch(r), DivisorClass(hirzebruch(r), (a, b)),
+                    SearchBox.symmetric(hirzebruch(r), 10))
                 assert result.results == (), (r, a, b)
     elapsed = time.monotonic() - start
     assert elapsed < 10
@@ -87,7 +87,7 @@ def test_criterion_02_higher_degree_emptiness():
 
 
 def test_criterion_03_quadric_grid():
-    q = Hirzebruch(0)
+    q = hirzebruch(0)
     for a in range(1, 5):
         for b in range(1, 5):
             result = ulrich_line_bundles(q, DivisorClass(q, (a, b)),
@@ -106,14 +106,14 @@ def test_criterion_04_vanishing_list_with_erratum():
         assert got == expected, r
         # erratum detector: the often-quoted third entry is the canonical
         # class and has h^2 = 1
-        fr = Hirzebruch(r)
+        fr = hirzebruch(r)
         assert cohomology(fr, DivisorClass(fr, (r - 2, -2))).h[2] == 1, r
     _passed(4, "vanishing lists r=1..4 exact, erratum detector fires")
 
 
 def test_criterion_05_oracle_agreement():
     start = time.monotonic()
-    varieties = [P2, Hirzebruch(1), Hirzebruch(2), Hirzebruch(3), Hirzebruch(0)]
+    varieties = [P2, hirzebruch(1), hirzebruch(2), hirzebruch(3), hirzebruch(0)]
     mismatches = 0
     checked = 0
     for v in varieties:
@@ -132,7 +132,7 @@ def test_criterion_06_criterion_direct_equivalence():
     from ulrichbundles import render_bundle, render_divisor, render_variety
 
     rng = random.Random(20240615)
-    bases = [P1, P2, Hirzebruch(0), Hirzebruch(1), Hirzebruch(2), Hirzebruch(3)]
+    bases = [P1, P2, hirzebruch(0), hirzebruch(1), hirzebruch(2), hirzebruch(3)]
     agree = 0
     total = 500
     for i in range(total):
@@ -167,8 +167,8 @@ def test_criterion_07_serre_partner_closure():
         return {tuple(c) for c in result.closed_form["members"]}
 
     sets_checked = 0
-    cases = [(Hirzebruch(r), (a, 1)) for r in range(1, 6) for a in range(1, 6)]
-    cases += [(Hirzebruch(0), (a, b)) for a in range(1, 5) for b in range(1, 5)]
+    cases = [(hirzebruch(r), (a, 1)) for r in range(1, 6) for a in range(1, 6)]
+    cases += [(hirzebruch(0), (a, b)) for a in range(1, 5) for b in range(1, 5)]
     for v, pol_coords in cases:
         pol = DivisorClass(v, pol_coords)
         members = closed_form_set(v, pol)
@@ -233,7 +233,7 @@ def test_criterion_10_staircase_certificates():
 def test_criterion_11_chi_cross_check():
     mismatches = 0
     for r in range(0, 5):
-        fr = Hirzebruch(r)
+        fr = hirzebruch(r)
         for a in range(-8, 9):
             for b in range(-8, 9):
                 d = DivisorClass(fr, (a, b))
@@ -245,7 +245,7 @@ def test_criterion_11_chi_cross_check():
 
 def test_criterion_12_projectivisation_twist_invariance():
     rng = random.Random(777)
-    bases = [P1, P2, Hirzebruch(1), Hirzebruch(2), Hirzebruch(0)]
+    bases = [P1, P2, hirzebruch(1), hirzebruch(2), hirzebruch(0)]
     for i in range(100):
         base = rng.choice(bases)
         rank = rng.randint(2, 4)

@@ -119,6 +119,41 @@ class TestMinusBasis:
         assert plus == minus
 
 
+class TestHirzebruchAsBundle:
+    """F<r> is PB(P1;[0],[r]): the bundle commands accept it as such."""
+
+    @pytest.mark.parametrize("command", [
+        "criterion {} [-1] --pol [1]",
+        "direct {} [-1] --pol [1]",
+        "probe {} [0] [1] -p 1",
+        "search-pb {} --pol [1] --box 3",
+    ])
+    @pytest.mark.parametrize("name, spelled", [("F2", "PB(P1;[0],[2])"),
+                                               ("P1xP1", "PB(P1;[0],[0])")])
+    def test_bundle_commands_accept_f_names(self, command, name, spelled):
+        code, out = run_cli(command.format(name).split() + ["--json"])
+        assert code == 0
+        assert (code, out) == run_cli(command.format(spelled).split() + ["--json"])
+
+    def test_scan_closed_form_printed_for_the_name_only(self):
+        code, named = run_cli(["enum-ulrich", "F1", "--pol", "[2,1]", "--box", "4",
+                               "--json"])
+        assert code == 0 and "closed_form" in json.loads(named)
+        code, spelled = run_cli(["enum-ulrich", "PB(P1;[0],[1])", "--pol", "[2,1]",
+                                 "--box", "4", "--json"])
+        assert code == 0
+        assert json.loads(spelled) == {"results": json.loads(named)["results"],
+                                       "erratum_notes": []}
+
+    def test_nested_bundle_commands(self):
+        code, out = run_cli(["coh", "PB(PB(P1;[0],[1]);[0,0],[1,0])", "[0,0,0]",
+                             "--json"])
+        assert code == 0 and json.loads(out)["h"] == [1, 0, 0, 0]
+        code, out = run_cli(["direct", "PB(F1;[0,0],[1,0])", "[0,0]",
+                             "--pol", "[1,1]", "--json"])
+        assert code == 0 and json.loads(out)["method"] == "direct"
+
+
 class TestRepeatedCalls:
     # pairs that differ only in a flag, and failures next to successes
     SEQUENCE = [

@@ -1,5 +1,6 @@
 """Cohomology engine: line-bundle tables, pushforward branches, chi."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -10,13 +11,13 @@ from ulrichbundles import (
     DivisorClass,
     GenericCurve,
     GenericModeUnsupported,
-    Hirzebruch,
     ProjBundle,
     ProjSpace,
     SplitBundle,
     canonical_class,
     cohomology,
     euler_characteristic,
+    hirzebruch,
     hom_complex_dims,
     line_bundle,
     parse_bundle,
@@ -28,9 +29,9 @@ from ulrichbundles.cohomology import pushforward_terms
 P1 = ProjSpace(1)
 P2 = ProjSpace(2)
 P3 = ProjSpace(3)
-F0 = Hirzebruch(0)
-F1 = Hirzebruch(1)
-F2 = Hirzebruch(2)
+F0 = hirzebruch(0)
+F1 = hirzebruch(1)
+F2 = hirzebruch(2)
 
 
 def coh(v, coords):
@@ -93,6 +94,39 @@ class TestEulerCharacteristic:
         with pytest.raises(GenericModeUnsupported):
             euler_characteristic(c, DivisorClass(c, (3,)))
 
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_closed_polynomial_over_p1(self, rank, monkeypatch):
+        # k >= 0, the dead band -rank < k < 0 and k <= -rank; the tables are
+        # taken first, then the expansion is disabled, so chi must come from
+        # the closed polynomial alone
+        import importlib
+
+        coh_mod = importlib.import_module("ulrichbundles.cohomology")
+        rng = random.Random(rank)
+        cases = []
+        for _ in range(6):
+            e = SplitBundle(P1, tuple(DivisorClass(P1, (rng.randint(-3, 4),))
+                                      for _ in range(rank)))
+            v = ProjBundle(P1, e)
+            for a in range(-5, 6):
+                for k in range(-rank - 5, 7):
+                    d = DivisorClass(v, (a, k))
+                    cases.append((v, d, cohomology(v, d).chi))
+
+        def no_expansion(*args):
+            raise AssertionError("chi over P^1 used the pushforward expansion")
+
+        monkeypatch.setattr(coh_mod, "pushforward_terms", no_expansion)
+        for v, d, chi in cases:
+            assert euler_characteristic(v, d) == chi, (v.name, d.coords)
+
+    @pytest.mark.parametrize("r", range(5))
+    def test_hirzebruch_polynomial(self, r):
+        fr = hirzebruch(r)
+        for a, b in itertools.product(range(-6, 7), repeat=2):
+            expected = (a + 1) * (b + 1) + r * b * (b + 1) // 2
+            assert euler_characteristic(fr, DivisorClass(fr, (a, b))) == expected
+
     def test_matches_alternating_sum_on_pb(self):
         v = parse_variety("PB(F2;[1,0],[0,1])")
         for coords in [(0, 0, 0), (1, 2, 3), (-2, 1, -4), (3, -3, 2)]:
@@ -148,7 +182,7 @@ class TestTableInvariants:
 
 
 class TestSerreDuality:
-    @pytest.mark.parametrize("v", [P1, P2, P3, F0, F1, F2, Hirzebruch(3)])
+    @pytest.mark.parametrize("v", [P1, P2, P3, F0, F1, F2, hirzebruch(3)])
     def test_line_bundles_in_box(self, v):
         k = canonical_class(v)
         n = v.dim
@@ -169,8 +203,6 @@ class TestSerreDuality:
 
 
 def _box(rank, radius):
-    import itertools
-
     return itertools.product(range(-radius, radius + 1), repeat=rank)
 
 

@@ -7,17 +7,17 @@ import pytest
 from ulrichbundles import (
     DivisorClass,
     GenericCurve,
-    Hirzebruch,
     ProjSpace,
     ScanBoxTooSmall,
     UnsupportedVariety,
     cohomology,
+    hirzebruch,
     toric_cech_oracle,
 )
 from ulrichbundles.cohomology import _scan_bounds
 
 P2 = ProjSpace(2)
-F2 = Hirzebruch(2)
+F2 = hirzebruch(2)
 
 
 def test_p2_three_monomials():
@@ -29,7 +29,7 @@ def test_f2_canonical_class():
 
 
 def test_quadric_vanishing_family():
-    q = Hirzebruch(0)
+    q = hirzebruch(0)
     assert toric_cech_oracle(q, DivisorClass(q, (-1, 5))).h == (0, 0, 0)
 
 
@@ -43,8 +43,8 @@ def test_p1():
     assert toric_cech_oracle(p1, DivisorClass(p1, (-2,))).h == (0, 1)
 
 
-@pytest.mark.parametrize("v", [P2, Hirzebruch(1), F2, Hirzebruch(3),
-                               Hirzebruch(0)])
+@pytest.mark.parametrize("v", [P2, hirzebruch(1), F2, hirzebruch(3),
+                               hirzebruch(0)])
 def test_agreement_box(v):
     for coords in itertools.product(range(-4, 5), repeat=v.picard_rank):
         d = DivisorClass(v, coords)
@@ -54,15 +54,15 @@ def test_agreement_box(v):
 def test_skew_fan_needs_wide_box():
     # F_3 with a large negative section part spreads its h^2 support wide;
     # the arrangement-vertex bound must cover it
-    d = DivisorClass(Hirzebruch(3), (0, -6))
-    assert toric_cech_oracle(Hirzebruch(3), d).h == cohomology(Hirzebruch(3), d).h
+    d = DivisorClass(hirzebruch(3), (0, -6))
+    assert toric_cech_oracle(hirzebruch(3), d).h == cohomology(hirzebruch(3), d).h
 
 
 def test_unsupported_fans_rejected():
     with pytest.raises(UnsupportedVariety):
         toric_cech_oracle(ProjSpace(4), DivisorClass(ProjSpace(4), (1,)))
     with pytest.raises(UnsupportedVariety):
-        toric_cech_oracle(Hirzebruch(5), DivisorClass(Hirzebruch(5), (1, 1)))
+        toric_cech_oracle(hirzebruch(5), DivisorClass(hirzebruch(5), (1, 1)))
     c = GenericCurve(1)
     with pytest.raises(UnsupportedVariety):
         toric_cech_oracle(c, DivisorClass(c, (0,)))

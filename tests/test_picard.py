@@ -1,5 +1,6 @@
 """Picard-lattice arithmetic, split-bundle algebra, ampleness, grammar."""
 
+import itertools
 from fractions import Fraction
 from math import comb
 
@@ -8,7 +9,6 @@ import pytest
 from ulrichbundles import (
     DivisorClass,
     GenericCurve,
-    Hirzebruch,
     NotAmple,
     ParseError,
     ProjBundle,
@@ -17,8 +17,10 @@ from ulrichbundles import (
     UnsupportedPolarisation,
     UnsupportedVariety,
     canonical_class,
+    cohomology,
+    hirzebruch,
+    is_ample,
     is_very_ample,
-    line_bundle,
     parse_bundle,
     parse_divisor,
     parse_variety,
@@ -31,9 +33,9 @@ from ulrichbundles import (
 
 P1 = ProjSpace(1)
 P2 = ProjSpace(2)
-F0 = Hirzebruch(0)
-F2 = Hirzebruch(2)
-F3 = Hirzebruch(3)
+F0 = hirzebruch(0)
+F2 = hirzebruch(2)
+F3 = hirzebruch(3)
 
 
 def pb(text):
@@ -122,10 +124,38 @@ class TestVeryAmple:
                     for s in v.summands.summands)
                 assert bool(is_very_ample(v, d)) == expected
 
-    def test_pb_needs_h_coefficient_one(self):
-        v = pb("PB(P2;[1],[0])")
+    AMPLE_RULES = {
+        # b*h + k*H on the blowup of P^3 at a point: k >= 1, b + k >= 1, b >= 1
+        "PB(P2;[1],[0])": lambda b, k: k >= 1 and b >= 1,
+        "PB(P2;[2],[-1])": lambda b, k: k >= 1 and b - k >= 1,
+        # a*f + b*C+ on F_r is ample iff a >= 1 and b >= 1
+        **{f"F{r}": lambda a, b: a >= 1 and b >= 1 for r in range(5)},
+    }
+
+    @pytest.mark.parametrize("text", list(AMPLE_RULES))
+    def test_general_h_coefficient_truth_table(self, text):
+        v = pb(text)
+        for coords in itertools.product(range(-4, 5), repeat=2):
+            d = DivisorClass(v, coords)
+            expected = self.AMPLE_RULES[text](*coords)
+            assert is_ample(v, d) == expected, (text, coords)
+            verdict = is_very_ample(v, d)
+            assert bool(verdict) == expected and not verdict.sufficient_only, (
+                text, coords)
+
+    @pytest.mark.parametrize("text, divisor", [
+        ("PB(C2;[0],[1])", "[5,2]"),
+        ("PB(C2;[0],[1])", "[5,0]"),
+        ("PB(PB(C2;[0],[1]);[0,0],[1,0])", "[5,1,2]"),
+        # k = 1 on top, but B + k*s_i has H-coefficient 2 on the inner P(E)
+        ("PB(PB(C2;[0],[1]);[0,1],[1,1])", "[5,1,1]"),
+    ])
+    def test_curve_base_needs_h_coefficient_one(self, text, divisor):
+        v = pb(text)
         with pytest.raises(UnsupportedPolarisation):
-            is_very_ample(v, DivisorClass(v, (1, 2)))
+            is_very_ample(v, parse_divisor(divisor, v))
+        with pytest.raises(UnsupportedPolarisation):
+            is_ample(v, parse_divisor(divisor, v))
 
     def test_curve_sufficient_flag(self):
         c = GenericCurve(2)
@@ -164,12 +194,18 @@ class TestThreshold:
 class TestDescriptorValidation:
     def test_negative_hirzebruch_rejected(self):
         with pytest.raises(UnsupportedVariety):
-            Hirzebruch(-1)
+            hirzebruch(-1)
 
-    def test_no_nested_bundles(self):
+    def test_nested_bundle_accepted(self):
         inner = pb("PB(P1;[0],[1])")
-        with pytest.raises(UnsupportedVariety):
-            ProjBundle(inner, line_bundle(inner, (0, 0)))
+        assert inner == hirzebruch(1)
+        v = ProjBundle(inner, SplitBundle(inner, (DivisorClass(inner, (0, 0)),
+                                                  DivisorClass(inner, (1, 0)))))
+        f1_based = pb("PB(F1;[0,0],[1,0])")
+        assert v == f1_based and v.dim == 3 and v.picard_rank == 3
+        for coords in itertools.product(range(-3, 4), repeat=3):
+            assert (cohomology(v, DivisorClass(v, coords))
+                    == cohomology(f1_based, DivisorClass(f1_based, coords)))
 
     def test_pb_needs_rank_two(self):
         with pytest.raises(UnsupportedVariety):
@@ -191,6 +227,28 @@ class TestGrammar:
     def test_f0_prints_as_quadric(self):
         assert render_variety(parse_variety("F0")) == "P1xP1"
 
+    def test_hirzebruch_is_the_split_bundle_over_p1(self):
+        for r in range(5):
+            assert parse_variety(f"PB(P1;[0],[{r}])") == hirzebruch(r)
+            assert parse_variety(f"F{r}") == hirzebruch(r)
+        # same surface, other coordinates: not named F1
+        assert render_variety(parse_variety("PB(P1;[1],[0])")) == "PB(P1;[1],[0])"
+        assert render_variety(parse_variety("PB(P1;[0],[-1])")) == "PB(P1;[0],[-1])"
+
+    def test_nested_bundle_grammar(self):
+        nested = parse_variety("PB(PB(P1;[0],[1]);[0,0],[1,0])")
+        f1_based = parse_variety("PB(F1;[0,0],[1,0])")
+        assert nested == f1_based
+        assert render_variety(nested) == "PB(F1;[0,0],[1,0])"
+        assert parse_variety(render_variety(nested)) == nested
+        for coords in itertools.product(range(-3, 4), repeat=3):
+            assert (cohomology(nested, DivisorClass(nested, coords))
+                    == cohomology(f1_based, DivisorClass(f1_based, coords)))
+        tower = "PB(PB(PB(P1;[0],[2]);[0,0],[1,1]);[0,0,0],[0,1,2])"
+        assert render_variety(parse_variety(tower)) == (
+            "PB(PB(F2;[0,0],[1,1]);[0,0,0],[0,1,2])")
+        assert parse_variety(tower).dim == 4
+
     def test_divisor_round_trip(self):
         d = parse_divisor("[3,-4]", F2)
         assert render_divisor(d) == "[3,-4]"
@@ -206,7 +264,8 @@ class TestGrammar:
         assert d.coords == (0, -2)
         assert d == canonical_class(F2)
 
-    @pytest.mark.parametrize("bad", ["", "Q3", "[1,2", "PB(P2)", "P", "PB(P2;)"])
+    @pytest.mark.parametrize("bad", ["", "Q3", "[1,2", "PB(P2)", "P", "PB(P2;)",
+                                     "PB(PB(P1;[0],[1]))", "PB(P1;[0];[1])"])
     def test_parse_errors(self, bad):
         with pytest.raises((ParseError, UnsupportedVariety)):
             parse_variety(bad)

@@ -7,13 +7,13 @@ from ulrichbundles import (
     DivisorClass,
     GenericModeUnsupported,
     GenericCurve,
-    Hirzebruch,
     NotVeryAmple,
     ProjSpace,
     SearchBox,
     cohomology,
     direct_ulrich_check,
     generic_curve_ulrich_degree,
+    hirzebruch,
     is_ulrich,
     line_bundle,
     parse_variety,
@@ -24,9 +24,9 @@ from ulrichbundles import (
 )
 
 P2 = ProjSpace(2)
-F0 = Hirzebruch(0)
-F2 = Hirzebruch(2)
-F3 = Hirzebruch(3)
+F0 = hirzebruch(0)
+F2 = hirzebruch(2)
+F3 = hirzebruch(3)
 
 
 class TestZeroCohomology:
@@ -50,7 +50,7 @@ class TestZeroCohomology:
     def test_erratum_detector(self):
         # the class (r-2)f - 2C+ is the canonical divisor: h^2 = 1, not zero
         for r_param in range(1, 5):
-            fr = Hirzebruch(r_param)
+            fr = hirzebruch(r_param)
             wrong = cohomology(fr, DivisorClass(fr, (r_param - 2, -2)))
             right = cohomology(fr, DivisorClass(fr, (r_param - 1, -2)))
             assert wrong.h[2] == 1

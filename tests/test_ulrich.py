@@ -1,5 +1,6 @@
 """Ulrich verdicts: definition, Serre partner, criterion vs direct, probe."""
 
+import itertools
 import random
 
 import pytest
@@ -8,19 +9,22 @@ from ulrichbundles import (
     BadTwist,
     DivisorClass,
     GenericCurve,
-    Hirzebruch,
     NotVeryAmple,
     ProjBundle,
     ProjSpace,
+    SearchBox,
     SplitBundle,
     cohomology,
     direct_ulrich_check,
+    hirzebruch,
+    is_ample,
     is_ulrich,
     line_bundle,
     minimal_ample_direction,
     parse_bundle,
     parse_variety,
     pullback_ulrich_criterion,
+    pullback_ulrich_line_search,
     semiorthogonality_probe,
     serre_partner,
     very_ample_threshold,
@@ -28,9 +32,9 @@ from ulrichbundles import (
 
 P1 = ProjSpace(1)
 P2 = ProjSpace(2)
-F0 = Hirzebruch(0)
-F1 = Hirzebruch(1)
-F2 = Hirzebruch(2)
+F0 = hirzebruch(0)
+F1 = hirzebruch(1)
+F2 = hirzebruch(2)
 
 
 class TestDefinition:
@@ -174,7 +178,7 @@ class TestDirect:
 class TestCriterionDirectEquivalence:
     def test_seeded_random_instances(self):
         rng = random.Random(987123)
-        bases = [P1, P2, F0, F1, F2, Hirzebruch(3)]
+        bases = [P1, P2, F0, F1, F2, hirzebruch(3)]
         agreements = 0
         for _ in range(120):
             base = rng.choice(bases)
@@ -193,6 +197,52 @@ class TestCriterionDirectEquivalence:
             assert crit.verdict == direct.verdict
             agreements += 1
         assert agreements == 120
+
+
+class TestBottTowers:
+    """Bott-tower 3-folds X = P(O + O(D)) over F_r as bases of P(E): the
+    criterion runs its k = 1 Sym term on a base other than P^3."""
+
+    def test_seeded_sweep_direct_agrees_with_criterion(self):
+        rng = random.Random(20261018)
+        checked = 0
+        for _ in range(40):
+            fr = hirzebruch(rng.randint(0, 2))
+            d = (rng.randint(-2, 2), rng.randint(-1, 1))
+            x = ProjBundle(fr, SplitBundle(fr, (DivisorClass(fr, (0, 0)),
+                                                DivisorClass(fr, d))))
+            e = SplitBundle(x, tuple(
+                DivisorClass(x, tuple(rng.randint(-1, 1) for _ in range(3)))
+                for _ in range(rng.randint(2, 3))))
+            c = max(1, 1 - d[0], 1 - d[1])
+            direction = DivisorClass(x, (c, c, 1))
+            assert is_ample(x, direction)
+            v = ProjBundle(x, e)
+            a = very_ample_threshold(v, direction) * direction
+            # candidates with H^*(X, F) = 0 pass the first check, so the
+            # k = 0 and k = 1 terms decide; one more is drawn at random
+            zero = [cd for cd in itertools.product(range(-2, 3), repeat=3)
+                    if cohomology(x, DivisorClass(x, cd)).is_zero()]
+            picks = rng.sample(zero, min(2, len(zero)))
+            picks.append(tuple(rng.randint(-3, 3) for _ in range(3)))
+            for cd in picks:
+                report = direct_ulrich_check(v, line_bundle(x, cd), a)
+                assert len(report.checks) == v.dim
+                checked += 1
+        assert checked > 80
+
+    def test_segre_fourfold_hits(self):
+        # (P^1)^4 as P(O + O) over the Bott tower (P^1)^3: its Ulrich line
+        # bundles for O(1,1,1,1) are the permutations of O(0,1,2,3), so the
+        # pulled-back ones, F + (1,1,1) with last entry 1, are the
+        # permutations of (-1, 1, 2)
+        x = parse_variety("PB(P1xP1;[0,0],[0,0])")
+        v = parse_variety("PB(PB(P1xP1;[0,0],[0,0]);[0,0,0],[0,0,0])")
+        a = DivisorClass(x, (1, 1, 1))
+        result = pullback_ulrich_line_search(v, a, SearchBox.symmetric(x, 2))
+        assert set(result.results) == set(itertools.permutations((-1, 1, 2)))
+        for cd in result.results:
+            assert direct_ulrich_check(v, line_bundle(x, cd), a).verdict
 
 
 class TestSurfaceReduction:
