@@ -1,6 +1,6 @@
 """Exact sheaf cohomology of split bundles on the supported varieties.
 
-Three ingredients:
+Four ingredients:
 
 * closed line-bundle tables on P^n and on generic curves,
 * the projection-formula branches for P(E) -> X over any supported base,
@@ -10,6 +10,12 @@ Three ingredients:
   rank-1 when k <= -rank.  ``pushforward_terms`` alone knows these
   branches; it counts the base twists with their multiplicities instead
   of enumerating Sym^k,
+* suffix sums over P^1: for P(E) over P^1 (F_r and PB(P1;...) of any
+  rank) the twists e of the pushforward of O(kH) and their multiplicities
+  m_e do not depend on the base degree a, so they are counted once per
+  (E, k) and kept sorted with prefix sums of m_e and m_e * e; the table
+  of O(af + kH) is then one ``bisect`` and two sums, since h^0(O(a + e))
+  = a + e + 1 for e >= -a - 1 and h^1 = -(a + e + 1) below,
 * an independent combinatorial Cech oracle on small toric targets which
   recomputes tables character by character.
 
@@ -26,8 +32,9 @@ All values are exact integers; generic-curve answers are flagged.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from fractions import Fraction
 from math import comb, factorial, prod
 from operator import add
@@ -110,9 +117,39 @@ def _line_table(v: Variety, coords: tuple) -> CohomologyTable:
     if isinstance(v, GenericCurve):
         return _curve_line(v.genus, coords[0])
     if isinstance(v, ProjBundle):
+        if isinstance(v.base, ProjSpace) and v.base.n == 1:
+            return _p1_bundle_line(v, *coords)
         return pushforward_table(v.dim, v.summand_coords, coords[:-1], coords[-1],
                                  partial(_line_table, v.base))
     raise UnsupportedVariety(f"no cohomology rule for {v!r}")
+
+
+@lru_cache(maxsize=1024)
+def _p1_twist_sums(summands: tuple, k: int):
+    """``(shift, twists, mults, weights)`` for O(kH) on P(E) over P^1.
+
+    ``twists`` are the sorted degrees e of the pushforward terms of
+    ``pushforward_terms(summands, (0,), k)``; ``mults[j]`` and
+    ``weights[j]`` are the sums of m_e and m_e * e over ``twists[:j]``.
+    """
+    shift, terms = pushforward_terms(summands, (0,), k)
+    items = sorted((e, m) for (e,), m in terms.items())
+    mults = list(itertools.accumulate((m for _, m in items), initial=0))
+    weights = list(itertools.accumulate((m * e for e, m in items), initial=0))
+    return shift, [e for e, _ in items], mults, weights
+
+
+def _p1_bundle_line(v: ProjBundle, a: int, k: int) -> CohomologyTable:
+    """O(af + kH) on P(E) over P^1: the twists e >= -a - 1 give h^shift,
+    the ones below give h^(shift + 1); e = -a - 1 gives zero either way.
+    The callers' ``CohomologyTable.make`` checks the result."""
+    shift, twists, mults, weights = _p1_twist_sums(v.summand_coords, k)
+    cut = bisect_left(twists, -a - 1)
+    low = -((a + 1) * mults[cut] + weights[cut])
+    high = (a + 1) * (mults[-1] - mults[cut]) + weights[-1] - weights[cut]
+    h = [0] * (v.dim + 1)
+    h[shift], h[shift + 1] = high, low
+    return CohomologyTable(tuple(h), (-1) ** shift * (high - low))
 
 
 def pushforward_terms(summands: tuple, b_coords: tuple, k: int):
@@ -181,10 +218,13 @@ def cohomology(v: Variety, bundle) -> CohomologyTable:
         bundle = SplitBundle(v, (bundle,))
     if bundle.variety != v:
         raise UnsupportedVariety("bundle does not live on the given variety")
-    table = CohomologyTable.zero(v.dim)
+    h = [0] * (v.dim + 1)
+    generic = False
     for s in bundle.summands:
-        table = table + _line_table(v, s.coords)
-    return table
+        part = _line_table(v, s.coords)
+        generic = generic or part.generic
+        h = list(map(add, h, part.h))
+    return CohomologyTable.make(h, generic)
 
 
 def hom_complex_dims(v: Variety, e1: SplitBundle, e2: SplitBundle) -> CohomologyTable:

@@ -33,7 +33,7 @@ from .picard import (
     Variety,
     hirzebruch_parameter,
 )
-from .ulrich import Polarisation, is_ulrich, pullback_ulrich_criterion
+from .ulrich import Polarisation, _criterion_setup, is_ulrich, pullback_ulrich_criterion
 
 DEFAULT_CAP = 10 ** 6
 
@@ -159,11 +159,12 @@ def pullback_ulrich_line_search(pb: ProjBundle, a, box: SearchBox,
     """Base line bundles F in the box for which pullback(F)(D) is Ulrich
     on P(E) with respect to D = pullback(A) + H."""
     _check_cap(box, cap)
+    setup = _criterion_setup(pb.base, pb.summands, a)
     hits = []
     generic = False
     for coords in box.points():
         cand = SplitBundle(pb.base, (DivisorClass(pb.base, coords),))
-        report = pullback_ulrich_criterion(pb.base, pb.summands, cand, a)
+        report = pullback_ulrich_criterion(pb.base, pb.summands, cand, setup)
         generic = generic or report.generic
         if report.verdict:
             hits.append(coords)

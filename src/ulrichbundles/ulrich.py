@@ -21,7 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cohomology import CohomologyTable, cohomology, pushforward_table
-from .errors import BadTwist, InternalInconsistency, NotVeryAmple, UnsupportedVariety
+from .errors import (
+    BadTwist,
+    InternalInconsistency,
+    NotVeryAmple,
+    UnsupportedPolarisation,
+    UnsupportedVariety,
+)
 from .picard import (
     DivisorClass,
     GenericCurve,
@@ -145,7 +151,19 @@ def serre_partner(v: Variety, f: SplitBundle, a):
     return partner, partner.same_summands(f)
 
 
-def _criterion_polarisation(x: Variety, e: SplitBundle, a) -> Polarisation:
+@dataclass(frozen=True)
+class _CriterionSetup:
+    """The part of the criterion that does not depend on the candidate:
+    the polarisation of P(E) and, on a surface base, D' with its note."""
+
+    pol: Polarisation
+    d_prime: DivisorClass | None = None
+    d_prime_note: str | None = None
+
+
+def _criterion_setup(x: Variety, e: SplitBundle, a) -> _CriterionSetup:
+    if isinstance(a, _CriterionSetup):
+        return a
     pb = ProjBundle(x, e)
     a_div = a.divisor if isinstance(a, Polarisation) else a
     d = DivisorClass(pb, a_div.coords + (1,))
@@ -153,7 +171,15 @@ def _criterion_polarisation(x: Variety, e: SplitBundle, a) -> Polarisation:
     if not verdict:
         raise NotVeryAmple(
             f"pullback({render_divisor(a_div)}) + H is not very ample on {pb.name}")
-    return Polarisation(a_div, True, verdict.sufficient_only)
+    pol = Polarisation(a_div, True, verdict.sufficient_only)
+    if x.dim != 2:
+        return _CriterionSetup(pol)
+    d_prime = e.rank * a_div + e.c1
+    try:
+        flag = bool(is_very_ample(x, d_prime))
+    except UnsupportedPolarisation:
+        flag = "undecided"
+    return _CriterionSetup(pol, d_prime, f"D' very ample: {flag} (reported, not assumed)")
 
 
 def pullback_ulrich_criterion(x: Variety, e: SplitBundle, cand, a) -> UlrichReport:
@@ -163,9 +189,13 @@ def pullback_ulrich_criterion(x: Variety, e: SplitBundle, cand, a) -> UlrichRepo
     Hom^*(Sym^k E, F(-c1(E) - (rank+k)A)) = 0.  On curves the first check
     alone decides; on surfaces the single extra check equals
     H^*(X, F(-D')) with D' = rank(E)*A + c1(E), which is asserted and the
-    very-ampleness of D' is reported (never assumed).
+    very-ampleness of D' is reported (never assumed; ``undecided`` where
+    no test applies, as over a ruled surface on a curve).  A scan over
+    many candidates passes ``_criterion_setup(x, e, A)`` as ``a``, so the
+    polarisation and D' are checked once.
     """
-    pol = _criterion_polarisation(x, e, a)
+    setup = _criterion_setup(x, e, a)
+    pol = setup.pol
     a_div = pol.divisor
     rho = e.rank
     c1 = e.c1
@@ -182,15 +212,14 @@ def pullback_ulrich_criterion(x: Variety, e: SplitBundle, cand, a) -> UlrichRepo
     if x.dim == 1:
         notes.append("curve base: H(F) = 0 alone decides")
     if x.dim == 2:
-        d_prime = rho * a_div + c1
+        d_prime = setup.d_prime
         direct = _base_table(x, cand, -1 * d_prime)
         if direct.h != checks[1].table.h:
             raise InternalInconsistency(
                 f"surface reduction mismatch: k=0 gave {checks[1].table.h}, "
                 f"H(F - D') gave {direct.h}")
         notes.append(f"D' = {render_divisor(d_prime)}; k=0 check equals H(F - D')")
-        notes.append("D' very ample: "
-                     f"{bool(is_very_ample(x, d_prime))} (reported, not assumed)")
+        notes.append(setup.d_prime_note)
     if pol.sufficient_only:
         notes.append("polarisation verified by the sufficient degree bound only")
     return _report(cand, pol, checks, "criterion", notes)
@@ -212,7 +241,8 @@ def direct_ulrich_check(pb: ProjBundle, cand, a) -> UlrichReport:
     """
     if not isinstance(pb, ProjBundle):
         raise UnsupportedVariety("direct check expects a projective bundle")
-    pol = _criterion_polarisation(pb.base, pb.summands, a)
+    setup = _criterion_setup(pb.base, pb.summands, a)
+    pol = setup.pol
     a_div = pol.divisor
     checks = []
     for i in range(1, pb.dim + 1):
@@ -221,7 +251,7 @@ def direct_ulrich_check(pb: ProjBundle, cand, a) -> UlrichReport:
         checks.append(TwistCheck(f"-{i}D", table, table.is_zero()))
     report = _report(cand, pol, checks, "direct",
                      ["candidate on P(E): pullback(F) + D, D = pullback(A) + H"])
-    criterion = pullback_ulrich_criterion(pb.base, pb.summands, cand, a)
+    criterion = pullback_ulrich_criterion(pb.base, pb.summands, cand, setup)
     if criterion.verdict != report.verdict:
         raise InternalInconsistency(
             f"criterion verdict {criterion.verdict} != direct verdict "

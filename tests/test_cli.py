@@ -154,6 +154,20 @@ class TestHirzebruchAsBundle:
         assert code == 0 and json.loads(out)["method"] == "direct"
 
 
+class TestCriterionOverRuledSurfaces:
+    def test_d_prime_undecided_over_a_ruled_surface_on_a_curve(self):
+        # D' = [7,2] has H-coefficient 2 over C1, where only k = 1 is decided
+        args = ["PB(PB(C1;[0],[1]);[0,0],[1,0])", "[0,0]", "--pol", "[3,1]"]
+        code, out = run_cli(["criterion", *args])
+        assert code == 0
+        assert "k=0: h = (0, 0, 8)  NONZERO" in out
+        assert "note: D' very ample: undecided (reported, not assumed)" in out
+        code, out = run_cli(["direct", *args])
+        assert code == 0
+        assert "-3D: h = (0, 0, 0, 8)  NONZERO" in out
+        assert "note: criterion agrees: False" in out
+
+
 class TestRepeatedCalls:
     # pairs that differ only in a flag, and failures next to successes
     SEQUENCE = [

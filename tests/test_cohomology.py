@@ -1,8 +1,10 @@
 """Cohomology engine: line-bundle tables, pushforward branches, chi."""
 
+import importlib
 import itertools
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -24,7 +26,13 @@ from ulrichbundles import (
     parse_variety,
     sym_power,
 )
-from ulrichbundles.cohomology import pushforward_terms
+from ulrichbundles.cli import run
+from ulrichbundles.cohomology import (
+    _line_table,
+    _p1_twist_sums,
+    pushforward_table,
+    pushforward_terms,
+)
 
 P1 = ProjSpace(1)
 P2 = ProjSpace(2)
@@ -166,6 +174,42 @@ class TestPushforwardTerms:
             if not isinstance(base, GenericCurve):
                 d = DivisorClass(v, b.coords + (k,))
                 assert euler_characteristic(v, d) == cohomology(v, d).chi
+
+
+# split bundles over P^1 of ranks 2-5, with negative and repeated summands
+_P1_BUNDLES = ["F0", "F1", "F2", "F3", "F4",
+               "PB(P1;[0],[-3])", "PB(P1;[2],[2])", "PB(P1;[0],[2],[3])",
+               "PB(P1;[2],[2],[-1])", "PB(P1;[-2],[0],[0],[5])",
+               "PB(P1;[1],[1],[1],[-4])", "PB(P1;[-1],[-5],[2],[0],[0])",
+               "PB(P1;[3],[3],[3],[3],[3])"]
+
+
+class TestSuffixSumTablesOverP1:
+    """Tables on P(E) over P^1 from suffix sums against the pushforward route."""
+
+    @pytest.mark.parametrize("name", _P1_BUNDLES)
+    def test_equal_to_pushforward_route(self, name):
+        # a, k in [-25, 25] covers k >= 0, the dead band and k <= -rank
+        v = parse_variety(name)
+        base_table = partial(_line_table, v.base)
+        for a, k in itertools.product(range(-25, 26), repeat=2):
+            table = _line_table(v, (a, k))
+            expected = pushforward_table(v.dim, v.summand_coords, (a,), k, base_table)
+            assert table == expected, (name, a, k)
+            assert table.chi == euler_characteristic(v, DivisorClass(v, (a, k)))
+
+    def test_one_expansion_per_h_degree(self, monkeypatch):
+        coh_mod = importlib.import_module("ulrichbundles.cohomology")
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return pushforward_terms(*args)
+
+        _p1_twist_sums.cache_clear()
+        monkeypatch.setattr(coh_mod, "pushforward_terms", counted)
+        assert run(["enum-zero", "F3", "--box", "12"]) == 0
+        assert 0 < len(calls) <= 25  # one per H-degree, not one per box point
 
 
 class TestTableInvariants:

@@ -1,5 +1,7 @@
 """Classification scans and their closed-form cross-checks."""
 
+import importlib
+
 import pytest
 
 from ulrichbundles import (
@@ -126,6 +128,29 @@ class TestPullbackSearch:
         for coords in r.results:
             rep = direct_ulrich_check(v, line_bundle(F0, coords), a)
             assert rep.verdict
+
+    def test_polarisation_checked_once_per_scan(self, monkeypatch):
+        # pullback(A) + H on P(E) and D' on the surface base do not depend on
+        # the candidate, so the very-ampleness tests must not grow with the box
+        picard = importlib.import_module("ulrichbundles.picard")
+        ulrich = importlib.import_module("ulrichbundles.ulrich")
+        original = picard.is_very_ample
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(picard, "is_very_ample", spy)
+        monkeypatch.setattr(ulrich, "is_very_ample", spy)
+        v = parse_variety("PB(F1;[0,0],[1,1])")
+        a = DivisorClass(v.base, (1, 1))
+        counts = []
+        for radius in (1, 5):
+            calls.clear()
+            pullback_ulrich_line_search(v, a, SearchBox.symmetric(v.base, radius))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 12
 
 
 class TestBoxLimits:
