@@ -9,7 +9,7 @@ combination, 3 internal consistency failure (criterion vs direct
 mismatch, oracle mismatch, scan-shell violation).
 
 The environment variable ``ULRICH_SCAN_CAP`` overrides the default cap
-on scan-box volumes.
+on scan-box volumes, the oracle's character box included.
 """
 
 from __future__ import annotations
@@ -259,8 +259,9 @@ def _dispatch(args) -> tuple:
     if args.command == "oracle":
         v = parse_variety(args.variety)
         d = parse_divisor(args.divisor, v, minus)
+        # the oracle first: a request over the cap is refused before any work
+        cech = toric_cech_oracle(v, d, _scan_cap())
         engine = cohomology(v, d)
-        cech = toric_cech_oracle(v, d)
         agree = engine.h == cech.h
         payload = {"engine": engine.to_json(), "oracle": cech.to_json(),
                    "agree": agree}

@@ -16,15 +16,15 @@ Four ingredients:
   (E, k) and kept sorted with prefix sums of m_e and m_e * e; the table
   of O(af + kH) is then one ``bisect`` and two sums, since h^0(O(a + e))
   = a + e + 1 for e >= -a - 1 and h^1 = -(a + e + 1) below,
-* an independent combinatorial Cech oracle on small toric targets which
-  recomputes tables character by character.
+* an independent combinatorial Cech oracle on P^n and every split tower
+  over it, recomputing tables character by character from the fan.
 
 chi (``euler_characteristic``) is a closed polynomial on P^n and on every
 P(E) over P^1, F_r included; elsewhere on P(E) it shares
-``pushforward_terms`` with the tables.  The Ulrich criterion enumerates
-Sym^k with ``picard.sym_power`` instead, so the direct check on P(E) and
-the criterion expand the pushforward in two different ways.  The oracle
-shares no code with either.
+``pushforward_terms`` with the tables, which the oracle checks.  The
+Ulrich criterion enumerates Sym^k with ``picard.sym_power`` instead, so
+the direct check on P(E) and the criterion expand the pushforward in two
+different ways.  The oracle shares no code with either.
 
 All values are exact integers; generic-curve answers are flagged.
 """
@@ -35,12 +35,16 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from fractions import Fraction
-from math import comb, factorial, prod
-from operator import add
+from math import ceil, comb, factorial, floor, prod
+from operator import add, mul
 
 from . import exactlinalg
-from .errors import GenericModeUnsupported, ScanBoxTooSmall, UnsupportedVariety
+from .errors import (
+    BoxTooLarge,
+    GenericModeUnsupported,
+    ScanBoxTooSmall,
+    UnsupportedVariety,
+)
 from .picard import (
     DivisorClass,
     GenericCurve,
@@ -48,7 +52,6 @@ from .picard import (
     ProjSpace,
     SplitBundle,
     Variety,
-    hirzebruch_parameter,
 )
 
 
@@ -267,7 +270,8 @@ def euler_characteristic(v: Variety, bundle) -> int:
     and on every P(E) over P^1, F_r among them, the polynomial shares no
     code with the tables.  Over other bases it shares the expansion of
     ``pushforward_terms`` with them and only replaces each base table by
-    its polynomial, so it checks the base tables but not the expansion.
+    its polynomial, so it checks the base tables but not the expansion
+    (``toric_cech_oracle`` does, over P^n and towers over it).
     """
     if isinstance(bundle, DivisorClass):
         bundle = SplitBundle(v, (bundle,))
@@ -284,39 +288,61 @@ def euler_characteristic(v: Variety, bundle) -> int:
 # Scanning a provably large enough character box and summing the reduced
 # Betti numbers per sign pattern gives the full table.
 
-def _fan(v: Variety):
+DEFAULT_CAP = 10 ** 6
+
+
+def _check_cap(volume: int, cap: int | None) -> None:
+    """The one bound on scan work: box scans and the oracle's character
+    box visit at most ``cap`` points, ``DEFAULT_CAP`` when it is None."""
+    limit = DEFAULT_CAP if cap is None else cap
+    if volume > limit:
+        raise BoxTooLarge(f"box volume {volume} exceeds cap {limit}")
+
+
+def _toric_model(v: Variety):
+    """``(rays, cones, rows)`` of the fan of P^n or of a split tower over it:
+    the maximal cones are sets of ray indices, and coordinates c give the
+    class sum_j <rows[j], c> D_j.  P^n has the rays -(e_1 + ... + e_n),
+    e_1, ..., e_n and h = D_0.  P(O(D_0) + ... + O(D_{rho-1})) lifts each
+    base ray u to (u, a_1(u) - a_0(u), ..., a_{rho-1}(u) - a_0(u)), a_i(u)
+    the coefficient of D_i on u, and adds the rays of the fibre P^{rho-1};
+    its maximal cones are a lifted base cone plus a fibre cone, and (B, k)
+    has coeffs(B) + k coeffs(D_0) on the lifted rays and k on the first
+    fibre ray (Cox-Little-Schenck, *Toric Varieties*, 7.3).
+
+    >>> from ulrichbundles import hirzebruch
+    >>> _toric_model(hirzebruch(2))[0]
+    ((-1, 2), (1, 0), (0, -1), (0, 1))
+    """
     if isinstance(v, ProjSpace):
-        if v.n > 3:
-            raise UnsupportedVariety("oracle supports P^n only for n <= 3")
         n = v.n
-        rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        rays.append(tuple(-1 for _ in range(n)))
-        cones = [frozenset(c) for c in itertools.combinations(range(n + 1), n)]
-        return rays, cones, n
-    if (r := hirzebruch_parameter(v)) is not None:
-        if r > 4:
-            raise UnsupportedVariety("oracle supports F_r only for r <= 4")
-        rays = [(1, 0), (0, 1), (-1, r), (0, -1)]
-        cones = [frozenset(p) for p in ((0, 1), (1, 2), (2, 3), (3, 0))]
-        return rays, cones, 2
-    raise UnsupportedVariety(f"no fan for {getattr(v, 'name', v)!r}")
-
-
-def _ray_coefficients(v: Variety, d: DivisorClass):
-    if isinstance(v, ProjSpace):
-        return (d.coords[0],) + (0,) * v.n
-    if hirzebruch_parameter(v) is not None:
-        return (d.coords[0], 0, 0, d.coords[1])  # f = D_(1,0), C+ = D_(0,-1)
-    raise UnsupportedVariety("oracle coefficients undefined")
+        rays = ((-1,) * n,) + tuple(tuple(int(i == j) for j in range(n))
+                                    for i in range(n))
+        cones = tuple(frozenset(c) for c in itertools.combinations(range(n + 1), n))
+        return rays, cones, ((1,),) + ((0,),) * n
+    if not isinstance(v, ProjBundle):
+        raise UnsupportedVariety(f"no fan for {v.name}")
+    base_rays, base_cones, base_rows = _toric_model(v.base)
+    fibre_rays, fibre_cones, fibre_rows = _toric_model(ProjSpace(v.rank - 1))
+    # a[i][j]: coefficient of the i-th summand of E on base ray j
+    a = [[sum(map(mul, row, s)) for row in base_rows] for s in v.summand_coords]
+    rays = tuple(u + tuple(a_i[j] - a[0][j] for a_i in a[1:])
+                 for j, u in enumerate(base_rays))
+    rays += tuple((0,) * v.base.dim + w for w in fibre_rays)
+    cones = tuple(cone | {len(base_rays) + f for f in fibre}
+                  for cone in base_cones for fibre in fibre_cones)
+    rows = tuple(row + (a[0][j],) for j, row in enumerate(base_rows))
+    rows += tuple((0,) * v.base.picard_rank + row for row in fibre_rows)
+    return rays, cones, rows
 
 
 def _scan_bounds(rays, coeffs, dim):
-    """Per-axis bounds covering every bounded sign-pattern region.
+    """Per-axis ``(lo, hi)`` bounds covering every bounded sign-pattern region.
 
     A character contributing cohomology lies in a bounded region of the
     hyperplane arrangement <m, u_rho> = -a_rho, hence inside the convex
-    hull of the arrangement vertices.  Two extra shells give the zero
-    boundary that the scan asserts.
+    hull of the arrangement vertices.  Two extra shells on each side give
+    the zero boundary that the scan asserts.
     """
     vertices = []
     for combo in itertools.combinations(range(len(rays)), dim):
@@ -325,26 +351,18 @@ def _scan_bounds(rays, coeffs, dim):
         sol = exactlinalg.solve_square(matrix, rhs)
         if sol is not None:
             vertices.append(sol)
-    bounds = []
-    for axis in range(dim):
-        extent = max((abs(vtx[axis]) for vtx in vertices), default=Fraction(0))
-        bounds.append(int(extent.__ceil__()) + 2)
-    return bounds
+    return [(floor(min(axis)) - 2, ceil(max(axis)) + 2) for axis in zip(*vertices)]
 
 
+# fan (rays, cones) -> {sign pattern mask: reduced Betti numbers}
 _PATTERN_CACHE: dict = {}
 
 
-def _reduced_betti(fan_key, cones, nrays, mask, dim):
+def _reduced_betti(cones, nrays, mask, dim):
     """Reduced Betti numbers, indexed so entry p is the contribution to h^p."""
-    cached = _PATTERN_CACHE.get((fan_key, mask))
-    if cached is not None:
-        return cached
     members = frozenset(i for i in range(nrays) if mask >> i & 1)
     if not members:
-        contrib = (1,) + (0,) * dim  # empty support: only H~^{-1}
-        _PATTERN_CACHE[(fan_key, mask)] = contrib
-        return contrib
+        return (1,) + (0,) * dim  # empty support: only H~^{-1}
     faces = set()
     for cone in cones:
         local = sorted(cone & members)
@@ -372,31 +390,37 @@ def _reduced_betti(fan_key, cones, nrays, mask, dim):
         betti = size - ranks.get(k, 0) - ranks.get(k + 1, 0)
         if k + 1 <= dim:
             contrib[k + 1] = betti
-    _PATTERN_CACHE[(fan_key, mask)] = tuple(contrib)
     return tuple(contrib)
 
 
-def toric_cech_oracle(v: Variety, d: DivisorClass) -> CohomologyTable:
+def toric_cech_oracle(v: Variety, d: DivisorClass,
+                      cap: int | None = None) -> CohomologyTable:
     """Independent character-by-character recomputation of cohomology(v, O(d)).
 
-    Supported fans: P^n with n <= 3, F_r with r <= 4 and P^1 x P^1.
-    Raises ScanBoxTooSmall if a boundary-shell character contributes, which
-    would mean the box bound is wrong (a hard engine failure, not a fact).
+    Works on P^n and every split tower over it (``_toric_model``).  Each
+    axis of the character box spans at least five characters, so
+    BoxTooLarge is raised before any work when 5^dim exceeds ``cap``, and
+    before the scan when the box does.  Raises ScanBoxTooSmall if a
+    boundary-shell character contributes, which would mean the box bound
+    is wrong (a hard engine failure, not a fact).
     """
-    rays, cones, dim = _fan(v)
-    coeffs = _ray_coefficients(v, d)
-    bounds = _scan_bounds(rays, coeffs, dim)
-    fan_key = (getattr(v, "name", str(v)),)
-    h = [0] * (dim + 1)
-    axes = [range(-b, b + 1) for b in bounds]
-    for m in itertools.product(*axes):
+    _check_cap(5 ** v.dim, cap)
+    rays, cones, rows = _toric_model(v)
+    coeffs = [sum(map(mul, row, d.coords)) for row in rows]
+    bounds = _scan_bounds(rays, coeffs, v.dim)
+    _check_cap(prod(hi - lo + 1 for lo, hi in bounds), cap)
+    patterns = _PATTERN_CACHE.setdefault((rays, cones), {})
+    h = [0] * (v.dim + 1)
+    for m in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds)):
         mask = 0
         for i, u in enumerate(rays):
-            if sum(mi * ui for mi, ui in zip(m, u)) + coeffs[i] < 0:
+            if sum(map(mul, m, u)) + coeffs[i] < 0:
                 mask |= 1 << i
-        contrib = _reduced_betti(fan_key, cones, len(rays), mask, dim)
+        contrib = patterns.get(mask)
+        if contrib is None:
+            contrib = patterns[mask] = _reduced_betti(cones, len(rays), mask, v.dim)
         if any(contrib):
-            if any(abs(mi) == b for mi, b in zip(m, bounds)):
+            if any(mi in bound for mi, bound in zip(m, bounds)):
                 raise ScanBoxTooSmall(
                     f"character {m} on the scan shell contributes {contrib}")
             for p, x in enumerate(contrib):

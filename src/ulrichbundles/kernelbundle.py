@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import random as _random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
@@ -606,19 +606,11 @@ def prop61_builder(n: int, d: int, line_box: int = 8,
             raise InternalInconsistency("staircase kernel fails its own "
                                         "orthogonality conditions")
         report = direct_ulrich_check(pb, TwistedKernel(pres, 0), one)
-        report = UlrichReport(
-            candidate=report.candidate,
-            polarisation=report.polarisation,
-            verdict=report.verdict,
-            checks=report.checks,
-            method=report.method,
-            generic=report.generic,
-            notes=report.notes + (
-                f"kernel rank {pres.rank} from staircase parameter {d}",
-                f"conditions H(F)=0 and H(F(-s))=0 for s in {list(twists)} "
-                "verified from the presentation",
-            ),
-        )
+        report = replace(report, notes=report.notes + (
+            f"kernel rank {pres.rank} from staircase parameter {d}",
+            f"conditions H(F)=0 and H(F(-s))=0 for s in {list(twists)} "
+            "verified from the presentation",
+        ))
         return Prop61Result(report, pres, twists)
 
     # n >= 3: exhaustive scan of the stated search class

@@ -318,14 +318,8 @@ def is_ample(v: Variety, d: DivisorClass) -> bool:
     E split, pullback(B) + kH is ample iff k >= 1 and B + k*s_i is ample on
     the base for every summand s_i; on F_r that reads a >= 1, b >= 1.
     """
-    if d.variety != v:
-        raise UnsupportedVariety("divisor not on the given variety")
-    if isinstance(v, (ProjSpace, GenericCurve)):
-        return d.coords[0] >= 1
-    if isinstance(v, ProjBundle):
-        k, twists = _pb_summand_twists(v, d)
-        return k >= 1 and all(is_ample(v.base, t) for t in twists)
-    raise UnsupportedVariety(f"no ampleness test for {v!r}")
+    _, twists = _root_twists(v, d)
+    return twists is not None and all(c[0] >= 1 for c in twists)
 
 
 def is_very_ample(v: Variety, d: DivisorClass) -> AmpleVerdict:
@@ -335,32 +329,34 @@ def is_very_ample(v: Variety, d: DivisorClass) -> AmpleVerdict:
     ample, so P(E) tests the twists B + k*s_i of ``is_ample`` very ample on
     the base.  Over a curve, at any depth, only k = 1 is supported.
     """
+    root, twists = _root_twists(v, d)
+    if isinstance(root, GenericCurve):
+        return AmpleVerdict(all(c[0] >= 2 * root.genus + 1 for c in twists),
+                            sufficient_only=True)
+    return AmpleVerdict(twists is not None and all(c[0] >= 1 for c in twists))
+
+
+def _root_twists(v: Variety, d: DivisorClass):
+    """``(root, twists)``: the root of the tower v and the distinct
+    coordinates that d = pullback(B) + kH reaches there through the twists
+    B + k*s_i, level by level; twists is None when some level has k < 1.
+
+    Over a curve, whose very-ampleness bound does not scale with k, only
+    k = 1 is supported at every level.
+    """
     if d.variety != v:
         raise UnsupportedVariety("divisor not on the given variety")
-    if isinstance(v, ProjSpace):
-        return AmpleVerdict(d.coords[0] >= 1)
-    if isinstance(v, GenericCurve):
-        return AmpleVerdict(d.coords[0] >= 2 * v.genus + 1, sufficient_only=True)
-    if isinstance(v, ProjBundle):
-        k, twists = _pb_summand_twists(v, d)
-        verdicts = [is_very_ample(v.base, t) for t in twists]
-        return AmpleVerdict(k >= 1 and all(verdicts),
-                            sufficient_only=any(x.sufficient_only for x in verdicts))
-    raise UnsupportedVariety(f"no very-ampleness test for {v!r}")
-
-
-def _pb_summand_twists(v: ProjBundle, d: DivisorClass):
-    """(k, [B + k*s_i]) for d = pullback(B) + kH on P(E); over a curve,
-    whose very-ampleness bound does not scale with k, only k = 1."""
-    k, root = d.coords[-1], v
-    while isinstance(root, ProjBundle):
-        root = root.base
-    if k != 1 and isinstance(root, GenericCurve):
+    level, ks = {d.coords}, set()
+    while isinstance(v, ProjBundle):
+        ks.update(c[-1] for c in level)
+        level = {tuple(b + c[-1] * x for b, x in zip(c[:-1], s))
+                 for c in level for s in v.summand_coords}
+        v = v.base
+    if isinstance(v, GenericCurve) and ks - {1}:
         raise UnsupportedPolarisation(
             f"only polarisations pullback(A) + H are supported on P(E) "
-            f"over a curve; got H-coefficient {k}")
-    base_part = DivisorClass(v.base, d.coords[:-1])
-    return k, [base_part + k * s for s in v.summands.summands]
+            f"over a curve; got H-coefficient {min(ks - {1})}")
+    return v, (None if ks and min(ks) < 1 else level)
 
 
 def very_ample_threshold(v: ProjBundle, direction: DivisorClass) -> int:

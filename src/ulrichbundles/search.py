@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .cohomology import cohomology
+from .cohomology import _check_cap, cohomology
 from .errors import BoxTooLarge, GenericModeUnsupported, InternalInconsistency
 from .picard import (
     DivisorClass,
@@ -34,8 +34,6 @@ from .picard import (
     hirzebruch_parameter,
 )
 from .ulrich import Polarisation, _criterion_setup, is_ulrich, pullback_ulrich_criterion
-
-DEFAULT_CAP = 10 ** 6
 
 ERRATUM_NOTE = ("third vanishing family on F_r (r>0) is (r-1)f - 2C+; "
                 "the class (r-2)f - 2C+ equals the canonical divisor and has h^2 = 1")
@@ -69,12 +67,6 @@ class SearchBox:
         return all(lo <= c <= hi for c, (lo, hi) in zip(coords, self.bounds))
 
 
-def _check_cap(box: SearchBox, cap) -> None:
-    limit = DEFAULT_CAP if cap is None else cap
-    if box.volume > limit:
-        raise BoxTooLarge(f"box volume {box.volume} exceeds cap {limit}")
-
-
 @dataclass(frozen=True)
 class ScanResult:
     """Sorted scan hits plus optional closed-form block and notes."""
@@ -104,7 +96,7 @@ def zero_cohomology_line_bundles(v: Variety, box: SearchBox,
         raise GenericModeUnsupported(
             "zero-cohomology scans need exact tables; use "
             "generic_curve_ulrich_degree for the curve rule")
-    _check_cap(box, cap)
+    _check_cap(box.volume, cap)
     hits = tuple(sorted(
         coords for coords in box.points()
         if cohomology(v, DivisorClass(v, coords)).is_zero()))
@@ -133,7 +125,7 @@ def ulrich_line_bundles(v: Variety, a, box: SearchBox,
                         cap: int | None = None) -> ScanResult:
     """All line bundles in the box that are Ulrich with respect to A."""
     pol = Polarisation.check(v, a)
-    _check_cap(box, cap)
+    _check_cap(box.volume, cap)
     hits = tuple(sorted(
         coords for coords in box.points()
         if is_ulrich(v, SplitBundle(v, (DivisorClass(v, coords),)), pol).verdict))
@@ -158,7 +150,7 @@ def pullback_ulrich_line_search(pb: ProjBundle, a, box: SearchBox,
                                 cap: int | None = None) -> ScanResult:
     """Base line bundles F in the box for which pullback(F)(D) is Ulrich
     on P(E) with respect to D = pullback(A) + H."""
-    _check_cap(box, cap)
+    _check_cap(box.volume, cap)
     setup = _criterion_setup(pb.base, pb.summands, a)
     hits = []
     generic = False

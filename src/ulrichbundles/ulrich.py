@@ -18,7 +18,7 @@ on P^n (see kernelbundle).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .cohomology import CohomologyTable, cohomology, pushforward_table
 from .errors import (
@@ -256,15 +256,8 @@ def direct_ulrich_check(pb: ProjBundle, cand, a) -> UlrichReport:
         raise InternalInconsistency(
             f"criterion verdict {criterion.verdict} != direct verdict "
             f"{report.verdict} for {report.candidate} on {pb.name}")
-    return UlrichReport(
-        candidate=report.candidate,
-        polarisation=report.polarisation,
-        verdict=report.verdict,
-        checks=report.checks,
-        method="direct",
-        generic=report.generic or criterion.generic,
-        notes=report.notes + (f"criterion agrees: {criterion.verdict}",),
-    )
+    return replace(report, generic=report.generic or criterion.generic,
+                   notes=report.notes + (f"criterion agrees: {criterion.verdict}",))
 
 
 def semiorthogonality_probe(pb: ProjBundle, l1: DivisorClass, l2: DivisorClass,

@@ -87,7 +87,7 @@ class TestExitCodes:
         from ulrichbundles import CohomologyTable
 
         monkeypatch.setattr(cli_mod, "toric_cech_oracle",
-                            lambda v, d: CohomologyTable.make((7, 0, 0)))
+                            lambda v, d, cap: CohomologyTable.make((7, 0, 0)))
         code, out = run_cli(["oracle", "P2", "[1]", "--json"])
         assert code == 3
         assert json.loads(out)["agree"] is False

@@ -1,10 +1,15 @@
 """The toric Cech oracle against the pushforward engine."""
 
 import itertools
+import json
+import random
+import time
+from fractions import Fraction
 
 import pytest
 
 from ulrichbundles import (
+    BoxTooLarge,
     DivisorClass,
     GenericCurve,
     ProjSpace,
@@ -12,9 +17,11 @@ from ulrichbundles import (
     UnsupportedVariety,
     cohomology,
     hirzebruch,
+    parse_variety,
     toric_cech_oracle,
 )
-from ulrichbundles.cohomology import _scan_bounds
+from ulrichbundles.cli import run
+from ulrichbundles.cohomology import _scan_bounds, _toric_model
 
 P2 = ProjSpace(2)
 F2 = hirzebruch(2)
@@ -58,14 +65,68 @@ def test_skew_fan_needs_wide_box():
     assert toric_cech_oracle(hirzebruch(3), d).h == cohomology(hirzebruch(3), d).h
 
 
-def test_unsupported_fans_rejected():
-    with pytest.raises(UnsupportedVariety):
-        toric_cech_oracle(ProjSpace(4), DivisorClass(ProjSpace(4), (1,)))
-    with pytest.raises(UnsupportedVariety):
-        toric_cech_oracle(hirzebruch(5), DivisorClass(hirzebruch(5), (1, 1)))
-    c = GenericCurve(1)
-    with pytest.raises(UnsupportedVariety):
-        toric_cech_oracle(c, DivisorClass(c, (0,)))
+def test_curves_rejected():
+    # a curve has no fan, and neither has a P(E) over it
+    for v in (GenericCurve(1), parse_variety("PB(C1;[0],[1])")):
+        with pytest.raises(UnsupportedVariety):
+            toric_cech_oracle(v, DivisorClass(v, (0,) * v.picard_rank))
+
+
+def test_box_over_cap_rejected():
+    # O(5) on P^2 scans a 10 x 10 box
+    with pytest.raises(BoxTooLarge):
+        toric_cech_oracle(P2, DivisorClass(P2, (5,)), cap=50)
+    assert toric_cech_oracle(P2, DivisorClass(P2, (5,)), cap=100).h == (21, 0, 0)
+
+
+def test_dimension_over_cap_rejected_before_the_fan(monkeypatch):
+    # every axis spans at least five characters, so 5^4 > 600 refuses P^4
+    import importlib
+
+    coh_mod = importlib.import_module("ulrichbundles.cohomology")
+    monkeypatch.setattr(coh_mod, "_toric_model", lambda v: pytest.fail("fan built"))
+    p4 = ProjSpace(4)
+    with pytest.raises(BoxTooLarge):
+        toric_cech_oracle(p4, DivisorClass(p4, (0,)), cap=600)
+
+
+def rank2_tower(depth):
+    text = "P1"
+    for j in range(depth):
+        zeros = ",".join(["0"] * (j + 1))
+        one = ",".join(["0"] * j + ["1"])
+        text = f"PB({text};[{zeros}],[{one}])"
+    return text
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["oracle", rank2_tower(20), "[" + ",".join(["1"] * 21) + "]"], {}),
+    (["oracle", "P2", "[5]"], {"ULRICH_SCAN_CAP": "50"}),
+])
+def test_cli_oracle_over_cap_exits_two(monkeypatch, capsys, argv, env):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    start = time.perf_counter()
+    code = run(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "box-too-large"
+
+
+# the last two have a first summand D_0 != 0, which enters every class
+TOWERS = ["P4", "F5", "PB(P1;[0],[2],[3])", "PB(P2;[0],[1],[-2])", "PB(P3;[0],[2])",
+          "PB(F1;[0,0],[1,1])", "PB(F2;[0,0],[1,0],[0,1])",
+          "PB(PB(F1;[0,0],[1,0]);[0,0,0],[0,1,1])", "PB(P2;[2],[-1])",
+          "PB(F3;[1,-1],[0,2])"]
+
+
+def test_agreement_on_towers():
+    rng = random.Random(6)
+    for text in TOWERS:
+        v = parse_variety(text)
+        for _ in range(8):
+            d = DivisorClass(v, [rng.randint(-2, 2) for _ in range(v.picard_rank)])
+            assert toric_cech_oracle(v, d).h == cohomology(v, d).h, (text, d.coords)
 
 
 def test_shell_violation_detected(monkeypatch):
@@ -74,17 +135,22 @@ def test_shell_violation_detected(monkeypatch):
 
     coh_mod = importlib.import_module("ulrichbundles.cohomology")
     monkeypatch.setattr(coh_mod, "_scan_bounds",
-                        lambda rays, coeffs, dim: [2] * dim)
+                        lambda rays, coeffs, dim: [(-2, 2)] * dim)
     with pytest.raises(ScanBoxTooSmall):
         toric_cech_oracle(P2, DivisorClass(P2, (3,)))
 
 
 def test_scan_bounds_cover_polytope():
-    # vertices of the section polytope of O(a f + b C+) sit inside the box
-    from ulrichbundles.cohomology import _fan, _ray_coefficients
-
-    rays, cones, dim = _fan(F2)
-    coeffs = _ray_coefficients(F2, DivisorClass(F2, (2, 3)))
-    bounds = _scan_bounds(rays, coeffs, dim)
-    # the section polytope of O(2f + 3C+) has its widest vertex at m1 = r*b = 6
-    assert bounds[0] >= 6 + 2
+    # every vertex of the arrangement <m, u> = -a of O(2f + 3C+) on F_2
+    # lies at least two characters inside the box
+    rays, cones, rows = _toric_model(F2)
+    coeffs = [sum(r * c for r, c in zip(row, (2, 3))) for row in rows]
+    bounds = _scan_bounds(rays, coeffs, 2)
+    assert bounds == [(-2, 10), (-3, 5)]
+    for (u1, w1), (u2, w2) in itertools.combinations(
+            [(u, -a) for u, a in zip(rays, coeffs)], 2):
+        det = u1[0] * u2[1] - u1[1] * u2[0]
+        if det:
+            vertex = (Fraction(w1 * u2[1] - w2 * u1[1], det),
+                      Fraction(u1[0] * w2 - u2[0] * w1, det))
+            assert all(lo + 2 <= x <= hi - 2 for x, (lo, hi) in zip(vertex, bounds))

@@ -1,12 +1,15 @@
 """Picard-lattice arithmetic, split-bundle algebra, ampleness, grammar."""
 
 import itertools
+import random
+import time
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from ulrichbundles import (
+    AmpleVerdict,
     DivisorClass,
     GenericCurve,
     NotAmple,
@@ -30,6 +33,7 @@ from ulrichbundles import (
     sym_power,
     very_ample_threshold,
 )
+from ulrichbundles.cli import run
 
 P1 = ProjSpace(1)
 P2 = ProjSpace(2)
@@ -162,6 +166,94 @@ class TestVeryAmple:
         verdict = is_very_ample(c, DivisorClass(c, (5,)))
         assert bool(verdict) and verdict.sufficient_only
         assert not is_very_ample(c, DivisorClass(c, (4,)))
+
+
+def reference_is_ample(v, d):
+    """The recursive definition the level-wise walk replaced: one call per
+    summand at every level, so its cost is the product of the ranks."""
+    if isinstance(v, (ProjSpace, GenericCurve)):
+        return d.coords[0] >= 1
+    k, twists = reference_twists(v, d)
+    return k >= 1 and all(reference_is_ample(v.base, t) for t in twists)
+
+
+def reference_is_very_ample(v, d):
+    if isinstance(v, ProjSpace):
+        return AmpleVerdict(d.coords[0] >= 1)
+    if isinstance(v, GenericCurve):
+        return AmpleVerdict(d.coords[0] >= 2 * v.genus + 1, sufficient_only=True)
+    k, twists = reference_twists(v, d)
+    verdicts = [reference_is_very_ample(v.base, t) for t in twists]
+    return AmpleVerdict(k >= 1 and all(verdicts),
+                        sufficient_only=any(x.sufficient_only for x in verdicts))
+
+
+def reference_twists(v, d):
+    k, root = d.coords[-1], v
+    while isinstance(root, ProjBundle):
+        root = root.base
+    if k != 1 and isinstance(root, GenericCurve):
+        raise UnsupportedPolarisation(f"H-coefficient {k}")
+    base_part = DivisorClass(v.base, d.coords[:-1])
+    return k, [base_part + k * s for s in v.summands.summands]
+
+
+def outcome(test, v, d):
+    try:
+        verdict = test(v, d)
+    except UnsupportedPolarisation:
+        return "unsupported"
+    return bool(verdict), getattr(verdict, "sufficient_only", None)
+
+
+def rank2_tower(depth):
+    text = "P1"
+    for j in range(depth):
+        zeros = ",".join(["0"] * (j + 1))
+        one = ",".join(["0"] * j + ["1"])
+        text = f"PB({text};[{zeros}],[{one}])"
+    return text
+
+
+class TestTowerWalk:
+    VARIETIES = ["P2", "C0", "C2", "F0", "F1", "F3", "PB(P1;[0],[2],[3])",
+                 "PB(P2;[0],[1],[-2])", "PB(F1;[0,0],[1,1])", "PB(F2;[0,0],[1,0],[0,1])",
+                 "PB(PB(F1;[0,0],[1,0]);[0,0,0],[0,1,1])", rank2_tower(4),
+                 "PB(C2;[0],[3])", "PB(PB(C1;[0],[1]);[0,0],[1,0])",
+                 "PB(PB(C1;[0],[1]);[0,0],[0,1])", "PB(PB(C1;[0],[1]);[0,1],[0,0])"]
+
+    def test_matches_the_recursive_definition(self):
+        rng = random.Random(40)
+        for text in self.VARIETIES:
+            v = pb(text)
+            for _ in range(150):
+                d = DivisorClass(v, [rng.randint(-3, 3) for _ in range(v.picard_rank)])
+                very = outcome(reference_is_very_ample, v, d)
+                assert outcome(is_very_ample, v, d) == very, (text, d.coords)
+                # is_ample refuses exactly what is_very_ample refuses
+                expected = very if very == "unsupported" else outcome(
+                    reference_is_ample, v, d)
+                assert outcome(is_ample, v, d) == expected, (text, d.coords)
+
+    def test_refusal_does_not_depend_on_summand_order(self):
+        # the recursion stopped at the first non-ample twist, so a
+        # twist with H-coefficient 2 behind it went unseen for one order
+        # of the summands of E and was refused for the other
+        first, second = (pb("PB(PB(C1;[0],[1]);[0,0],[0,1])"),
+                         pb("PB(PB(C1;[0],[1]);[0,1],[0,0])"))
+        d1, d2 = DivisorClass(first, (0, 1, 1)), DivisorClass(second, (0, 1, 1))
+        assert reference_is_ample(first, d1) is False
+        with pytest.raises(UnsupportedPolarisation):
+            reference_is_ample(second, d2)
+        for v, d in ((first, d1), (second, d2)):
+            with pytest.raises(UnsupportedPolarisation):
+                is_ample(v, d)
+
+    def test_deep_tower_in_bounded_time(self, capsys):
+        start = time.perf_counter()
+        code = run(["ample", rank2_tower(40), "[" + ",".join(["1"] * 41) + "]"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and capsys.readouterr().out == "very ample: True\n"
 
 
 class TestThreshold:
