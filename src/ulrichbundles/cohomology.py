@@ -1,6 +1,6 @@
 """Exact sheaf cohomology of split bundles on the supported varieties.
 
-Four ingredients:
+Five ingredients:
 
 * closed line-bundle tables on P^n and on generic curves,
 * the projection-formula branches for P(E) -> X over any supported base,
@@ -10,6 +10,8 @@ Four ingredients:
   rank-1 when k <= -rank.  ``pushforward_terms`` alone knows these
   branches; it counts the base twists with their multiplicities instead
   of enumerating Sym^k,
+* one walk down a tower for tables, chi and the direct Ulrich check:
+  ``push_down`` merges equal twists, so a level costs its distinct twists,
 * suffix sums over P^1: for P(E) over P^1 (F_r and PB(P1;...) of any
   rank) the twists e of the pushforward of O(kH) and their multiplicities
   m_e do not depend on the base degree a, so they are counted once per
@@ -20,11 +22,11 @@ Four ingredients:
   over it, recomputing tables character by character from the fan.
 
 chi (``euler_characteristic``) is a closed polynomial on P^n and on every
-P(E) over P^1, F_r included; elsewhere on P(E) it shares
-``pushforward_terms`` with the tables, which the oracle checks.  The
-Ulrich criterion enumerates Sym^k with ``picard.sym_power`` instead, so
-the direct check on P(E) and the criterion expand the pushforward in two
-different ways.  The oracle shares no code with either.
+P(E) over P^1, F_r included; on deeper towers it sums these over the
+tables' walk, which the oracle checks.  The Ulrich criterion enumerates
+Sym^k with ``picard.sym_power`` instead, so the direct check on P(E) and
+the criterion expand the pushforward in two different ways.  The oracle
+shares no code with either.
 
 All values are exact integers; generic-curve answers are flagged.
 """
@@ -52,6 +54,7 @@ from .picard import (
     ProjSpace,
     SplitBundle,
     Variety,
+    _P1,
 )
 
 
@@ -122,8 +125,9 @@ def _line_table(v: Variety, coords: tuple) -> CohomologyTable:
     if isinstance(v, ProjBundle):
         if isinstance(v.base, ProjSpace) and v.base.n == 1:
             return _p1_bundle_line(v, *coords)
-        return pushforward_table(v.dim, v.summand_coords, coords[:-1], coords[-1],
-                                 partial(_line_table, v.base))
+        # the walk ends where tables are closed, so base_table never walks
+        base, terms = _tower_terms(v, coords)
+        return pushforward_table(v.dim, terms, partial(_line_table, base))
     raise UnsupportedVariety(f"no cohomology rule for {v!r}")
 
 
@@ -197,17 +201,31 @@ def pushforward_terms(summands: tuple, b_coords: tuple, k: int):
     return shift, terms
 
 
-def pushforward_table(dim: int, summands: tuple, b_coords: tuple, k: int,
-                      base_table) -> CohomologyTable:
-    """Table on the dim-dimensional P(E) of pullback(F)(pullback(B) + kH).
+def push_down(v: ProjBundle, terms: dict) -> dict:
+    """``terms = {(shift, coords): mult}`` on v (mult copies of O(coords) in
+    degree shift) pushed to v.base, equal ``(shift, twist)`` keys merged."""
+    down = {}
+    for (shift, coords), mult in terms.items():
+        s, twists = pushforward_terms(v.summand_coords, coords[:-1], coords[-1])
+        for twist, m in twists.items():
+            key = (shift + s, twist)
+            down[key] = down.get(key, 0) + mult * m
+    return down
 
-    ``base_table(twist)`` returns the base table of F(twist); see
-    ``pushforward_terms`` for the other arguments.
-    """
-    shift, terms = pushforward_terms(summands, b_coords, k)
+
+def _tower_terms(v: Variety, coords: tuple):
+    """``(base, terms)``: O(coords) pushed down to the first closed-table level."""
+    terms = {(0, coords): 1}
+    while isinstance(v, ProjBundle) and v.base != _P1:
+        v, terms = v.base, push_down(v, terms)
+    return v, terms
+
+
+def pushforward_table(dim: int, terms: dict, base_table) -> CohomologyTable:
+    """Sum over ``push_down`` terms of mult * ``base_table(twist)``, shifted."""
     h = [0] * (dim + 1)
     generic = False
-    for twist, mult in terms.items():
+    for (shift, twist), mult in terms.items():
         part = base_table(twist)
         generic = generic or part.generic
         for i, x in enumerate(part.h):
@@ -257,9 +275,8 @@ def _line_chi(v: Variety, coords: tuple) -> int:
             c1 = sum(s for (s,) in v.summand_coords)
             return (_binomial(k + rho - 1, rho - 1) * (a + 1)
                     + c1 * _binomial(k + rho - 1, rho))
-        shift, terms = pushforward_terms(v.summand_coords, coords[:-1], coords[-1])
-        return (-1) ** shift * sum(mult * _line_chi(v.base, e)
-                                   for e, mult in terms.items())
+        base, terms = _tower_terms(v, coords)
+        return sum((-1) ** s * m * _line_chi(base, e) for (s, e), m in terms.items())
     raise UnsupportedVariety(f"no chi polynomial for {v!r}")
 
 
@@ -268,10 +285,10 @@ def euler_characteristic(v: Variety, bundle) -> int:
 
     Always equal to the alternating sum of cohomology(v, bundle).  On P^n
     and on every P(E) over P^1, F_r among them, the polynomial shares no
-    code with the tables.  Over other bases it shares the expansion of
-    ``pushforward_terms`` with them and only replaces each base table by
-    its polynomial, so it checks the base tables but not the expansion
-    (``toric_cech_oracle`` does, over P^n and towers over it).
+    code with the tables.  On deeper towers it replaces the closed table
+    of each term of the tables' walk (``_tower_terms``) by its polynomial,
+    so it checks those tables but not the walk (``toric_cech_oracle``
+    does, over P^n and towers over it).
     """
     if isinstance(bundle, DivisorClass):
         bundle = SplitBundle(v, (bundle,))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .cohomology import CohomologyTable, cohomology, pushforward_table
+from .cohomology import CohomologyTable, cohomology, push_down, pushforward_table
 from .errors import (
     BadTwist,
     InternalInconsistency,
@@ -48,7 +48,6 @@ class Polarisation:
     """A very ample divisor class; construction verifies very-ampleness."""
 
     divisor: DivisorClass
-    very_ample_checked: bool = True
     sufficient_only: bool = False
 
     @classmethod
@@ -59,7 +58,7 @@ class Polarisation:
         if not verdict:
             raise NotVeryAmple(f"{render_divisor(d)} is not very ample on "
                                f"{v.name}")
-        return cls(d, True, verdict.sufficient_only)
+        return cls(d, verdict.sufficient_only)
 
 
 @dataclass(frozen=True)
@@ -171,7 +170,7 @@ def _criterion_setup(x: Variety, e: SplitBundle, a) -> _CriterionSetup:
     if not verdict:
         raise NotVeryAmple(
             f"pullback({render_divisor(a_div)}) + H is not very ample on {pb.name}")
-    pol = Polarisation(a_div, True, verdict.sufficient_only)
+    pol = Polarisation(a_div, verdict.sufficient_only)
     if x.dim != 2:
         return _CriterionSetup(pol)
     d_prime = e.rank * a_div + e.c1
@@ -227,9 +226,9 @@ def pullback_ulrich_criterion(x: Variety, e: SplitBundle, cand, a) -> UlrichRepo
 
 def _pb_twist_table(pb: ProjBundle, cand, b: DivisorClass, k: int) -> CohomologyTable:
     """Table of pullback(cand)(pullback(b) + kH) on P(E)."""
+    terms = push_down(pb, {(0, b.coords + (k,)): 1})
     return pushforward_table(
-        pb.dim, pb.summand_coords, b.coords, k,
-        lambda e: _base_table(pb.base, cand, DivisorClass(pb.base, e)))
+        pb.dim, terms, lambda e: _base_table(pb.base, cand, DivisorClass(pb.base, e)))
 
 
 def direct_ulrich_check(pb: ProjBundle, cand, a) -> UlrichReport:
@@ -246,8 +245,7 @@ def direct_ulrich_check(pb: ProjBundle, cand, a) -> UlrichReport:
     a_div = pol.divisor
     checks = []
     for i in range(1, pb.dim + 1):
-        b = (1 - i) * a_div
-        table = _pb_twist_table(pb, cand, b, 1 - i)
+        table = _pb_twist_table(pb, cand, (1 - i) * a_div, 1 - i)
         checks.append(TwistCheck(f"-{i}D", table, table.is_zero()))
     report = _report(cand, pol, checks, "direct",
                      ["candidate on P(E): pullback(F) + D, D = pullback(A) + H"])

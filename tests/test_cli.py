@@ -7,12 +7,16 @@ import os
 import shlex
 import subprocess
 import sys
+import time
+from math import comb
 from pathlib import Path
 
 import pytest
 
 import ulrichbundles
 from ulrichbundles.cli import run
+
+from towers import rank2_tower
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 README = Path(__file__).parent.parent / "README.md"
@@ -213,19 +217,47 @@ class TestHumanOutput:
         assert code == 0 and "sufficient bound only" in out
 
 
+class TestDeepTowers:
+    """The merged tower walk keeps deep Bott towers interactive."""
+
+    @staticmethod
+    def timed(args):
+        start = time.perf_counter()
+        code, out = run_cli(args)
+        return code, out, time.perf_counter() - start
+
+    @pytest.mark.parametrize("command", ["coh", "chi"])
+    def test_all_ones_class_at_depth_30(self, command):
+        ones = "[" + ",".join(["1"] * 31) + "]"
+        code, out, seconds = self.timed([command, rank2_tower(30), ones, "--json"])
+        assert code == 0 and seconds < 1.0
+        assert json.loads(out)["chi"] == comb(64, 32) // 33  # Catalan(32)
+
+    def test_direct_check_at_depth_6(self):
+        code, out, seconds = self.timed(["direct", rank2_tower(6), "[0,0,0,0,0,0]",
+                                         "--pol", "[1,1,1,1,1,1]", "--json"])
+        assert code == 0 and seconds < 0.3
+        assert json.loads(out)["method"] == "direct"
+
+
+def readme_blocks(language):
+    """The bodies of the README's fenced blocks in the given language."""
+    blocks = []
+    in_block = False
+    for line in README.read_text().splitlines():
+        if line.strip() == "```" + language:
+            in_block = True
+            blocks.append([])
+        elif in_block and line.strip() == "```":
+            in_block = False
+        elif in_block:
+            blocks[-1].append(line)
+    return blocks
+
+
 class TestReadmeExamples:
     def test_every_console_block_runs_and_matches(self):
-        text = README.read_text()
-        blocks = []
-        in_block = False
-        for line in text.splitlines():
-            if line.strip() == "```console":
-                in_block = True
-                blocks.append([])
-            elif in_block and line.strip() == "```":
-                in_block = False
-            elif in_block:
-                blocks[-1].append(line)
+        blocks = readme_blocks("console")
         assert blocks, "README must document console examples"
         checked = 0
         for block in blocks:
@@ -244,3 +276,9 @@ class TestReadmeExamples:
                 assert out.rstrip("\n") == "\n".join(expected).rstrip("\n"), line
                 checked += 1
         assert checked >= 4
+
+    def test_every_python_block_runs(self):
+        blocks = readme_blocks("python")
+        assert blocks, "README must document library examples"
+        for block in blocks:
+            exec(compile("\n".join(block), str(README), "exec"), {})

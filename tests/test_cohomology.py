@@ -5,6 +5,7 @@ import itertools
 import random
 from collections import Counter
 from functools import partial
+from math import comb
 
 import pytest
 
@@ -28,11 +29,15 @@ from ulrichbundles import (
 )
 from ulrichbundles.cli import run
 from ulrichbundles.cohomology import (
+    _line_chi,
     _line_table,
     _p1_twist_sums,
+    push_down,
     pushforward_table,
     pushforward_terms,
 )
+
+from towers import rank2_tower
 
 P1 = ProjSpace(1)
 P2 = ProjSpace(2)
@@ -194,7 +199,8 @@ class TestSuffixSumTablesOverP1:
         base_table = partial(_line_table, v.base)
         for a, k in itertools.product(range(-25, 26), repeat=2):
             table = _line_table(v, (a, k))
-            expected = pushforward_table(v.dim, v.summand_coords, (a,), k, base_table)
+            expected = pushforward_table(v.dim, push_down(v, {(0, (a, k)): 1}),
+                                         base_table)
             assert table == expected, (name, a, k)
             assert table.chi == euler_characteristic(v, DivisorClass(v, (a, k)))
 
@@ -210,6 +216,73 @@ class TestSuffixSumTablesOverP1:
         monkeypatch.setattr(coh_mod, "pushforward_terms", counted)
         assert run(["enum-zero", "F3", "--box", "12"]) == 0
         assert 0 < len(calls) <= 25  # one per H-degree, not one per box point
+
+
+def reference_table(v, coords):
+    """The recursive tower expansion: one base table per pushforward term,
+    each expanded again, no equal twists merged."""
+    if not isinstance(v, ProjBundle) or v.base == P1:
+        return _line_table(v, coords)
+    shift, terms = pushforward_terms(v.summand_coords, coords[:-1], coords[-1])
+    h = [0] * (v.dim + 1)
+    generic = False
+    for twist, mult in terms.items():
+        part = reference_table(v.base, twist)
+        generic = generic or part.generic
+        for i, x in enumerate(part.h):
+            h[i + shift] += mult * x
+    return CohomologyTable.make(h, generic)
+
+
+def reference_chi(v, coords):
+    """chi by the same recursion, the closed polynomials at its leaves."""
+    if not isinstance(v, ProjBundle) or v.base == P1:
+        return euler_characteristic(v, DivisorClass(v, coords))
+    shift, terms = pushforward_terms(v.summand_coords, coords[:-1], coords[-1])
+    return (-1) ** shift * sum(mult * reference_chi(v.base, e)
+                               for e, mult in terms.items())
+
+
+def chi_outcome(chi, v, coords):
+    try:
+        return chi(v, coords)
+    except GenericModeUnsupported:
+        return "generic-unsupported"
+
+
+# the last three have a first summand D_0 != 0, which enters every class
+_TOWERS = ["PB(P2;[0],[1],[-2])", "PB(F1;[0,0],[1,1])", "PB(F2;[0,0],[1,0],[0,1])",
+           "PB(PB(F1;[0,0],[1,0]);[0,0,0],[0,1,1])", "PB(PB(P2;[1],[0]);[0,0],[1,1])",
+           "PB(C2;[0],[3])", "PB(PB(C1;[0],[1]);[0,0],[1,0])",
+           rank2_tower(4), rank2_tower(6), "PB(P2;[2],[-1])", "PB(F3;[1,-1],[0,2])",
+           "PB(PB(P1;[1],[-1]);[2,0],[0,1],[1,-1])"]
+
+
+class TestMergedTowerWalk:
+    """The merged level-by-level walk against the recursive expansion."""
+
+    def test_tables_and_chi_match_the_recursion(self):
+        rng = random.Random(7)
+        generic = 0
+        for text in _TOWERS:
+            v = parse_variety(text)
+            for _ in range(45):
+                coords = tuple(rng.randint(-3, 3) for _ in range(v.picard_rank))
+                table = cohomology(v, DivisorClass(v, coords))
+                expected = reference_table(v, coords)
+                assert (table.h, table.generic) == (expected.h, expected.generic), (
+                    text, coords)
+                generic += table.generic
+                assert (chi_outcome(_line_chi, v, coords)
+                        == chi_outcome(reference_chi, v, coords)), (text, coords)
+        assert generic > 0  # the towers over curves reach the generic flag
+
+    def test_all_ones_class_on_the_bott_tower_is_a_catalan_number(self):
+        # h^0 of the all-ones class on rank2_tower(d) is Catalan(d + 2)
+        for d in range(1, 31):
+            v = parse_variety(rank2_tower(d))
+            table = cohomology(v, DivisorClass(v, (1,) * (d + 1)))
+            assert table.h == (comb(2 * d + 4, d + 2) // (d + 3),) + (0,) * (d + 1), d
 
 
 class TestTableInvariants:

@@ -23,6 +23,8 @@ from ulrichbundles import (
 from ulrichbundles.cli import run
 from ulrichbundles.cohomology import _scan_bounds, _toric_model
 
+from towers import rank2_tower
+
 P2 = ProjSpace(2)
 F2 = hirzebruch(2)
 
@@ -88,15 +90,6 @@ def test_dimension_over_cap_rejected_before_the_fan(monkeypatch):
     p4 = ProjSpace(4)
     with pytest.raises(BoxTooLarge):
         toric_cech_oracle(p4, DivisorClass(p4, (0,)), cap=600)
-
-
-def rank2_tower(depth):
-    text = "P1"
-    for j in range(depth):
-        zeros = ",".join(["0"] * (j + 1))
-        one = ",".join(["0"] * j + ["1"])
-        text = f"PB({text};[{zeros}],[{one}])"
-    return text
 
 
 @pytest.mark.parametrize("argv, env", [

@@ -35,6 +35,8 @@ from ulrichbundles import (
 )
 from ulrichbundles.cli import run
 
+from towers import rank2_tower
+
 P1 = ProjSpace(1)
 P2 = ProjSpace(2)
 F0 = hirzebruch(0)
@@ -204,15 +206,6 @@ def outcome(test, v, d):
     except UnsupportedPolarisation:
         return "unsupported"
     return bool(verdict), getattr(verdict, "sufficient_only", None)
-
-
-def rank2_tower(depth):
-    text = "P1"
-    for j in range(depth):
-        zeros = ",".join(["0"] * (j + 1))
-        one = ",".join(["0"] * j + ["1"])
-        text = f"PB({text};[{zeros}],[{one}])"
-    return text
 
 
 class TestTowerWalk:
