@@ -10,8 +10,12 @@ Five ingredients:
   rank-1 when k <= -rank.  ``pushforward_terms`` alone knows these
   branches; it counts the base twists with their multiplicities instead
   of enumerating Sym^k,
-* one walk down a tower for tables, chi and the direct Ulrich check:
-  ``push_down`` merges equal twists, so a level costs its distinct twists,
+* one merged walk down a tower (``split_table``) for every split table:
+  ``cohomology`` and ``euler_characteristic`` start it from the summands
+  (``start_terms``), and each check of ``ulrich.is_ulrich``, of the
+  criterion (all of Sym^k per k) and of the direct check (a pushed-down
+  twist) from the candidate tensored into its twists; ``push_down``
+  merges equal twists, so a level costs its distinct twists,
 * suffix sums over P^1: for P(E) over P^1 (F_r and PB(P1;...) of any
   rank) the twists e of the pushforward of O(kH) and their multiplicities
   m_e do not depend on the base degree a, so they are counted once per
@@ -68,22 +72,10 @@ class CohomologyTable:
 
     @classmethod
     def make(cls, h, generic: bool = False) -> "CohomologyTable":
-        h = tuple(int(x) for x in h)
-        if any(x < 0 for x in h):
+        h = tuple(map(int, h))
+        if min(h) < 0:
             raise AssertionError(f"negative cohomology dimension in {h}")
-        chi = sum((-1) ** i * x for i, x in enumerate(h))
-        return cls(h, chi, generic)
-
-    @classmethod
-    def zero(cls, dim: int, generic: bool = False) -> "CohomologyTable":
-        return cls((0,) * (dim + 1), 0, generic)
-
-    def __add__(self, other: "CohomologyTable") -> "CohomologyTable":
-        if len(self.h) != len(other.h):
-            raise AssertionError("adding tables of different dimensions")
-        return CohomologyTable.make(
-            tuple(a + b for a, b in zip(self.h, other.h)),
-            self.generic or other.generic)
+        return cls(h, sum(h[::2]) - sum(h[1::2]), generic)
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.h)
@@ -107,7 +99,7 @@ def _proj_space_line(n: int, d: int) -> CohomologyTable:
     if d <= -n - 1:
         top = comb(-d - 1, n)
         return CohomologyTable((0,) * n + (top,), (-1) ** n * top)
-    return CohomologyTable.zero(n)
+    return CohomologyTable((0,) * (n + 1), 0)
 
 
 def _curve_line(g: int, d: int) -> CohomologyTable:
@@ -118,16 +110,13 @@ def _curve_line(g: int, d: int) -> CohomologyTable:
 
 
 def _line_table(v: Variety, coords: tuple) -> CohomologyTable:
+    """Closed table of O(coords) on a variety where ``_tower_terms`` stops."""
     if isinstance(v, ProjSpace):
         return _proj_space_line(v.n, coords[0])
     if isinstance(v, GenericCurve):
         return _curve_line(v.genus, coords[0])
     if isinstance(v, ProjBundle):
-        if isinstance(v.base, ProjSpace) and v.base.n == 1:
-            return _p1_bundle_line(v, *coords)
-        # the walk ends where tables are closed, so base_table never walks
-        base, terms = _tower_terms(v, coords)
-        return pushforward_table(v.dim, terms, partial(_line_table, base))
+        return _p1_bundle_line(v, *coords)
     raise UnsupportedVariety(f"no cohomology rule for {v!r}")
 
 
@@ -213,9 +202,9 @@ def push_down(v: ProjBundle, terms: dict) -> dict:
     return down
 
 
-def _tower_terms(v: Variety, coords: tuple):
-    """``(base, terms)``: O(coords) pushed down to the first closed-table level."""
-    terms = {(0, coords): 1}
+def _tower_terms(v: Variety, terms: dict):
+    """``(base, terms)``: the terms pushed down to the first closed-table
+    level (P^n, a curve, or a P(E) over P^1)."""
     while isinstance(v, ProjBundle) and v.base != _P1:
         v, terms = v.base, push_down(v, terms)
     return v, terms
@@ -228,24 +217,37 @@ def pushforward_table(dim: int, terms: dict, base_table) -> CohomologyTable:
     for (shift, twist), mult in terms.items():
         part = base_table(twist)
         generic = generic or part.generic
-        for i, x in enumerate(part.h):
-            h[i + shift] += mult * x
+        for i, x in enumerate(part.h, shift):
+            h[i] += mult * x
     return CohomologyTable.make(h, generic)
+
+
+def split_table(v: Variety, terms: dict, dim: int) -> CohomologyTable:
+    """h^0..h^dim of the sum of O(coords)^mult in degree shift over ``terms
+    = {(shift, coords): mult}`` on v: one merged walk, then closed tables."""
+    base, terms = _tower_terms(v, terms)
+    return pushforward_table(dim, terms, partial(_line_table, base))
+
+
+def start_terms(v: Variety, bundle, twists: dict | None = None) -> dict:
+    """The walk's terms ``{(shift, coords): mult}``: the summands of a split
+    bundle (or of one divisor class) on v, tensored into ``twists`` (terms
+    of the same form; O in degree 0 when None)."""
+    if bundle.variety != v:
+        raise UnsupportedVariety("bundle does not live on the given variety")
+    summands = (bundle,) if isinstance(bundle, DivisorClass) else bundle.summands
+    twists = {(0, (0,) * v.picard_rank): 1} if twists is None else twists
+    terms = {}
+    for (shift, twist), mult in twists.items():
+        for s in summands:
+            key = (shift, tuple(map(add, twist, s.coords)))
+            terms[key] = terms.get(key, 0) + mult
+    return terms
 
 
 def cohomology(v: Variety, bundle) -> CohomologyTable:
     """Cohomology table of a split bundle (or single divisor class) on v."""
-    if isinstance(bundle, DivisorClass):
-        bundle = SplitBundle(v, (bundle,))
-    if bundle.variety != v:
-        raise UnsupportedVariety("bundle does not live on the given variety")
-    h = [0] * (v.dim + 1)
-    generic = False
-    for s in bundle.summands:
-        part = _line_table(v, s.coords)
-        generic = generic or part.generic
-        h = list(map(add, h, part.h))
-    return CohomologyTable.make(h, generic)
+    return split_table(v, start_terms(v, bundle), v.dim)
 
 
 def hom_complex_dims(v: Variety, e1: SplitBundle, e2: SplitBundle) -> CohomologyTable:
@@ -263,36 +265,34 @@ def _binomial(x: int, j: int) -> int:
 
 
 def _line_chi(v: Variety, coords: tuple) -> int:
+    """chi of O(coords) on a variety where ``_tower_terms`` stops."""
     if isinstance(v, ProjSpace):
         return _binomial(coords[0] + v.n, v.n)
     if isinstance(v, GenericCurve):
         raise GenericModeUnsupported(
             "euler_characteristic is exact-mode only; generic curves are excluded")
     if isinstance(v, ProjBundle):
-        if isinstance(v.base, ProjSpace) and v.base.n == 1:
-            # Riemann-Roch: C(k+rho-1, rho-1)(a+1) + c1(E) C(k+rho-1, rho)
-            (a, k), rho = coords, v.rank
-            c1 = sum(s for (s,) in v.summand_coords)
-            return (_binomial(k + rho - 1, rho - 1) * (a + 1)
-                    + c1 * _binomial(k + rho - 1, rho))
-        base, terms = _tower_terms(v, coords)
-        return sum((-1) ** s * m * _line_chi(base, e) for (s, e), m in terms.items())
+        # Riemann-Roch: C(k+rho-1, rho-1)(a+1) + c1(E) C(k+rho-1, rho)
+        (a, k), rho = coords, v.rank
+        c1 = sum(s for (s,) in v.summand_coords)
+        return (_binomial(k + rho - 1, rho - 1) * (a + 1)
+                + c1 * _binomial(k + rho - 1, rho))
     raise UnsupportedVariety(f"no chi polynomial for {v!r}")
 
 
 def euler_characteristic(v: Variety, bundle) -> int:
     """chi from the closed Riemann-Roch polynomials of the line bundles.
 
-    Always equal to the alternating sum of cohomology(v, bundle).  On P^n
-    and on every P(E) over P^1, F_r among them, the polynomial shares no
-    code with the tables.  On deeper towers it replaces the closed table
-    of each term of the tables' walk (``_tower_terms``) by its polynomial,
-    so it checks those tables but not the walk (``toric_cech_oracle``
-    does, over P^n and towers over it).
+    Always equal to the alternating sum of cohomology(v, bundle), and it
+    refuses a bundle on another variety the same way.  On P^n and on every
+    P(E) over P^1, F_r among them, the polynomial shares no code with the
+    tables.  On deeper towers it takes the tables' merged walk of all the
+    summands (``_tower_terms``) and replaces the closed table of each term
+    at its bottom by the polynomial, so it checks those tables but not the
+    walk (``toric_cech_oracle`` does, over P^n and towers over it).
     """
-    if isinstance(bundle, DivisorClass):
-        bundle = SplitBundle(v, (bundle,))
-    return sum(_line_chi(v, s.coords) for s in bundle.summands)
+    base, terms = _tower_terms(v, start_terms(v, bundle))
+    return sum((-1) ** s * m * _line_chi(base, e) for (s, e), m in terms.items())
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .cohomology import CohomologyTable, cohomology, push_down, pushforward_table
+from .cohomology import (
+    CohomologyTable,
+    cohomology,
+    push_down,
+    pushforward_table,
+    split_table,
+    start_terms,
+)
 from .errors import (
     BadTwist,
     InternalInconsistency,
@@ -30,7 +37,6 @@ from .errors import (
 )
 from .picard import (
     DivisorClass,
-    GenericCurve,
     ProjBundle,
     SplitBundle,
     Variety,
@@ -39,7 +45,6 @@ from .picard import (
     render_bundle,
     render_divisor,
     sym_power,
-    zero_divisor,
 )
 
 
@@ -97,18 +102,20 @@ def _candidate_name(cand) -> str:
     return str(cand)
 
 
-def _base_table(v: Variety, cand, twist: DivisorClass) -> CohomologyTable:
-    """Table of cand(twist) on v; cand is split or a twisted kernel."""
+def _base_table(v: Variety, cand, twists: dict, dim: int) -> CohomologyTable:
+    """Table h^0..h^dim of cand(twist)^mult in degree shift, summed over
+    ``twists = {(shift, coords): mult}`` on v; cand is split (tensored into
+    the twists and walked once, ``split_table``) or a twisted kernel."""
     if isinstance(cand, SplitBundle):
-        return cohomology(v, cand.twist(twist))
+        return split_table(v, start_terms(v, cand, twists), dim)
     from . import kernelbundle  # local import, kernelbundle calls back here
 
     kern = kernelbundle.as_twisted_kernel(cand)
     if not kern.lives_on(v):
         raise UnsupportedVariety(
             f"kernel presentation is on P^{kern.presentation.matrix.n}, not {v.name}")
-    return kernelbundle.kernel_cohomology(kern.presentation,
-                                          kern.shift + twist.coords[0])
+    return pushforward_table(dim, twists, lambda twist: kernelbundle.kernel_cohomology(
+        kern.presentation, kern.shift + twist[0]))
 
 
 def _report(cand, pol, checks, method, notes=()) -> UlrichReport:
@@ -130,7 +137,7 @@ def is_ulrich(v: Variety, cand, a) -> UlrichReport:
     pol = Polarisation.check(v, a)
     checks = []
     for i in range(1, v.dim + 1):
-        table = _base_table(v, cand, -i * pol.divisor)
+        table = _base_table(v, cand, {(0, (-i * pol.divisor).coords): 1}, v.dim)
         checks.append(TwistCheck(f"-{i}A", table, table.is_zero()))
     notes = []
     if pol.sufficient_only:
@@ -196,23 +203,20 @@ def pullback_ulrich_criterion(x: Variety, e: SplitBundle, cand, a) -> UlrichRepo
     setup = _criterion_setup(x, e, a)
     pol = setup.pol
     a_div = pol.divisor
-    rho = e.rank
-    c1 = e.c1
-    table_f = _base_table(x, cand, zero_divisor(x))
+    table_f = _base_table(x, cand, {(0, (0,) * x.picard_rank): 1}, x.dim)
     checks = [TwistCheck("F", table_f, table_f.is_zero())]
     notes = []
     for k in range(0, x.dim - 1):
-        twist = -1 * c1 - (rho + k) * a_div
-        table = None
-        for s in sym_power(e, k).summands:
-            part = _base_table(x, cand, twist - s)
-            table = part if table is None else table + part
+        twist = -1 * e.c1 - (e.rank + k) * a_div
+        # Hom^*(Sym^k E, F(twist)) = H^*(F x dual(Sym^k E)(twist))
+        twists = start_terms(x, sym_power(e, k).dual(), {(0, twist.coords): 1})
+        table = _base_table(x, cand, twists, x.dim)
         checks.append(TwistCheck(f"k={k}", table, table.is_zero()))
     if x.dim == 1:
         notes.append("curve base: H(F) = 0 alone decides")
     if x.dim == 2:
         d_prime = setup.d_prime
-        direct = _base_table(x, cand, -1 * d_prime)
+        direct = _base_table(x, cand, {(0, (-1 * d_prime).coords): 1}, x.dim)
         if direct.h != checks[1].table.h:
             raise InternalInconsistency(
                 f"surface reduction mismatch: k=0 gave {checks[1].table.h}, "
@@ -224,19 +228,13 @@ def pullback_ulrich_criterion(x: Variety, e: SplitBundle, cand, a) -> UlrichRepo
     return _report(cand, pol, checks, "criterion", notes)
 
 
-def _pb_twist_table(pb: ProjBundle, cand, b: DivisorClass, k: int) -> CohomologyTable:
-    """Table of pullback(cand)(pullback(b) + kH) on P(E)."""
-    terms = push_down(pb, {(0, b.coords + (k,)): 1})
-    return pushforward_table(
-        pb.dim, terms, lambda e: _base_table(pb.base, cand, DivisorClass(pb.base, e)))
-
-
 def direct_ulrich_check(pb: ProjBundle, cand, a) -> UlrichReport:
     """Ulrich definition applied on P(E) itself to pullback(F)(D).
 
-    Each of the dim P(E) twists is expanded through the pushforward
-    engine; the verdict is then asserted to match the base-side
-    criterion, a mismatch raising InternalInconsistency (engine bug).
+    Each twist -iD is pushed down to the base once (``push_down``), and
+    the candidate tensored into those terms takes one merged walk; the
+    verdict is then asserted to match the base-side criterion, a mismatch
+    raising InternalInconsistency (engine bug).
     """
     if not isinstance(pb, ProjBundle):
         raise UnsupportedVariety("direct check expects a projective bundle")
@@ -245,7 +243,8 @@ def direct_ulrich_check(pb: ProjBundle, cand, a) -> UlrichReport:
     a_div = pol.divisor
     checks = []
     for i in range(1, pb.dim + 1):
-        table = _pb_twist_table(pb, cand, (1 - i) * a_div, 1 - i)
+        terms = push_down(pb, {(0, ((1 - i) * a_div).coords + (1 - i,)): 1})
+        table = _base_table(pb.base, cand, terms, pb.dim)
         checks.append(TwistCheck(f"-{i}D", table, table.is_zero()))
     report = _report(cand, pol, checks, "direct",
                      ["candidate on P(E): pullback(F) + D, D = pullback(A) + H"])

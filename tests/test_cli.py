@@ -239,6 +239,15 @@ class TestDeepTowers:
         assert code == 0 and seconds < 0.3
         assert json.loads(out)["method"] == "direct"
 
+    @pytest.mark.parametrize("command, bound", [("direct", 1.0), ("criterion", 0.6)])
+    def test_zero_candidate_at_depth_10(self, command, bound):
+        # one merged walk per check, not one per base twist or Sym^k summand
+        zeros, ones = "[" + ",".join(["0"] * 10) + "]", "[" + ",".join(["1"] * 10) + "]"
+        code, out, seconds = self.timed([command, rank2_tower(10), zeros, "--pol", ones,
+                                         "--json"])
+        assert code == 0 and seconds < bound
+        assert json.loads(out)["method"] == command
+
 
 def readme_blocks(language):
     """The bodies of the README's fenced blocks in the given language."""

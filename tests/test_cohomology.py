@@ -17,6 +17,7 @@ from ulrichbundles import (
     ProjBundle,
     ProjSpace,
     SplitBundle,
+    UnsupportedVariety,
     canonical_class,
     cohomology,
     euler_characteristic,
@@ -29,7 +30,6 @@ from ulrichbundles import (
 )
 from ulrichbundles.cli import run
 from ulrichbundles.cohomology import (
-    _line_chi,
     _line_table,
     _p1_twist_sums,
     push_down,
@@ -106,6 +106,20 @@ class TestEulerCharacteristic:
         c = GenericCurve(2)
         with pytest.raises(GenericModeUnsupported):
             euler_characteristic(c, DivisorClass(c, (3,)))
+
+    @pytest.mark.parametrize("compute", [cohomology, euler_characteristic])
+    def test_bundle_on_another_variety_rejected(self, compute):
+        for bundle in (line_bundle(P3, (1,)), DivisorClass(P3, (1,)),
+                       line_bundle(F1, (0, 1))):
+            with pytest.raises(UnsupportedVariety):
+                compute(P2, bundle)
+
+    def test_split_bundle_sums_its_summands(self):
+        # repeated summands are merged into one walk term with multiplicity 2
+        v = parse_variety("PB(F1;[0,0],[1,1])")
+        e = parse_bundle("{[1,0,1],[-2,1,0],[1,0,1],[0,0,-3]}", v)
+        expected = sum(euler_characteristic(v, s) for s in e.summands)
+        assert euler_characteristic(v, e) == cohomology(v, e).chi == expected
 
     @pytest.mark.parametrize("rank", [2, 3, 4, 5])
     def test_closed_polynomial_over_p1(self, rank, monkeypatch):
@@ -243,6 +257,10 @@ def reference_chi(v, coords):
                                for e, mult in terms.items())
 
 
+def engine_chi(v, coords):
+    return euler_characteristic(v, DivisorClass(v, coords))
+
+
 def chi_outcome(chi, v, coords):
     try:
         return chi(v, coords)
@@ -273,7 +291,7 @@ class TestMergedTowerWalk:
                 assert (table.h, table.generic) == (expected.h, expected.generic), (
                     text, coords)
                 generic += table.generic
-                assert (chi_outcome(_line_chi, v, coords)
+                assert (chi_outcome(engine_chi, v, coords)
                         == chi_outcome(reference_chi, v, coords)), (text, coords)
         assert generic > 0  # the towers over curves reach the generic flag
 

@@ -7,6 +7,7 @@ import pytest
 
 from ulrichbundles import (
     BadTwist,
+    CohomologyTable,
     DivisorClass,
     GenericCurve,
     NotVeryAmple,
@@ -14,11 +15,14 @@ from ulrichbundles import (
     ProjSpace,
     SearchBox,
     SplitBundle,
+    TwistedKernel,
     cohomology,
     direct_ulrich_check,
     hirzebruch,
     is_ample,
     is_ulrich,
+    is_very_ample,
+    kernel_cohomology,
     line_bundle,
     minimal_ample_direction,
     parse_bundle,
@@ -27,8 +31,14 @@ from ulrichbundles import (
     pullback_ulrich_line_search,
     semiorthogonality_probe,
     serre_partner,
+    staircase_presentation,
+    sym_euler_presentation,
+    sym_power,
     very_ample_threshold,
+    zero_divisor,
 )
+from ulrichbundles.cohomology import push_down, pushforward_table
+from ulrichbundles.kernelbundle import as_twisted_kernel
 
 P1 = ProjSpace(1)
 P2 = ProjSpace(2)
@@ -243,6 +253,109 @@ class TestBottTowers:
         assert set(result.results) == set(itertools.permutations((-1, 1, 2)))
         for cd in result.results:
             assert direct_ulrich_check(v, line_bundle(x, cd), a).verdict
+
+
+def reference_base_table(v, cand, twist):
+    """The per-twist route: one table, and one walk, per base twist."""
+    if isinstance(cand, SplitBundle):
+        return cohomology(v, cand.twist(twist))
+    kern = as_twisted_kernel(cand)
+    return kernel_cohomology(kern.presentation, kern.shift + twist.coords[0])
+
+
+def reference_sum(tables):
+    """Tables added entrywise, generic if any part is."""
+    h = [sum(col) for col in zip(*(t.h for t in tables))]
+    return CohomologyTable.make(h, any(t.generic for t in tables))
+
+
+def reference_definition(v, cand, a):
+    return [reference_base_table(v, cand, -i * a) for i in range(1, v.dim + 1)]
+
+
+def reference_criterion(x, e, cand, a):
+    """The F table, then per k the sum of one table per Sym^k summand."""
+    tables = [reference_base_table(x, cand, zero_divisor(x))]
+    for k in range(x.dim - 1):
+        twist = -1 * e.c1 - (e.rank + k) * a
+        tables.append(reference_sum([reference_base_table(x, cand, twist - s)
+                                     for s in sym_power(e, k).summands]))
+    return tables
+
+
+def reference_direct(pb, cand, a):
+    """Per -iD twist, one base table per pushforward term."""
+    tables = []
+    for i in range(1, pb.dim + 1):
+        terms = push_down(pb, {(0, ((1 - i) * a).coords + (1 - i,)): 1})
+        tables.append(pushforward_table(pb.dim, terms, lambda e: reference_base_table(
+            pb.base, cand, DivisorClass(pb.base, e))))
+    return tables
+
+
+def outcomes(tables):
+    return [(t.h, t.generic) for t in tables]
+
+
+# bases of P(E): curves reach the generic flag, the last two are towers
+_WALK_BASES = ["P1", "P2", "F0", "F1", "F2", "C1", "C2", "PB(F1;[0,0],[1,1])",
+               "PB(PB(P1;[0],[1]);[0,0],[0,1])"]
+
+
+class TestOneWalkPerCheck:
+    """Every check of the definition, the criterion and the direct check
+    against the per-twist route, on the same polarisation."""
+
+    @staticmethod
+    def assert_same(report, tables):
+        assert outcomes(c.table for c in report.checks) == outcomes(tables), report
+
+    def check_all(self, x, e, cand, a):
+        """Runs every applicable check; returns how many were generic."""
+        pb = ProjBundle(x, e)
+        reports = [(pullback_ulrich_criterion(x, e, cand, a),
+                    reference_criterion(x, e, cand, a)),
+                   (direct_ulrich_check(pb, cand, a), reference_direct(pb, cand, a))]
+        if isinstance(cand, SplitBundle):
+            # pullback(cand)(D) on P(E) itself, D = pullback(A) + H
+            d = DivisorClass(pb, a.coords + (1,))
+            lifted = SplitBundle(pb, tuple(DivisorClass(pb, s.coords + (0,)) + d
+                                           for s in cand.summands))
+            reports.append((is_ulrich(pb, lifted, d), reference_definition(pb, lifted, d)))
+        if is_very_ample(x, a):
+            reports.append((is_ulrich(x, cand, a), reference_definition(x, cand, a)))
+        for report, tables in reports:
+            self.assert_same(report, tables)
+        return sum(c.table.generic for report, _ in reports for c in report.checks)
+
+    def test_split_candidates_with_repeated_summands(self):
+        rng = random.Random(20261019)
+        generic = 0
+        for _ in range(36):
+            x = parse_variety(rng.choice(_WALK_BASES))
+            draw = [DivisorClass(x, tuple(rng.randint(-2, 2) for _ in range(x.picard_rank)))
+                    for _ in range(5)]
+            e = SplitBundle(x, tuple(draw[:rng.randint(2, 3)]))
+            parts = draw[3:3 + rng.randint(1, 2)]
+            # one summand twice, and one that is the first moved by a
+            # difference of summands of E, so that twists of two different
+            # summands coincide and must be merged
+            moved = parts[0] + e.summands[1] - e.summands[0]
+            cand = SplitBundle(x, tuple(parts + [parts[0], moved]))
+            pb = ProjBundle(x, e)
+            direction = minimal_ample_direction(x)
+            a = (very_ample_threshold(pb, direction) + rng.randint(0, 1)) * direction
+            generic += self.check_all(x, e, cand, a)
+        assert generic > 0  # the curve bases reach the generic flag
+
+    @pytest.mark.parametrize("ones", [1, 2])
+    def test_kernel_candidates(self, ones):
+        # P(O(1) + O^ones) over P^2
+        e = SplitBundle(P2, (DivisorClass(P2, (1,)),) + (DivisorClass(P2, (0,)),) * ones)
+        a = DivisorClass(P2, (1,))
+        for pres in (staircase_presentation(2, 1), sym_euler_presentation(2, 1)):
+            for shift in (-1, 0, 1):
+                self.check_all(P2, e, TwistedKernel(pres, shift), a)
 
 
 class TestSurfaceReduction:
