@@ -23,7 +23,9 @@ Five ingredients:
   of O(af + kH) is then one ``bisect`` and two sums, since h^0(O(a + e))
   = a + e + 1 for e >= -a - 1 and h^1 = -(a + e + 1) below,
 * an independent combinatorial Cech oracle on P^n and every split tower
-  over it, recomputing tables character by character from the fan.
+  over it, recomputing tables from the fan run by run: along the last
+  axis of the character box each ray's sign flips at most once, so a row
+  is a few runs of one sign pattern each, weighted by their lengths.
 
 chi (``euler_characteristic``) is a closed polynomial on P^n and on every
 P(E) over P^1, F_r included; on deeper towers it sums these over the
@@ -301,19 +303,24 @@ def euler_characteristic(v: Variety, bundle) -> int:
 #
 # For a complete simplicial fan and D = sum a_rho D_rho, the degree-m part
 # of H^p(X, O(D)) is the reduced cohomology H~^{p-1} of the subcomplex
-# spanned, inside each cone, by the rays with <m, u_rho> + a_rho < 0.
-# Scanning a provably large enough character box and summing the reduced
-# Betti numbers per sign pattern gives the full table.
+# spanned, inside each cone, by the rays with <m, u_rho> + a_rho < 0
+# (Cox-Little-Schenck, *Toric Varieties*, 9.1).  Summing the reduced Betti
+# numbers per sign pattern over a provably large enough character box gives
+# the full table.  The box comes from the arrangement's vertices, each an
+# integer Bareiss solve (``exactlinalg.solve_square``).  It is scanned in
+# runs: for a fixed prefix m[:-1], the sign of <m, u_rho> + a_rho is
+# constant along the last axis when u_rho has last coordinate 0 and flips
+# once otherwise, so a row is at most len(rays) + 1 runs of one pattern.
 
 DEFAULT_CAP = 10 ** 6
 
 
-def _check_cap(volume: int, cap: int | None) -> None:
+def _check_cap(volume: int, cap: int | None, what: str = "box volume") -> None:
     """The one bound on scan work: box scans and the oracle's character
     box visit at most ``cap`` points, ``DEFAULT_CAP`` when it is None."""
     limit = DEFAULT_CAP if cap is None else cap
     if volume > limit:
-        raise BoxTooLarge(f"box volume {volume} exceeds cap {limit}")
+        raise BoxTooLarge(f"{what} {volume} exceeds cap {limit}")
 
 
 def _toric_model(v: Variety):
@@ -353,22 +360,31 @@ def _toric_model(v: Variety):
     return rays, cones, rows
 
 
-def _scan_bounds(rays, coeffs, dim):
+def _scan_bounds(rays, coeffs, dim, cap=None):
     """Per-axis ``(lo, hi)`` bounds covering every bounded sign-pattern region.
 
     A character contributing cohomology lies in a bounded region of the
     hyperplane arrangement <m, u_rho> = -a_rho, hence inside the convex
     hull of the arrangement vertices.  Two extra shells on each side give
-    the zero boundary that the scan asserts.
+    the zero boundary that the scan asserts.  The box grows with each
+    vertex solved and is refused (BoxTooLarge) as soon as its volume
+    exceeds ``cap``; the final box contains it, so the verdict is the same
+    as after every solve, and the volume reported is a lower bound.
     """
-    vertices = []
+    lo = hi = None
     for combo in itertools.combinations(range(len(rays)), dim):
-        matrix = [list(rays[i]) for i in combo]
-        rhs = [-coeffs[i] for i in combo]
-        sol = exactlinalg.solve_square(matrix, rhs)
-        if sol is not None:
-            vertices.append(sol)
-    return [(floor(min(axis)) - 2, ceil(max(axis)) + 2) for axis in zip(*vertices)]
+        sol = exactlinalg.solve_square([rays[i] for i in combo],
+                                       [-coeffs[i] for i in combo])
+        if sol is None:
+            continue
+        down, up = list(map(floor, sol)), list(map(ceil, sol))
+        if lo is not None:
+            down, up = list(map(min, lo, down)), list(map(max, hi, up))
+        if (down, up) != (lo, hi):
+            lo, hi = down, up
+            _check_cap(prod(b - a + 5 for a, b in zip(lo, hi)), cap,
+                       "box volume at least")
+    return [(a - 2, b + 2) for a, b in zip(lo, hi)]
 
 
 # fan (rays, cones) -> {sign pattern mask: reduced Betti numbers}
@@ -412,34 +428,51 @@ def _reduced_betti(cones, nrays, mask, dim):
 
 def toric_cech_oracle(v: Variety, d: DivisorClass,
                       cap: int | None = None) -> CohomologyTable:
-    """Independent character-by-character recomputation of cohomology(v, O(d)).
+    """Independent run-by-run recomputation of cohomology(v, O(d)).
 
-    Works on P^n and every split tower over it (``_toric_model``).  Each
-    axis of the character box spans at least five characters, so
-    BoxTooLarge is raised before any work when 5^dim exceeds ``cap``, and
-    before the scan when the box does.  Raises ScanBoxTooSmall if a
-    boundary-shell character contributes, which would mean the box bound
-    is wrong (a hard engine failure, not a fact).
+    Works on P^n and every split tower over it (``_toric_model``).  For
+    each prefix of the character box, the last axis splits into at most
+    len(rays) + 1 runs of one sign pattern, and a run adds its length
+    times the pattern's reduced Betti numbers.  Each axis of the box spans
+    at least five characters, so BoxTooLarge is raised before any work
+    when 5^dim exceeds ``cap``, and while the vertices are solved as soon
+    as the box they span does.  Raises ScanBoxTooSmall if a contributing
+    run touches the boundary shell, which would mean the box bound is
+    wrong (a hard engine failure, not a fact).
     """
     _check_cap(5 ** v.dim, cap)
     rays, cones, rows = _toric_model(v)
     coeffs = [sum(map(mul, row, d.coords)) for row in rows]
-    bounds = _scan_bounds(rays, coeffs, v.dim)
-    _check_cap(prod(hi - lo + 1 for lo, hi in bounds), cap)
+    *lead, (lo, hi) = _scan_bounds(rays, coeffs, v.dim, cap)
     patterns = _PATTERN_CACHE.setdefault((rays, cones), {})
     h = [0] * (v.dim + 1)
-    for m in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds)):
-        mask = 0
-        for i, u in enumerate(rays):
-            if sum(map(mul, m, u)) + coeffs[i] < 0:
+    for prefix in itertools.product(*(range(a, b + 1) for a, b in lead)):
+        # ray i is negative at (prefix, t) iff s + c t < 0: always or never
+        # when c = 0, for t < T when c > 0, for t >= T when c < 0
+        mask, flips = 0, {}
+        for i, (u, a) in enumerate(zip(rays, coeffs)):
+            s, c = sum(map(mul, prefix, u)) + a, u[-1]
+            if c:
+                t = -(s // c) if c > 0 else s // -c + 1
+                if (lo < t) == (c > 0):
+                    mask |= 1 << i
+                if lo < t <= hi:
+                    flips[t] = flips.get(t, 0) | 1 << i
+            elif s < 0:
                 mask |= 1 << i
-        contrib = patterns.get(mask)
-        if contrib is None:
-            contrib = patterns[mask] = _reduced_betti(cones, len(rays), mask, v.dim)
-        if any(contrib):
-            if any(mi in bound for mi, bound in zip(m, bounds)):
-                raise ScanBoxTooSmall(
-                    f"character {m} on the scan shell contributes {contrib}")
-            for p, x in enumerate(contrib):
-                h[p] += x
+        on_shell = any(x in bound for x, bound in zip(prefix, lead))
+        start = lo
+        for stop in sorted(flips) + [hi + 1]:
+            contrib = patterns.get(mask)
+            if contrib is None:
+                contrib = patterns[mask] = _reduced_betti(cones, len(rays), mask, v.dim)
+            if any(contrib):
+                edges = [t for t in (start, stop - 1) if on_shell or t in (lo, hi)]
+                if edges:
+                    raise ScanBoxTooSmall(f"character {prefix + (edges[0],)} on "
+                                          f"the scan shell contributes {contrib}")
+                for p, x in enumerate(contrib):
+                    h[p] += (stop - start) * x
+            mask ^= flips.get(stop, 0)
+            start = stop
     return CohomologyTable.make(h)

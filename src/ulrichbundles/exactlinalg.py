@@ -1,5 +1,5 @@
-"""Exact linear algebra helpers: exact rank, small rational solves,
-and binary-form gcd.
+"""Exact linear algebra helpers: exact rank, small fraction-free integer
+solves, and binary-form gcd.
 
 Rank is exact and never uses floating point.  After clearing
 denominators, the rank is first taken modulo the fixed prime ``PRIME`` by
@@ -124,25 +124,36 @@ def rank(rows) -> int:
 
 
 def solve_square(matrix, rhs):
-    """Solve a small square rational system exactly; None if singular.
+    """Solve a small square integer system exactly; None if singular.
 
-    Used for hyperplane-arrangement vertices, so dimensions stay tiny.
+    One Bareiss elimination of the augmented integer matrix, then integer
+    back substitution: the last pivot d is +-det, and d * x is an integer
+    vector by Cramer's rule, so every division is exact and only the
+    returned entries are Fractions.  Used for hyperplane-arrangement
+    vertices, so dimensions stay tiny.  The input is not modified.
     """
     n = len(matrix)
-    m = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(rhs[i])]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col]), None)
+    m = [[*row, b] for row, b in zip(matrix, rhs)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
         if piv is None:
             return None
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return [m[i][n] for i in range(n)]
+        m[k], m[piv] = m[piv], m[k]
+        pivot_row = m[k]
+        p = pivot_row[k]
+        for row in m[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n + 1):
+                row[j] = (p * row[j] - f * pivot_row[j]) // prev
+        prev = p
+    # scaled[i] = prev * x_i, solved from the last row up
+    scaled = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        total = prev * row[n] - sum(row[j] * scaled[j] for j in range(i + 1, n))
+        scaled[i] = total // row[i]
+    return [Fraction(x, prev) for x in scaled]
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Exact rank: the mod-p proof of full rank and the Bareiss fallback."""
+"""Exact rank (the mod-p proof of full rank and the Bareiss fallback) and
+the fraction-free square solve."""
 
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ulrichbundles import exactlinalg
-from ulrichbundles.exactlinalg import PRIME, rank
+from ulrichbundles.exactlinalg import PRIME, rank, solve_square
 
 
 def reference_rank(rows) -> int:
@@ -120,3 +121,73 @@ class TestDegenerate:
     def test_zero_rows_do_not_count(self, bareiss_calls):
         assert rank([[0, 0, 0], [0, 5, 0], [0, 0, 0]]) == 1
         assert bareiss_calls == []
+
+
+def reference_solve(matrix, rhs):
+    """``(solution or None, determinant)`` by Gauss-Jordan over the
+    rationals, sharing no code with the engine."""
+    n = len(matrix)
+    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col]), None)
+        if piv is None:
+            return None, 0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        lead = m[col][col]
+        det *= lead
+        m[col] = [x / lead for x in m[col]]
+        for i in range(n):
+            if i != col and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    return [row[n] for row in m], det
+
+
+def random_system(rng, n):
+    """Small entries, half of them zero, so leading pivots often vanish;
+    about one in four systems made singular by a dependent row."""
+    matrix = [[rng.choice((0, 0, 0, rng.randint(-5, 5), rng.randint(-99, 99)))
+               for _ in range(n)] for _ in range(n)]
+    if n > 1 and rng.random() < 0.25:
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-3, 3)
+        matrix[i] = [c * x for x in matrix[j]]
+    return matrix, [rng.randint(-50, 50) for _ in range(n)]
+
+
+class TestSolveSquare:
+    def test_random_systems(self):
+        rng = random.Random(31)
+        kinds = set()
+        for _ in range(600):
+            n = rng.randint(1, 8)
+            matrix, rhs = random_system(rng, n)
+            copy = ([list(r) for r in matrix], list(rhs))
+            expected, det = reference_solve(matrix, rhs)
+            assert solve_square(matrix, rhs) == expected, (matrix, rhs)
+            assert (matrix, rhs) == copy
+            kinds.add("singular" if det == 0 else "negative" if det < 0 else "positive")
+            if det and matrix[0][0] == 0:
+                kinds.add("swap")
+        assert kinds == {"singular", "negative", "positive", "swap"}
+
+    @pytest.mark.parametrize("matrix, rhs, expected", [
+        ([[3]], [2], [Fraction(2, 3)]),
+        ([[-4]], [6], [Fraction(-3, 2)]),
+        ([[0, 1], [1, 0]], [5, 7], [7, 5]),  # det -1, the first pivot is zero
+        ([[0, 0, 2], [0, 3, 1], [5, 1, 1]], [2, 4, 7], [1, 1, 1]),
+        ([[0]], [1], None),
+        ([[1, 2], [2, 4]], [1, 2], None),
+        ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], [0, 0, 0], None),
+    ])
+    def test_examples(self, matrix, rhs, expected):
+        assert reference_solve(matrix, rhs)[0] == expected
+        assert solve_square(matrix, rhs) == expected
+
+    def test_tuples_in_fractions_out(self):
+        sol = solve_square(((2, 1), (1, 3)), (1, 2))
+        assert sol == [Fraction(1, 5), Fraction(3, 5)]
+        assert all(type(x) is Fraction for x in sol)

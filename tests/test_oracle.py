@@ -1,10 +1,15 @@
-"""The toric Cech oracle against the pushforward engine."""
+"""The toric Cech oracle against the pushforward engine and against the
+per-character scan that its run-length scan replaced."""
 
+import ast
+import importlib
 import itertools
 import json
 import random
 import time
 from fractions import Fraction
+from math import comb
+from operator import mul
 
 import pytest
 
@@ -20,13 +25,28 @@ from ulrichbundles import (
     parse_variety,
     toric_cech_oracle,
 )
+from ulrichbundles import exactlinalg
 from ulrichbundles.cli import run
-from ulrichbundles.cohomology import _scan_bounds, _toric_model
+from ulrichbundles.cohomology import (
+    _check_cap,
+    _reduced_betti,
+    _scan_bounds,
+    _toric_model,
+)
 
 from towers import rank2_tower
 
+coh_mod = importlib.import_module("ulrichbundles.cohomology")
+
 P2 = ProjSpace(2)
 F2 = hirzebruch(2)
+
+
+@pytest.fixture(autouse=True)
+def cold_pattern_cache(monkeypatch):
+    """Each test starts from an empty pattern cache and leaves the shared
+    one as it found it, so no test here warms another's."""
+    monkeypatch.setattr(coh_mod, "_PATTERN_CACHE", {})
 
 
 def test_p2_three_monomials():
@@ -95,6 +115,8 @@ def test_dimension_over_cap_rejected_before_the_fan(monkeypatch):
 @pytest.mark.parametrize("argv, env", [
     (["oracle", rank2_tower(20), "[" + ",".join(["1"] * 21) + "]"], {}),
     (["oracle", "P2", "[5]"], {"ULRICH_SCAN_CAP": "50"}),
+    # dim 8 passes 5^8 <= 10^6; its full box needs C(16, 8) = 12870 solves
+    (["oracle", rank2_tower(7), "[" + ",".join(["1"] * 8) + "]"], {}),
 ])
 def test_cli_oracle_over_cap_exits_two(monkeypatch, capsys, argv, env):
     for key, value in env.items():
@@ -128,7 +150,7 @@ def test_shell_violation_detected(monkeypatch):
 
     coh_mod = importlib.import_module("ulrichbundles.cohomology")
     monkeypatch.setattr(coh_mod, "_scan_bounds",
-                        lambda rays, coeffs, dim: [(-2, 2)] * dim)
+                        lambda rays, coeffs, dim, cap: [(-2, 2)] * dim)
     with pytest.raises(ScanBoxTooSmall):
         toric_cech_oracle(P2, DivisorClass(P2, (3,)))
 
@@ -147,3 +169,164 @@ def test_scan_bounds_cover_polytope():
             vertex = (Fraction(w1 * u2[1] - w2 * u1[1], det),
                       Fraction(u1[0] * w2 - u2[0] * w1, det))
             assert all(lo + 2 <= x <= hi - 2 for x, (lo, hi) in zip(vertex, bounds))
+
+
+def test_oversized_box_refused_before_every_vertex_is_solved(monkeypatch):
+    v = parse_variety(rank2_tower(7))
+    rays, cones, rows = _toric_model(v)
+    coeffs = [sum(map(mul, row, [1] * v.picard_rank)) for row in rows]
+    calls = []
+    solve = exactlinalg.solve_square
+    monkeypatch.setattr(exactlinalg, "solve_square",
+                        lambda matrix, rhs: calls.append(1) or solve(matrix, rhs))
+    with pytest.raises(BoxTooLarge, match="at least"):
+        _scan_bounds(rays, coeffs, v.dim, None)
+    assert 0 < len(calls) < comb(len(rays), v.dim)
+
+
+def test_time_bounds():
+    p3 = ProjSpace(3)
+    start = time.perf_counter()
+    assert toric_cech_oracle(p3, DivisorClass(p3, (-40,))).h == (0, 0, 0, comb(39, 3))
+    assert time.perf_counter() - start < 0.1
+    # the pattern cache is warmed first, so the second call times the scan
+    # and the vertex solves: 5^5 characters, C(12, 6) = 924 solves
+    v = parse_variety(rank2_tower(5))
+    zero = DivisorClass(v, (0,) * v.picard_rank)
+    toric_cech_oracle(v, zero)
+    start = time.perf_counter()
+    assert toric_cech_oracle(v, zero).h == (1,) + (0,) * v.dim
+    assert time.perf_counter() - start < 0.15
+
+
+# --------------------------------------------------------------------------
+# the run-length scan against the per-character scan
+# --------------------------------------------------------------------------
+
+# fan -> {mask: reduced Betti numbers}, apart from the oracle's own cache
+_REFERENCE_PATTERNS = {}
+
+
+def sign_mask(rays, coeffs, m):
+    """Bit i set iff <m, u_i> + a_i < 0."""
+    return sum(1 << i for i, (u, a) in enumerate(zip(rays, coeffs))
+               if sum(map(mul, m, u)) + a < 0)
+
+
+def reference_oracle(v, d, seen=None):
+    """The per-character scan: one sign pattern per character of the box
+    from ``_scan_bounds`` (looked up at call time, so a patched bound
+    applies to both scans).  ``seen`` collects the masks visited."""
+    _check_cap(5 ** v.dim, None)
+    rays, cones, rows = _toric_model(v)
+    coeffs = [sum(map(mul, row, d.coords)) for row in rows]
+    bounds = coh_mod._scan_bounds(rays, coeffs, v.dim, None)
+    patterns = _REFERENCE_PATTERNS.setdefault((rays, cones), {})
+    h = [0] * (v.dim + 1)
+    for m in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds)):
+        mask = sign_mask(rays, coeffs, m)
+        if seen is not None:
+            seen.add(mask)
+        contrib = patterns.get(mask)
+        if contrib is None:
+            contrib = patterns[mask] = _reduced_betti(cones, len(rays), mask, v.dim)
+        if any(contrib):
+            if any(mi in bound for mi, bound in zip(m, bounds)):
+                raise ScanBoxTooSmall(
+                    f"character {m} on the scan shell contributes {contrib}")
+            for p, x in enumerate(contrib):
+                h[p] += x
+    return tuple(h)
+
+
+def outcome(oracle, v, d):
+    """The table, or the type of the exception raised."""
+    try:
+        result = oracle(v, d)
+    except (BoxTooLarge, ScanBoxTooSmall) as exc:
+        return type(exc)
+    return getattr(result, "h", result)
+
+
+# (variety, coordinate range, divisors drawn)
+AGREEMENT = ([(f"P{n}", 12 - 2 * n, 6) for n in range(1, 5)]
+             + [("P1xP1", 5, 6)] + [(f"F{r}", 5, 6) for r in range(1, 6)]
+             + [(text, 2, 3) for text in TOWERS]
+             + [(rank2_tower(depth), 1, 3) for depth in (2, 3, 4)])
+
+
+@pytest.mark.parametrize("text, radius, count", AGREEMENT)
+def test_runs_agree_with_characters(text, radius, count):
+    v = parse_variety(text)
+    rng = random.Random(text)
+    for _ in range(count):
+        d = DivisorClass(v, [rng.randint(-radius, radius)
+                             for _ in range(v.picard_rank)])
+        assert (outcome(toric_cech_oracle, v, d)
+                == outcome(reference_oracle, v, d)), (text, d.coords)
+
+
+def test_refusals_agree():
+    p4 = ProjSpace(4)
+    d = DivisorClass(p4, (30,))  # a box of at least 35^4 characters
+    assert outcome(toric_cech_oracle, p4, d) is BoxTooLarge
+    assert outcome(reference_oracle, p4, d) is BoxTooLarge
+
+
+def test_agreement_inputs_hold_every_kind_of_ray():
+    # on P^n the last coordinates of the rays are -1, 0 (n > 1) and 1, so
+    # a bit is constant, set before its threshold, or set from it on
+    for n in (2, 3, 4):
+        assert {u[-1] for u in _toric_model(ProjSpace(n))[0]} == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_single_character_runs(n):
+    # O on P^n: only m = 0 contributes, and its neighbours along the last
+    # axis have other masks, so the run of m = 0 has length one
+    v = ProjSpace(n)
+    rays, _, _ = _toric_model(v)
+    coeffs = [0] * len(rays)
+    masks = [sign_mask(rays, coeffs, (0,) * (n - 1) + (t,)) for t in (-1, 0, 1)]
+    assert masks[1] not in (masks[0], masks[2])
+    assert toric_cech_oracle(v, DivisorClass(v, (0,))).h == (1,) + (0,) * n
+
+
+# O(3) on P^2 has h^0 = 10 on the triangle m >= 0, m_1 + m_2 <= 3, and the
+# true box is [-2, 5]^2.  Each patched box shrinks it so that a contributing
+# run touches the shell in one way: (bounds, the shell character named)
+SHELL_CASES = [
+    ([(-2, 5), (-2, 2)], (0, 2)),   # the last axis ends inside the run
+    ([(-2, 2), (-2, 5)], (2, 0)),   # a leading axis: the prefix is on it
+    ([(-2, 5), (0, 5)], (0, 0)),    # the run starts at the last axis' lo
+]
+
+
+@pytest.mark.parametrize("bounds, named", SHELL_CASES)
+def test_shell_violations_by_runs(monkeypatch, bounds, named):
+    monkeypatch.setattr(coh_mod, "_scan_bounds",
+                        lambda rays, coeffs, dim, cap: bounds)
+    d = DivisorClass(P2, (3,))
+    with pytest.raises(ScanBoxTooSmall) as caught:
+        toric_cech_oracle(P2, d)
+    message = str(caught.value)
+    m = ast.literal_eval(message[len("character "):message.index(" on ")])
+    assert m == named
+    assert outcome(reference_oracle, P2, d) is ScanBoxTooSmall
+
+
+@pytest.mark.parametrize("text, coords", [
+    ("P2", (3,)), ("P3", (-5,)), ("F2", (0, -2)), ("F3", (2, -4)),
+    ("PB(P2;[0],[1],[-2])", (1, -1)), (rank2_tower(3), (0, 1, -1, 0)),
+])
+def test_patterns_computed_once_per_distinct_mask(monkeypatch, text, coords):
+    v = parse_variety(text)
+    d = DivisorClass(v, coords)
+    seen = set()
+    expected = reference_oracle(v, d, seen)
+    computed = []
+    monkeypatch.setattr(coh_mod, "_reduced_betti",
+                        lambda cones, nrays, mask, dim:
+                        computed.append(mask) or _reduced_betti(cones, nrays, mask, dim))
+    assert toric_cech_oracle(v, d).h == expected
+    assert sorted(computed) == sorted(seen)
