@@ -447,17 +447,18 @@ def toric_cech_oracle(v: Variety, d: DivisorClass,
     patterns = _PATTERN_CACHE.setdefault((rays, cones), {})
     h = [0] * (v.dim + 1)
     for prefix in itertools.product(*(range(a, b + 1) for a, b in lead)):
-        # ray i is negative at (prefix, t) iff s + c t < 0: always or never
-        # when c = 0, for t < T when c > 0, for t >= T when c < 0
+        # ray i is negative at (prefix, t) iff s + c t < 0, with s =
+        # <prefix, u[:-1]> + a and c = u[-1]: always or never when c = 0,
+        # for t < flip when c > 0, for t >= flip when c < 0
         mask, flips = 0, {}
         for i, (u, a) in enumerate(zip(rays, coeffs)):
             s, c = sum(map(mul, prefix, u)) + a, u[-1]
             if c:
-                t = -(s // c) if c > 0 else s // -c + 1
-                if (lo < t) == (c > 0):
+                flip = -(s // c) if c > 0 else s // -c + 1
+                if (lo < flip) == (c > 0):
                     mask |= 1 << i
-                if lo < t <= hi:
-                    flips[t] = flips.get(t, 0) | 1 << i
+                if lo < flip <= hi:
+                    flips[flip] = flips.get(flip, 0) | 1 << i
             elif s < 0:
                 mask |= 1 << i
         on_shell = any(x in bound for x, bound in zip(prefix, lead))
