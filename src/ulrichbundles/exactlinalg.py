@@ -1,5 +1,5 @@
-"""Exact linear algebra helpers: exact rank, small fraction-free integer
-solves, and binary-form gcd.
+"""Exact linear algebra helpers: exact rank, and small fraction-free
+integer determinants and solves.
 
 Rank is exact and never uses floating point.  After clearing
 denominators, the rank is first taken modulo the fixed prime ``PRIME`` by
@@ -8,7 +8,8 @@ nonzero minor mod p is a nonzero integer minor: when the rank mod p
 reaches min(nonzero rows, columns), that bound is the exact rank.  Only
 when it falls short does Bareiss (fraction-free Gaussian) elimination run
 over the integers, where every intermediate value is a minor of the input
-and all divisions are exact.
+and all divisions are exact.  Small determinants and square solves share
+one such elimination (``_eliminate``).
 """
 
 from __future__ import annotations
@@ -123,98 +124,56 @@ def rank(rows) -> int:
     return _bareiss_rank(dense)
 
 
-def solve_square(matrix, rhs):
-    """Solve a small square integer system exactly; None if singular.
+def _eliminate(m, n: int) -> int:
+    """Fraction-free (Bareiss) forward elimination of the first n columns
+    of the n-row integer matrix m, in place; returns the determinant of
+    that n x n block, 0 if it is singular.
 
-    One Bareiss elimination of the augmented integer matrix, then integer
-    back substitution: the last pivot d is +-det, and d * x is an integer
-    vector by Cramer's rule, so every division is exact and only the
-    returned entries are Fractions.  Used for hyperplane-arrangement
-    vertices, so dimensions stay tiny.  The input is not modified.
+    Every pivot is a leading minor of the row-permuted input, so every
+    division is exact and the last pivot is the determinant up to the sign
+    of the row swaps.
     """
-    n = len(matrix)
-    m = [[*row, b] for row, b in zip(matrix, rhs)]
-    prev = 1
+    sign, prev = 1, 1
     for k in range(n):
         piv = next((i for i in range(k, n) if m[i][k]), None)
         if piv is None:
-            return None
-        m[k], m[piv] = m[piv], m[k]
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
         pivot_row = m[k]
         p = pivot_row[k]
         for row in m[k + 1:]:
             f = row[k]
-            for j in range(k + 1, n + 1):
+            for j in range(k + 1, len(row)):
                 row[j] = (p * row[j] - f * pivot_row[j]) // prev
         prev = p
-    # scaled[i] = prev * x_i, solved from the last row up
+    return sign * prev
+
+
+def det(matrix) -> int:
+    """Exact determinant of a square integer matrix (not modified)."""
+    return _eliminate([list(row) for row in matrix], len(matrix))
+
+
+def solve_square(matrix, rhs):
+    """Solve a small square integer system exactly; None if singular.
+
+    One elimination of the augmented integer matrix (``_eliminate``), then
+    integer back substitution: det * x is an integer vector by Cramer's
+    rule, so every division is exact and only the returned entries are
+    Fractions.  Used for hyperplane-arrangement vertices, so dimensions
+    stay tiny.  The input is not modified.
+    """
+    n = len(matrix)
+    m = [[*row, b] for row, b in zip(matrix, rhs)]
+    d = _eliminate(m, n)
+    if not d:
+        return None
+    # scaled[i] = d * x_i, solved from the last row up
     scaled = [0] * n
     for i in range(n - 1, -1, -1):
         row = m[i]
-        total = prev * row[n] - sum(row[j] * scaled[j] for j in range(i + 1, n))
+        total = d * row[n] - sum(row[j] * scaled[j] for j in range(i + 1, n))
         scaled[i] = total // row[i]
-    return [Fraction(x, prev) for x in scaled]
-
-
-# --------------------------------------------------------------------------
-# univariate / binary-form utilities (surjectivity certificates)
-# --------------------------------------------------------------------------
-
-def poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return out
-
-
-def poly_trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def poly_gcd(p, q):
-    """Monic gcd of univariate rational polynomials (coeff lists, low first)."""
-    a = poly_trim([Fraction(x) for x in p])
-    b = poly_trim([Fraction(x) for x in q])
-    while b:
-        # remainder of a by b
-        a = a[:]
-        while len(a) >= len(b) and a:
-            f = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[shift + i] -= f * c
-            poly_trim(a)
-        a, b = b, a
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def binary_det(entries):
-    """Determinant of a square matrix whose entries are binary linear forms
-    c*v0 + d*v1, given as pairs (c, d).  Returns the coefficient list of the
-    resulting form in v1 (degree = matrix size), lowest power first."""
-    n = len(entries)
-    if n == 0:
-        return [Fraction(1)]
-    if n == 1:
-        c, d = entries[0][0]
-        return [Fraction(c), Fraction(d)]
-    total = [Fraction(0)] * (n + 1)
-    for j in range(n):
-        c, d = entries[0][j]
-        if not c and not d:
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in entries[1:]]
-        sub = binary_det(minor)
-        term = poly_mul([Fraction(c), Fraction(d)], sub)
-        sign = -1 if j % 2 else 1
-        for i, v in enumerate(term):
-            total[i] += sign * v
-    return total
+    return [Fraction(x, d) for x in scaled]

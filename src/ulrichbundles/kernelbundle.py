@@ -239,34 +239,40 @@ def _sym_euler_rule(m: LinearFormMatrix):
     return rule
 
 
-def _binary_forms_common_root(forms, degree: int) -> bool:
-    """True iff homogeneous binary forms of the given degree share a
-    projective root.  Forms are coefficient lists in t = v1/v0, low power
-    first; identically zero forms vanish everywhere and impose nothing."""
-    trimmed = [exactlinalg.poly_trim([Fraction(c) for c in f]) for f in forms]
-    nonzero = [f for f in trimmed if f]
-    if not nonzero:
-        return True
-    if all(len(f) < degree + 1 for f in nonzero):
-        return True  # every form misses its top coefficient: root at [0:1]
-    g = nonzero[0]
-    for f in nonzero[1:]:
-        g = exactlinalg.poly_gcd(g, f)
-        if len(g) == 1:
-            return False
-    return len(g) > 1
+def _pencil_minors_share_root(pencil) -> bool:
+    """True iff the maximal minors of a matrix of binary linear forms share
+    a root on P^1; entry (c, e) is the form c*v0 + e*v1, read as c + e*t.
+
+    The minors are forms of degree D, the minor size.  By Sylvester they
+    share no root iff their multiples by the degree-(D-1) monomials span
+    all 2D forms of degree 2D-1.  Evaluation at t = 0..2D-1 is a change of
+    basis of those forms, so each minor is taken as an exact integer
+    determinant at each t and one exact rank decides.  Zero minors and a
+    root at [0:1] (every minor missing its t^D term) lower that rank too.
+    """
+    if len(pencil) > len(pencil[0]):
+        pencil = list(zip(*pencil))
+    rows = []
+    for row in pencil:  # a row times an integer c != 0 scales every minor by c
+        denom = lcm(*(Fraction(x).denominator for entry in row for x in entry))
+        rows.append([(int(c * denom), int(e * denom)) for c, e in row])
+    size = len(rows)
+    combos = list(itertools.combinations(range(len(rows[0])), size))
+    span = []
+    for t in range(2 * size):
+        at_t = [[c + e * t for c, e in row] for row in rows]
+        minors = [exactlinalg.det([[row[j] for j in combo] for row in at_t])
+                  for combo in combos]
+        span.append([t**j * v for v in minors for j in range(size)])
+    return exactlinalg.rank(span) < 2 * size
 
 
 def _certify_p1(m: LinearFormMatrix) -> SurjectivityCertificate | None:
-    """On P^1 the maximal minors are binary forms; gcd decides exactly."""
+    """On P^1 the maximal minors are binary forms of degree b2; surjective
+    iff they share no root (``_pencil_minors_share_root``)."""
     if m.n != 1:
         return None
-    minors = []
-    for combo in itertools.combinations(range(m.b1), m.b2):
-        entries = [[(m.entries[i][c][0], m.entries[i][c][1]) for c in combo]
-                   for i in range(m.b2)]
-        minors.append(exactlinalg.binary_det(entries))
-    if _binary_forms_common_root(minors, m.b2):
+    if _pencil_minors_share_root(m.entries):
         raise NotSurjective("maximal minors share a zero on P^1")
     return SurjectivityCertificate("binary-minor-gcd", True,
                                    "maximal minors have no common root on P^1")
@@ -285,7 +291,8 @@ def _certify_row_span(m: LinearFormMatrix) -> SurjectivityCertificate | None:
 
 def _certify_cokernel_line(m: LinearFormMatrix) -> SurjectivityCertificate | None:
     """For b2 = 2: v^T alpha drops rank for some [v0:v1] iff the (n+1)-minors
-    of the v-parametrised coefficient matrix share a root; exact via gcd."""
+    of the v-parametrised coefficient matrix share a root; decided exactly
+    by ``_pencil_minors_share_root``."""
     if m.b2 != 2:
         return None
     if m.b1 < m.n + 1:
@@ -293,23 +300,22 @@ def _certify_cokernel_line(m: LinearFormMatrix) -> SurjectivityCertificate | Non
     # row c of L(v): coefficient vector of v0*M[0][c] + v1*M[1][c]
     lv = [[(m.entries[0][c][var], m.entries[1][c][var])
            for var in range(m.n + 1)] for c in range(m.b1)]
-    minors = [exactlinalg.binary_det([lv[r] for r in combo])
-              for combo in itertools.combinations(range(m.b1), m.n + 1)]
-    if _binary_forms_common_root(minors, m.n + 1):
+    if _pencil_minors_share_root(lv):
         raise NotSurjective("some corank-one functional kills a fibre")
     return SurjectivityCertificate(
         "binary-form-resultant", True,
         "no functional v with v^T * alpha singular exists")
 
 
-def _certify_sampling(m: LinearFormMatrix, rng_seed: int = 7) -> SurjectivityCertificate:
+def _certify_sampling(m: LinearFormMatrix) -> SurjectivityCertificate:
     """Heuristic certificate: full rank at all sign points, coordinate
-    points and a few seeded rational points, plus a generic plane
-    restriction of the maximal minors with constant gcd (which exactly
-    rules out codimension-one degeneracy)."""
+    points and a few seeded rational points, plus the restriction to a
+    seeded line, whose maximal minors share no root
+    (``_pencil_minors_share_root``) when no codimension-one degeneracy
+    exists; a shared root there leaves the restriction inconclusive."""
     points = [pt for pt in itertools.product((1, -1), repeat=m.n + 1)]
     points += [_unit(m.n, v) for v in range(m.n + 1)]
-    rng = _random.Random(rng_seed)
+    rng = _random.Random(7)
     points += [tuple(rng.randint(-17, 17) for _ in range(m.n + 1))
                for _ in range(8)]
     for pt in points:
@@ -318,16 +324,13 @@ def _certify_sampling(m: LinearFormMatrix, rng_seed: int = 7) -> SurjectivityCer
         if exactlinalg.rank(scalar) < m.b2:
             raise NotSurjective(f"matrix drops rank at point {pt}")
     # restrict to the pencil x = s*p + t*q for seeded p, q; minors become
-    # binary forms whose constant gcd certifies no codim-1 common factor
+    # binary forms, and no common root rules out a codim-1 common factor
     p = tuple(rng.randint(-9, 9) for _ in range(m.n + 1))
     q = tuple(rng.randint(-9, 9) for _ in range(m.n + 1))
     restricted = [[(sum(c * x for c, x in zip(entry, p)),
                     sum(c * x for c, x in zip(entry, q)))
                    for entry in row] for row in m.entries]
-    minors = [exactlinalg.binary_det([[restricted[i][c] for c in combo]
-                                      for i in range(m.b2)])
-              for combo in itertools.combinations(range(m.b1), m.b2)]
-    line_ok = not _binary_forms_common_root(minors, m.b2)
+    line_ok = not _pencil_minors_share_root(restricted)
     detail = ("full rank at sampled points; "
               + ("pencil-restricted minor gcd constant"
                  if line_ok else "pencil restriction inconclusive"))

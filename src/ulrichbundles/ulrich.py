@@ -216,11 +216,12 @@ def pullback_ulrich_criterion(x: Variety, e: SplitBundle, cand, a) -> UlrichRepo
         notes.append("curve base: H(F) = 0 alone decides")
     if x.dim == 2:
         d_prime = setup.d_prime
-        direct = _base_table(x, cand, {(0, (-1 * d_prime).coords): 1}, x.dim)
-        if direct.h != checks[1].table.h:
+        # Sym^0 E = O, so the k=0 check is H(F - D') iff its twist is -D'
+        k0_twist = -1 * e.c1 - e.rank * a_div
+        if k0_twist != -d_prime:
             raise InternalInconsistency(
-                f"surface reduction mismatch: k=0 gave {checks[1].table.h}, "
-                f"H(F - D') gave {direct.h}")
+                f"surface reduction mismatch: k=0 twist {render_divisor(k0_twist)}, "
+                f"-D' = {render_divisor(-d_prime)}")
         notes.append(f"D' = {render_divisor(d_prime)}; k=0 check equals H(F - D')")
         notes.append(setup.d_prime_note)
     if pol.sufficient_only:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ulrichbundles import exactlinalg
-from ulrichbundles.exactlinalg import PRIME, rank, solve_square
+from ulrichbundles.exactlinalg import PRIME, det, rank, solve_square
 
 
 def reference_rank(rows) -> int:
@@ -166,11 +166,13 @@ class TestSolveSquare:
             n = rng.randint(1, 8)
             matrix, rhs = random_system(rng, n)
             copy = ([list(r) for r in matrix], list(rhs))
-            expected, det = reference_solve(matrix, rhs)
+            expected, det_expected = reference_solve(matrix, rhs)
             assert solve_square(matrix, rhs) == expected, (matrix, rhs)
+            assert det(matrix) == det_expected, matrix
             assert (matrix, rhs) == copy
-            kinds.add("singular" if det == 0 else "negative" if det < 0 else "positive")
-            if det and matrix[0][0] == 0:
+            kinds.add("singular" if det_expected == 0
+                      else "negative" if det_expected < 0 else "positive")
+            if det_expected and matrix[0][0] == 0:
                 kinds.add("swap")
         assert kinds == {"singular", "negative", "positive", "swap"}
 

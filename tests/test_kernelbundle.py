@@ -1,5 +1,8 @@
 """Kernel-bundle presentations, exact rank certificates, twisted tables."""
 
+import itertools
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,8 +25,13 @@ from ulrichbundles import (
     sym_euler_matrix,
     sym_euler_presentation,
 )
+from ulrichbundles.cli import run
 from ulrichbundles.exactlinalg import PRIME
-from ulrichbundles.kernelbundle import KernelBundlePresentation, LinearFormMatrix
+from ulrichbundles.kernelbundle import (
+    KernelBundlePresentation,
+    LinearFormMatrix,
+    _pencil_minors_share_root,
+)
 
 P2 = ProjSpace(2)
 
@@ -128,6 +136,150 @@ class TestCertificates:
         p = random_presentation(2, 2, seed=11)
         assert p.surjectivity.method in ("point-sampling",
                                          "min-coordinate-triangular")
+
+
+def _poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+def _trim(p):
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _laplace_det(entries):
+    """Determinant of a matrix of forms c + e*t as a coefficient list in t,
+    lowest power first, by Laplace expansion along the first row."""
+    if not entries:
+        return [Fraction(1)]
+    total = [Fraction(0)] * (len(entries) + 1)
+    for j, (c, e) in enumerate(entries[0]):
+        if not c and not e:
+            continue
+        minor = [row[:j] + row[j + 1:] for row in entries[1:]]
+        for i, v in enumerate(_poly_mul([Fraction(c), Fraction(e)], _laplace_det(minor))):
+            total[i] += -v if j % 2 else v
+    return total
+
+
+def _euclid_gcd(a, b):
+    while b:
+        while len(a) >= len(b):
+            f = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            a = _trim([x - f * b[i - shift] if i >= shift else x
+                       for i, x in enumerate(a)])
+        a, b = b, a
+    return a
+
+
+def reference_share_root(pencil) -> bool:
+    """The symbolic route, sharing no code with the engine: Laplace-expanded
+    maximal minors as polynomials in t, then a Euclid gcd over Q.  Forms of
+    degree D all missing their t^D term share the root [0:1]."""
+    rows = [list(r) for r in pencil]
+    if len(rows) > len(rows[0]):
+        rows = [list(r) for r in zip(*rows)]
+    size = len(rows)
+    assert size <= 4
+    forms = [_trim(_laplace_det([[row[j] for j in combo] for row in rows]))
+             for combo in itertools.combinations(range(len(rows[0])), size)]
+    nonzero = [f for f in forms if f]
+    if all(len(f) <= size for f in nonzero):
+        return True
+    g = nonzero[0]
+    for f in nonzero[1:]:
+        g = _euclid_gcd(g, f)
+    return len(g) > 1
+
+
+def _entry(rng):
+    def coeff():
+        return rng.choice((0, 0, rng.randint(-4, 4),
+                           Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
+    return (coeff(), coeff())
+
+
+def seeded_pencil(rng, kind):
+    """A pencil of binary linear forms, with a planted common root of its
+    maximal minors for kinds "finite" (at [b:a], b != 0) and "infinity"
+    (at [0:1]), a zero row for "zero-row", and a 1 x 1 pencil for "single"."""
+    if kind == "single":
+        return [[_entry(rng)]]
+    size = rng.randint(1, 4)
+    ncols = size + rng.randint(0, 2)
+    rows = [[_entry(rng) for _ in range(ncols)] for _ in range(size)]
+    if kind == "zero-row":
+        rows[-1] = [(0, 0)] * len(rows[0])
+    elif kind in ("finite", "infinity"):
+        b, a = (rng.randint(1, 5), rng.randint(-5, 5)) if kind == "finite" else (0, 1)
+        lam = [rng.randint(-3, 3) for _ in rows[:-1]]
+        for j in range(len(rows[0])):
+            # the last row at [b:a] is a combination of the other rows there
+            target = sum(lm * (row[j][0] * b + row[j][1] * a)
+                         for lm, row in zip(lam, rows))
+            e = rng.randint(-4, 4) if b else target
+            rows[-1][j] = (Fraction(target - e * a, b) if b else rng.randint(-4, 4), e)
+    if rng.random() < 0.5:
+        rows = [list(r) for r in zip(*rows)]
+    return rows
+
+
+class TestPencilMinors:
+    KINDS = ("random", "random", "finite", "infinity", "zero-row", "single")
+
+    def test_agrees_with_symbolic_route(self):
+        rng = random.Random(2024)
+        seen = set()
+        for i in range(1200):
+            kind = self.KINDS[i % len(self.KINDS)]
+            pencil = seeded_pencil(rng, kind)
+            expected = reference_share_root(pencil)
+            assert _pencil_minors_share_root(pencil) == expected, (kind, pencil)
+            if kind != "random":
+                assert expected, (kind, pencil)
+            seen.add((kind, expected))
+        assert ("random", False) in seen and ("random", True) in seen
+
+    @pytest.mark.parametrize("pencil, shared", [
+        ([[(1, 0), (0, 1)]], False),                   # v0, v1
+        ([[(1, 0), (2, 0)]], True),                    # v0, 2 v0: root [0:1]
+        ([[(0, 1), (0, 3)]], True),                    # v1, 3 v1: root [1:0]
+        ([[(0, 0), (0, 0)]], True),                    # zero forms vanish everywhere
+        ([[(1, 2)]], True),                            # one linear form has a root
+        ([[(1, 0), (0, 1), (0, 0)],
+          [(0, 0), (1, 0), (0, 1)]], False),             # staircase: v0^2, v0 v1, v1^2
+        ([[(1, 0), (0, 1), (0, 0)],
+          [(0, 1), (1, 0), (1, 1)]], True),              # all vanish at t = -1
+    ])
+    def test_examples(self, pencil, shared):
+        assert reference_share_root(pencil) == shared
+        assert _pencil_minors_share_root(pencil) == shared
+
+
+class TestPencilCertificateTime:
+    """The pencil certificates cost polynomial time: numeric minors and one
+    exact rank, where a symbolic Laplace expansion costs factorial time."""
+
+    @pytest.mark.parametrize("n, d, line", [
+        (1, 6, "surjectivity: binary-minor-gcd (exact=True)"),
+        (6, 1, "surjectivity: binary-form-resultant (exact=True)"),
+        (2, 5, "surjectivity: point-sampling (exact=False)"),
+    ])
+    def test_random_presentation_within_a_second(self, n, d, line, capsys):
+        start = time.perf_counter()
+        code = run(["kernel", str(n), str(d), "--random", "1"])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert line in capsys.readouterr().out.splitlines()
+        assert elapsed < 1.0
 
 
 class TestH0Rank:
