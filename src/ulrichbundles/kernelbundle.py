@@ -21,6 +21,12 @@ by full rank modulo a fixed prime and falls back to fraction-free
 (Bareiss) elimination only when that fails.  Surjectivity of the sheaf
 map is certified exactly where possible (see ``_certify_surjective``) and
 honestly marked heuristic otherwise.
+
+Each matrix carries one integer sparse view of itself, built with it:
+per row, the nonzero forms with that row's denominators cleared.  The
+certificates and the section-map ranks read only that view, so their work
+follows the nonzeros ((n+1) per row of the contraction matrix), not the
+b2 x b1 grid; row scaling changes no rank, root or zero pattern.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
+from operator import mul
 
 from . import exactlinalg
 from .cohomology import CohomologyTable, _line_chi, _proj_space_line
@@ -47,22 +54,47 @@ class LinearFormMatrix:
     """A b2 x b1 matrix of linear forms in x_0..x_n over exact rationals,
     presenting a map O(d)^{b1} -> O(d+1)^{b2}.
 
-    Each entry is a coefficient tuple of length n+1.
+    Each entry is a coefficient tuple of length n+1.  ``int_rows`` is the
+    matrix's integer sparse view, built once: per row, a dict from each
+    column whose form is nonzero to that form with the row's denominators
+    cleared.  Scaling a row by a nonzero integer keeps the map surjective
+    at every point, every maximal minor up to a nonzero constant and every
+    section-map rank, so the certificates and ranks read only this view.
     """
 
     n: int
     d: int
     entries: tuple  # rows (b2 of them), each a tuple of b1 coefficient tuples
+    int_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.d < 0:
             raise UnsupportedVariety(f"need n >= 1, d >= 0; got ({self.n}, {self.d})")
-        rows = tuple(tuple(tuple(Fraction(c) for c in entry) for entry in row)
-                     for row in self.entries)
-        object.__setattr__(self, "entries", rows)
+        # each distinct coefficient tuple -> (Fraction form, lcm of its
+        # denominators, integer numerators); the lcm is 0 for a zero form
+        forms = {}
+        rows, int_rows = [], []
+        for raw_row in self.entries:
+            row, support = [], {}
+            for col, raw in enumerate(raw_row):
+                key = tuple(raw)
+                hit = forms.get(key)
+                if hit is None:
+                    hit = forms[key] = _convert_form(key)
+                row.append(hit[0])
+                if hit[1]:
+                    support[col] = hit
+            rows.append(tuple(row))
+            denom = lcm(*(hit[1] for hit in support.values()))
+            int_rows.append({col: (numer if den == denom else
+                                   tuple(x.numerator * (denom // x.denominator)
+                                         for x in form))
+                             for col, (form, den, numer) in support.items()})
+        object.__setattr__(self, "entries", tuple(rows))
+        object.__setattr__(self, "int_rows", tuple(int_rows))
         if not rows or not rows[0]:
             raise UnsupportedVariety("empty matrix")
-        if any(len(entry) != self.n + 1 for row in rows for entry in row):
+        if any(len(form) != self.n + 1 for form, _, _ in forms.values()):
             raise UnsupportedVariety("entries must have n+1 coefficients")
         if self.b1 <= self.b2:
             raise UnsupportedVariety("need more columns than rows (b1 > b2)")
@@ -79,12 +111,32 @@ class LinearFormMatrix:
     def kernel_rank(self) -> int:
         return self.b1 - self.b2
 
-    def transposed_entries(self) -> tuple:
-        return tuple(tuple(self.entries[i][c] for i in range(self.b2))
-                     for c in range(self.b1))
+    def int_columns(self) -> list:
+        """The integer view of the transpose: per column, row -> form."""
+        columns = [{} for _ in range(self.b1)]
+        for i, row in enumerate(self.int_rows):
+            for col, form in row.items():
+                columns[col][i] = form
+        return columns
 
     def to_json(self) -> list:
         return [[[str(c) for c in entry] for entry in row] for row in self.entries]
+
+
+def _convert_form(raw: tuple) -> tuple:
+    form = tuple(map(Fraction, raw))
+    if not any(form):
+        return form, 0, None
+    denom = lcm(*(x.denominator for x in form))
+    return form, denom, tuple(x.numerator * (denom // x.denominator) for x in form)
+
+
+def _dense_row(row: dict, width: int, zero) -> list:
+    """A sparse row of the integer view, with ``zero`` in its gaps."""
+    out = [zero] * width
+    for col, value in row.items():
+        out[col] = value
+    return out
 
 
 def _unit(n: int, v: int) -> tuple:
@@ -132,19 +184,15 @@ def sym_euler_matrix(n: int, d: int) -> LinearFormMatrix:
     when alpha = beta + e_v.  The kernel is the (d+1)-st symmetric power
     of the cotangent bundle twisted by 2d+1, of rank C(n+d, n-1).
     """
-    rows_idx = monomial_exponents(n, d)
-    cols_idx = monomial_exponents(n, d + 1)
+    cols_idx = {alpha: c for c, alpha in enumerate(monomial_exponents(n, d + 1))}
+    zero = _zero_form(n)
     rows = []
-    for beta in rows_idx:
-        row = []
-        for alpha in cols_idx:
-            diff = [a - b for a, b in zip(alpha, beta)]
-            if min(diff) >= 0 and sum(diff) == 1:
-                v = diff.index(1)
-                row.append(tuple(alpha[v] if i == v else 0 for i in range(n + 1)))
-            else:
-                row.append(_zero_form(n))
-        rows.append(tuple(row))
+    for beta in monomial_exponents(n, d):
+        row = [zero] * len(cols_idx)
+        for v in range(n + 1):
+            alpha = beta[:v] + (beta[v] + 1,) + beta[v + 1:]
+            row[cols_idx[alpha]] = tuple(alpha[v] if i == v else 0 for i in range(n + 1))
+        rows.append(row)
     m = LinearFormMatrix(n, d, tuple(rows))
     assert m.b1 == comb(n + d + 1, n) and m.b2 == comb(n + d, n)
     assert m.kernel_rank == comb(n + d, n - 1)
@@ -175,17 +223,6 @@ class SurjectivityCertificate:
         return {"method": self.method, "exact": self.exact, "detail": self.detail}
 
 
-def _substitute_low_zero(entry: tuple, j: int) -> tuple:
-    return tuple(0 if v < j else c for v, c in enumerate(entry))
-
-
-def _is_pure_in(entry: tuple, j: int):
-    """Return the x_j coefficient if the form is c * x_j, else None."""
-    if any(c for v, c in enumerate(entry) if v != j):
-        return None
-    return entry[j] or None
-
-
 def _min_coordinate_certificate(m: LinearFormMatrix, column_rule) -> bool:
     """Exhaustive triangularity check proving surjectivity at every point.
 
@@ -195,20 +232,27 @@ def _min_coordinate_certificate(m: LinearFormMatrix, column_rule) -> bool:
     are pure nonzero multiples of x_j; its determinant is then a nonzero
     multiple of x_j^{b2}, which cannot vanish at any point whose least
     nonzero coordinate is j.  The charts over all j cover P^n.
+
+    Only the support of each selected row in the integer view is visited,
+    so a chart costs O(nonzeros), not O(b2^2 n): a form outside the
+    support is zero and cannot break triangularity, and the diagonal entry
+    is looked up explicitly, so a zero diagonal still fails.  Row scaling
+    keeps every zero pattern, so the integer view decides as the entries do.
     """
     for j in range(m.n + 1):
         cols, row_order = column_rule(j)
         if cols is None:
             return False
+        position = {c: k for k, c in enumerate(cols)}
         for pos_r, i in enumerate(row_order):
-            for pos_c, c in enumerate(cols):
-                entry = _substitute_low_zero(m.entries[i][c], j)
-                if pos_r == pos_c:
-                    if _is_pure_in(entry, j) is None:
-                        return False
-                elif pos_r > pos_c:
-                    if any(entry):
-                        return False
+            row = m.int_rows[i]
+            diag = row.get(cols[pos_r])
+            if diag is None or not diag[j] or any(diag[j + 1:]):
+                return False
+            for c, form in row.items():
+                pos_c = position.get(c)
+                if pos_c is not None and pos_c < pos_r and any(form[j:]):
+                    return False
     return True
 
 
@@ -241,7 +285,9 @@ def _sym_euler_rule(m: LinearFormMatrix):
 
 def _pencil_minors_share_root(pencil) -> bool:
     """True iff the maximal minors of a matrix of binary linear forms share
-    a root on P^1; entry (c, e) is the form c*v0 + e*v1, read as c + e*t.
+    a root on P^1; entry (c, e) is the integer form c*v0 + e*v1, read as
+    c + e*t.  Callers clear denominators by scaling rows, which scales
+    every maximal minor by a nonzero constant.
 
     The minors are forms of degree D, the minor size.  By Sylvester they
     share no root iff their multiples by the degree-(D-1) monomials span
@@ -252,15 +298,11 @@ def _pencil_minors_share_root(pencil) -> bool:
     """
     if len(pencil) > len(pencil[0]):
         pencil = list(zip(*pencil))
-    rows = []
-    for row in pencil:  # a row times an integer c != 0 scales every minor by c
-        denom = lcm(*(Fraction(x).denominator for entry in row for x in entry))
-        rows.append([(int(c * denom), int(e * denom)) for c, e in row])
-    size = len(rows)
-    combos = list(itertools.combinations(range(len(rows[0])), size))
+    size = len(pencil)
+    combos = list(itertools.combinations(range(len(pencil[0])), size))
     span = []
     for t in range(2 * size):
-        at_t = [[c + e * t for c, e in row] for row in rows]
+        at_t = [[c + e * t for c, e in row] for row in pencil]
         minors = [exactlinalg.det([[row[j] for j in combo] for row in at_t])
                   for combo in combos]
         span.append([t**j * v for v in minors for j in range(size)])
@@ -272,7 +314,7 @@ def _certify_p1(m: LinearFormMatrix) -> SurjectivityCertificate | None:
     iff they share no root (``_pencil_minors_share_root``)."""
     if m.n != 1:
         return None
-    if _pencil_minors_share_root(m.entries):
+    if _pencil_minors_share_root([_dense_row(row, m.b1, (0, 0)) for row in m.int_rows]):
         raise NotSurjective("maximal minors share a zero on P^1")
     return SurjectivityCertificate("binary-minor-gcd", True,
                                    "maximal minors have no common root on P^1")
@@ -282,7 +324,7 @@ def _certify_row_span(m: LinearFormMatrix) -> SurjectivityCertificate | None:
     """For b2 = 1 the entries are linear forms; surjective iff they span."""
     if m.b2 != 1:
         return None
-    coeffs = [list(entry) for entry in m.entries[0]]
+    coeffs = _dense_row(m.int_rows[0], m.b1, (0,) * (m.n + 1))
     if exactlinalg.rank(coeffs) == m.n + 1:
         return SurjectivityCertificate(
             "linear-span", True, "entries span all linear forms")
@@ -297,9 +339,11 @@ def _certify_cokernel_line(m: LinearFormMatrix) -> SurjectivityCertificate | Non
         return None
     if m.b1 < m.n + 1:
         raise NotSurjective("too few columns to be pointwise surjective")
-    # row c of L(v): coefficient vector of v0*M[0][c] + v1*M[1][c]
-    lv = [[(m.entries[0][c][var], m.entries[1][c][var])
-           for var in range(m.n + 1)] for c in range(m.b1)]
+    # column c of L(v): coefficient vector of v0*M[0][c] + v1*M[1][c]; the
+    # integer view scales v0 and v1, a change of coordinates on P^1
+    zero = (0,) * (m.n + 1)
+    top, bottom = (_dense_row(row, m.b1, zero) for row in m.int_rows)
+    lv = [[(a[var], b[var]) for a, b in zip(top, bottom)] for var in range(m.n + 1)]
     if _pencil_minors_share_root(lv):
         raise NotSurjective("some corank-one functional kills a fibre")
     return SurjectivityCertificate(
@@ -312,24 +356,27 @@ def _certify_sampling(m: LinearFormMatrix) -> SurjectivityCertificate:
     points and a few seeded rational points, plus the restriction to a
     seeded line, whose maximal minors share no root
     (``_pencil_minors_share_root``) when no codimension-one degeneracy
-    exists; a shared root there leaves the restriction inconclusive."""
+    exists; a shared root there leaves the restriction inconclusive.
+
+    Points and line are evaluated on the row-scaled integer view, over
+    its nonzero forms only; row scaling changes neither rank nor roots."""
     points = [pt for pt in itertools.product((1, -1), repeat=m.n + 1)]
     points += [_unit(m.n, v) for v in range(m.n + 1)]
     rng = _random.Random(7)
     points += [tuple(rng.randint(-17, 17) for _ in range(m.n + 1))
                for _ in range(8)]
     for pt in points:
-        scalar = [[sum(c * x for c, x in zip(entry, pt)) for entry in row]
-                  for row in m.entries]
+        scalar = [_dense_row({c: sum(map(mul, form, pt)) for c, form in row.items()},
+                             m.b1, 0) for row in m.int_rows]
         if exactlinalg.rank(scalar) < m.b2:
             raise NotSurjective(f"matrix drops rank at point {pt}")
     # restrict to the pencil x = s*p + t*q for seeded p, q; minors become
     # binary forms, and no common root rules out a codim-1 common factor
     p = tuple(rng.randint(-9, 9) for _ in range(m.n + 1))
     q = tuple(rng.randint(-9, 9) for _ in range(m.n + 1))
-    restricted = [[(sum(c * x for c, x in zip(entry, p)),
-                    sum(c * x for c, x in zip(entry, q)))
-                   for entry in row] for row in m.entries]
+    restricted = [_dense_row({c: (sum(map(mul, form, p)), sum(map(mul, form, q)))
+                              for c, form in row.items()}, m.b1, (0, 0))
+                  for row in m.int_rows]
     line_ok = not _pencil_minors_share_root(restricted)
     detail = ("full rank at sampled points; "
               + ("pencil-restricted minor gcd constant"
@@ -438,31 +485,28 @@ def random_presentation(n: int, d: int, seed: int) -> KernelBundlePresentation:
     return KernelBundlePresentation(random_matrix(n, d, seed), "random", seed=seed)
 
 
-def _multiplication_rank(entries: tuple, n: int, src_deg: int) -> int:
+def _multiplication_rank(rows, width: int, n: int, src_deg: int) -> int:
     """Exact rank of the section-level map induced in degree src_deg by a
-    matrix of linear forms (rows = target copies, columns = source)."""
+    matrix of integer linear forms, given as sparse rows {column: form} of
+    ``width`` columns (rows = target copies, columns = source)."""
     mons_src = monomial_exponents(n, src_deg)
     mons_tgt = monomial_exponents(n, src_deg + 1)
     if not mons_src or not mons_tgt:
         return 0
-    denom = lcm(*(c.denominator for row in entries for entry in row for c in entry))
-    # each entry as (variable, integer coefficient) pairs, scaled by denom
-    forms = [[[(var, c.numerator * (denom // c.denominator))
-               for var, c in enumerate(entry) if c] for entry in row]
-             for row in entries]
     tgt_index = {mono: i for i, mono in enumerate(mons_tgt)}
     # raised[mi][var] = target index of mons_src[mi] * x_var
     raised = [[tgt_index[mono[:var] + (mono[var] + 1,) + mono[var + 1:]]
                for var in range(n + 1)] for mono in mons_src]
     nsrc, ntgt = len(mons_src), len(mons_tgt)
-    rows = [[0] * (len(entries[0]) * nsrc) for _ in range(len(entries) * ntgt)]
-    for rblock, form_row in enumerate(forms):
+    out = [[0] * (width * nsrc) for _ in range(len(rows) * ntgt)]
+    for rblock, row in enumerate(rows):
         base = rblock * ntgt
-        for cblock, form in enumerate(form_row):
+        for cblock, form in row.items():
+            terms = [(var, c) for var, c in enumerate(form) if c]
             for col, up in enumerate(raised, cblock * nsrc):
-                for var, coeff in form:
-                    rows[base + up[var]][col] += coeff
-    return exactlinalg.rank(rows)
+                for var, coeff in terms:
+                    out[base + up[var]][col] += coeff
+    return exactlinalg.rank(out)
 
 
 def h0_multiplication_rank(m: LinearFormMatrix, t: int):
@@ -471,7 +515,7 @@ def h0_multiplication_rank(m: LinearFormMatrix, t: int):
     tgt = m.b2 * _proj_space_line(m.n, m.d + 1 + t).h[0]
     if src == 0 or tgt == 0:
         return (src, tgt, 0)
-    rk = _multiplication_rank(m.entries, m.n, m.d + t)
+    rk = _multiplication_rank(m.int_rows, m.b1, m.n, m.d + t)
     return (src, tgt, rk)
 
 
@@ -501,7 +545,7 @@ def kernel_cohomology(p: KernelBundlePresentation, t: int) -> CohomologyTable:
     sn = m.b1 * _proj_space_line(n, d + t).h[n]
     tn = m.b2 * _proj_space_line(n, d + 1 + t).h[n]
     e = -(d + 1 + t) - n - 1
-    rn = _multiplication_rank(m.transposed_entries(), n, e) if tn else 0
+    rn = _multiplication_rank(m.int_columns(), m.b2, n, e) if tn else 0
     if tn - rn != 0:
         raise InternalInconsistency(
             f"top-level section map not surjective at twist {t}: "

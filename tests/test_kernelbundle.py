@@ -1,9 +1,13 @@
 """Kernel-bundle presentations, exact rank certificates, twisted tables."""
 
+import contextlib
+import hashlib
+import io
 import itertools
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -27,10 +31,16 @@ from ulrichbundles import (
 )
 from ulrichbundles.cli import run
 from ulrichbundles.exactlinalg import PRIME
+from ulrichbundles import exactlinalg
 from ulrichbundles.kernelbundle import (
     KernelBundlePresentation,
     LinearFormMatrix,
+    SurjectivityCertificate,
+    _certify_sampling,
+    _min_coordinate_certificate,
     _pencil_minors_share_root,
+    _staircase_rule,
+    _sym_euler_rule,
 )
 
 P2 = ProjSpace(2)
@@ -207,6 +217,16 @@ def _entry(rng):
     return (coeff(), coeff())
 
 
+def integer_pencil(pencil):
+    """Each row times the lcm of its denominators: every maximal minor is
+    scaled by a nonzero constant, so a shared root stays or stays absent."""
+    out = []
+    for row in pencil:
+        denom = lcm(*(Fraction(x).denominator for entry in row for x in entry))
+        out.append([(int(c * denom), int(e * denom)) for c, e in row])
+    return out
+
+
 def seeded_pencil(rng, kind):
     """A pencil of binary linear forms, with a planted common root of its
     maximal minors for kinds "finite" (at [b:a], b != 0) and "infinity"
@@ -242,7 +262,8 @@ class TestPencilMinors:
             kind = self.KINDS[i % len(self.KINDS)]
             pencil = seeded_pencil(rng, kind)
             expected = reference_share_root(pencil)
-            assert _pencil_minors_share_root(pencil) == expected, (kind, pencil)
+            assert _pencil_minors_share_root(integer_pencil(pencil)) == expected, \
+                (kind, pencil)
             if kind != "random":
                 assert expected, (kind, pencil)
             seen.add((kind, expected))
@@ -434,3 +455,257 @@ class TestSerialization:
         assert data["b1"] == 4 and data["b2"] == 2 and data["rank"] == 2
         assert data["surjectivity"]["exact"] is True
         assert data["h0_certificates"]["0"] == [12, 12, 12]
+
+
+# --------------------------------------------------------------------------
+# the integer view against the Fraction entries
+# --------------------------------------------------------------------------
+
+def _substitute_low_zero(entry, j):
+    return tuple(0 if v < j else c for v, c in enumerate(entry))
+
+
+def _is_pure_in(entry, j):
+    """The x_j coefficient if the form is c * x_j, else None."""
+    if any(c for v, c in enumerate(entry) if v != j):
+        return None
+    return entry[j] or None
+
+
+def dense_triangular(m, column_rule):
+    """The triangularity check over all b2^2 selected cells of the Fraction
+    entries, sharing no code with the engine's support-only checker."""
+    for j in range(m.n + 1):
+        cols, row_order = column_rule(j)
+        if cols is None:
+            return False
+        for pos_r, i in enumerate(row_order):
+            for pos_c, c in enumerate(cols):
+                entry = _substitute_low_zero(m.entries[i][c], j)
+                if pos_r == pos_c:
+                    if _is_pure_in(entry, j) is None:
+                        return False
+                elif pos_r > pos_c and any(entry):
+                    return False
+    return True
+
+
+class TestTriangularityAgreement:
+    """The support-only checker decides as the dense one, on both families
+    under both column rules and on planted faults."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("d", range(0, 6))
+    def test_both_rules_on_both_families(self, n, d):
+        stair, sym = staircase_matrix(n, d), sym_euler_matrix(n, d)
+        assert _min_coordinate_certificate(stair, _staircase_rule(stair))
+        assert _min_coordinate_certificate(sym, _sym_euler_rule(sym))
+        for m in (stair, sym):
+            rules = [_staircase_rule(m)]
+            if (m.b2, m.b1) == (sym.b2, sym.b1):  # the rule's indices fit
+                rules.append(_sym_euler_rule(m))
+            for rule in rules:
+                assert _min_coordinate_certificate(m, rule) == dense_triangular(m, rule)
+
+    def test_staircase_rule_rejects_wide_contractions(self):
+        m = sym_euler_matrix(2, 1)
+        assert not dense_triangular(m, _staircase_rule(m))
+        assert not _min_coordinate_certificate(m, _staircase_rule(m))
+
+    # staircase(3, 2): in chart j = 0 the diagonal is (i, i) = x_0, and in
+    # chart j = 1 it is (i, i + 1) = x_1 with x_0 substituted by zero
+    @pytest.mark.parametrize("cell, form, expected", [
+        ((1, 0), (0, 0, 1, 0), False),                # nonzero below the diagonal
+        ((2, 1), (0, 0, Fraction(1, 3), 0), False),   # ... with a denominator
+        ((2, 0), (5, 0, 0, 0), False),                # ... a multiple of x_0
+        ((1, 1), (0, 0, 0, 0), False),                # zero diagonal
+        ((0, 0), (1, 1, 0, 0), False),                # foreign variable x_1
+        ((2, 3), (0, 1, 0, Fraction(-2, 7)), False),  # foreign variable x_3
+        ((0, 1), (1, 1, 0, 0), True),                 # x_0 dies in chart 1
+        ((0, 5), (3, 0, 0, 1), True),                 # above every diagonal
+    ])
+    def test_planted_faults(self, cell, form, expected):
+        rows = [list(row) for row in staircase_matrix(3, 2).entries]
+        rows[cell[0]][cell[1]] = form
+        m = LinearFormMatrix(3, 2, tuple(map(tuple, rows)))
+        assert dense_triangular(m, _staircase_rule(m)) is expected
+        assert _min_coordinate_certificate(m, _staircase_rule(m)) is expected
+
+
+def reference_sampling(m):
+    """The sampling certificate evaluated through Fraction sums on the
+    entries.  The restricted line's denominators are cleared here; the root
+    test itself is checked against the symbolic route above."""
+    points = list(itertools.product((1, -1), repeat=m.n + 1))
+    points += [tuple(int(i == v) for i in range(m.n + 1)) for v in range(m.n + 1)]
+    rng = random.Random(7)
+    points += [tuple(rng.randint(-17, 17) for _ in range(m.n + 1)) for _ in range(8)]
+    for pt in points:
+        scalar = [[sum(c * x for c, x in zip(entry, pt)) for entry in row]
+                  for row in m.entries]
+        if exactlinalg.rank(scalar) < m.b2:
+            raise NotSurjective(f"matrix drops rank at point {pt}")
+    p = tuple(rng.randint(-9, 9) for _ in range(m.n + 1))
+    q = tuple(rng.randint(-9, 9) for _ in range(m.n + 1))
+    restricted = [[(sum(c * x for c, x in zip(entry, p)),
+                    sum(c * x for c, x in zip(entry, q)))
+                   for entry in row] for row in m.entries]
+    line_ok = not _pencil_minors_share_root(integer_pencil(restricted))
+    detail = ("full rank at sampled points; "
+              + ("pencil-restricted minor gcd constant"
+                 if line_ok else "pencil restriction inconclusive"))
+    return SurjectivityCertificate("point-sampling", False, detail)
+
+
+def _coefficient(rng):
+    return rng.choice((0, rng.randint(-4, 4), rng.randint(-4, 4),
+                       Fraction(rng.randint(-9, 9), rng.randint(1, 6))))
+
+
+def seeded_sampling_matrix(rng, kind):
+    """A matrix of a shape that reaches sampling (n >= 2, 3 <= b2 <= 4)
+    with Fraction coefficients.  Kind "point" drops rank at a sign point.
+    Kind "factor" makes row 0 a multiple of x_0 + 3 x_1 + 9 x_2 (+ 27 x_3),
+    which vanishes at no sign or coordinate point, so that every maximal
+    minor has that factor."""
+    n, b2 = rng.randint(2, 3), rng.randint(3, 4)
+    b1 = b2 + rng.randint(1, 2)
+    rows = [[tuple(_coefficient(rng) for _ in range(n + 1)) for _ in range(b1)]
+            for _ in range(b2)]
+    if kind == "point":
+        pt = rng.choice(list(itertools.product((1, -1), repeat=n + 1)))
+        lam = [rng.randint(-3, 3) for _ in rows[:-1]]
+        for c, entry in enumerate(rows[-1]):
+            target = sum(lm * sum(x * y for x, y in zip(row[c], pt))
+                         for lm, row in zip(lam, rows))
+            gap = target - sum(x * y for x, y in zip(entry, pt))
+            rows[-1][c] = (entry[0] + gap * pt[0],) + entry[1:]
+    elif kind == "factor":
+        line = (1, 3, 9, 27)[:n + 1]
+        rows[0] = [tuple(k * x for x in line)
+                   for k in (rng.choice((1, -2, Fraction(1, 2))) for _ in range(b1))]
+    return LinearFormMatrix(n, b2 - 1, tuple(map(tuple, rows)))
+
+
+def _outcome(certify, m):
+    try:
+        return certify(m).to_json()
+    except NotSurjective as err:
+        return str(err)
+
+
+class TestSamplingAgreement:
+    KINDS = ("random", "point", "factor")
+
+    def test_same_method_detail_and_message(self):
+        rng = random.Random(1212)
+        seen = set()
+        for i in range(300):
+            kind = self.KINDS[i % len(self.KINDS)]
+            m = seeded_sampling_matrix(rng, kind)
+            expected = _outcome(reference_sampling, m)
+            assert _outcome(_certify_sampling, m) == expected, (kind, m.entries)
+            if isinstance(expected, str):
+                assert expected.startswith("matrix drops rank at point ")
+                seen.add("drops")
+            else:
+                seen.add(expected["detail"])
+        assert seen == {
+            "drops",
+            "full rank at sampled points; pencil-restricted minor gcd constant",
+            "full rank at sampled points; pencil restriction inconclusive",
+        }
+
+
+class TestPresentationTime:
+    """Building and certifying reads only the nonzero forms: the
+    contraction matrix has n+1 of them per row, not b1."""
+
+    def test_sym_euler_4_6(self):
+        start = time.perf_counter()
+        p = sym_euler_presentation(4, 6)
+        elapsed = time.perf_counter() - start
+        assert (p.matrix.b2, p.matrix.b1) == (210, 330) and p.surjectivity.exact
+        assert elapsed < 0.4
+
+    def test_prop61_4_1_json(self, capsys):
+        assert run(["prop61", "4", "1", "--json"]) == 0
+        start = time.perf_counter()
+        code = run(["prop61", "4", "1", "--json"])
+        elapsed = time.perf_counter() - start
+        capsys.readouterr()
+        assert code == 0
+        assert elapsed < 0.08
+
+
+# sha256 of stdout, recorded while the presentations were still built and
+# certified densely over Fractions
+STDOUT_SHA256 = {
+    "kernel 2 0 --json":
+        "4dc7c2a629e15876f03a64b1f1c30772b548b8b97f3c7f87b63cac47a62a3aff",
+    "kernel 2 0 --sym --json":
+        "f86c2ad6ec86a9f44f04035dbb863c374524482574fca2ed603a76cd032fb4df",
+    "kernel 2 1 --json":
+        "8acfbc48e92ada4215ad07dc4641ab41593cc081682642a256c2b6c2c6c099d9",
+    "kernel 2 1 --sym --json":
+        "481550fd400714aec20786a99cdc88ef46c359ebae3b34d5daf24d5f6f02d442",
+    "kernel 2 2 --json":
+        "499a2ca56a196fce0ad5ef00eb05b2795accaf739abfa1bb5df0beeedeb5ce8e",
+    "kernel 2 2 --sym --json":
+        "a69acf1d873af1cbd82315a3b62845723fc163ab23915af5de46c97051d6c871",
+    "kernel 2 3 --json":
+        "70556a2960dc6584d08990d8b33030faa74ac07deccb0e29d4ed8a27964bf49f",
+    "kernel 2 3 --sym --json":
+        "4bfe31ea8cba20f48a820fea27f4a9e222f734b624d9868e4ac5022464ef55c8",
+    "kernel 3 0 --json":
+        "54625b1b493bfece9e6b7b1075eb8ebdb626aaacccfcbfdbc5d29bc51237ceb0",
+    "kernel 3 0 --sym --json":
+        "e9950bdb2b11a7286ab5ce94da477977dae868ea3b7fe6a768d5654c844d6e0b",
+    "kernel 3 1 --json":
+        "5ddb699b9bc47e6d697999ae4f9284cfd67c16e62801110348a4cf27929c6dae",
+    "kernel 3 1 --sym --json":
+        "8eb63d634e2e458d4ae5a617fcfa558a75bd3d5877fd870d4e6c319ebbf28395",
+    "kernel 3 2 --json":
+        "ff67927df4899bd010631344ba3b665ba3cff2ff2f5eaf28beb2937f56761bdc",
+    "kernel 3 2 --sym --json":
+        "f20ef99c9b13fd023ec7ea3c7bf2339306f35d75a3b8a98f2b3d6454746a9536",
+    "kernel 3 3 --json":
+        "85a8e5a0a70707568a12b6f7669e0bcccbd6ec9c2f744dc6b2db18d054852559",
+    "kernel 3 3 --sym --json":
+        "3fe20a7ee8a69150745960f2a435c7fe90923fb1563062407b49b5c2382f0fd6",
+    "kernel 4 0 --json":
+        "f718ef073c7b679c4a9c73c4e44af5cfff236e931e37e9ef76b85abdc5bb7dca",
+    "kernel 4 0 --sym --json":
+        "1304849e38e7d0f33b3943fb36fd77163587e188db71d36d04bafb9dde60c60c",
+    "kernel 4 1 --json":
+        "a5332c7813eb1989cd1365d0c68efef77240cd17e7eb84d33e00556b2d0a904c",
+    "kernel 4 1 --sym --json":
+        "a5058d377a560daa048570d8c9fd4fc0c14523ea701c1e71d5f5f1dbe247a508",
+    "kernel 4 2 --json":
+        "910be9da66b4768b07c387c591a024b40966854de68aa815bf364ad7e03002a5",
+    "kernel 4 2 --sym --json":
+        "ab30ba530fdacc9c9fd3636de944a4c699b9655e1c2105d9ef94c94425347a4d",
+    "kernel 4 3 --json":
+        "14678ca8b8970164fa92edca448bcc2e218e43385a6794088df5f0b8bed3297e",
+    "prop61 3 1 --json":
+        "1cb84c5dbf76bc598257ee7c8008e40f1d2c605db9e8b70f6564565428571a12",
+    "prop61 3 2 --json":
+        "8382bcdc2bfa9b1562da52aa1d32410492c8027a44d632d01c9ea3c035b8f1ce",
+    "prop61 3 3 --json":
+        "2303ca7d96995e23c6086e9b8c3cf8cfd59d5483120e1949f9de7f792e97d1f4",
+    "prop61 4 1 --json":
+        "6d6ef036a4aa94ef85f382aa1bff53b100ae1fc32d80da1480bd1ef232156c7a",
+    "prop61 4 2 --json":
+        "070f10cba3f2adc1248d5d418cad193995db547930c3a25e199ef5969d135ecd",
+    "prop61 4 3 --json":
+        "84383a75f86ce8b7e0bc8f7d8f60b08e1e0fa7efacb4f3faa69d18fa4f7e9d6d",
+}
+
+
+@pytest.mark.parametrize("request_line", list(STDOUT_SHA256))
+def test_stdout_is_byte_identical(request_line):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert run(request_line.split()) == 0
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == STDOUT_SHA256[request_line]

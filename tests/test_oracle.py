@@ -42,13 +42,6 @@ P2 = ProjSpace(2)
 F2 = hirzebruch(2)
 
 
-@pytest.fixture(autouse=True)
-def cold_pattern_cache(monkeypatch):
-    """Each test starts from an empty pattern cache and leaves the shared
-    one as it found it, so no test here warms another's."""
-    monkeypatch.setattr(coh_mod, "_PATTERN_CACHE", {})
-
-
 def test_p2_three_monomials():
     assert toric_cech_oracle(P2, DivisorClass(P2, (1,))).h == (3, 0, 0)
 
