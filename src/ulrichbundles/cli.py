@@ -21,12 +21,7 @@ import sys
 
 from . import kernelbundle, search
 from .cohomology import cohomology, euler_characteristic, toric_cech_oracle
-from .errors import (
-    EngineError,
-    InternalInconsistency,
-    ParseError,
-    ScanBoxTooSmall,
-)
+from .errors import EngineError, ParseError
 from .picard import (
     ProjBundle,
     is_very_ample,
@@ -307,27 +302,15 @@ def _run_kernel(args) -> tuple:
 
 def run(argv) -> int:
     """Execute one CLI request; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except ParseError as err:
-        print(json.dumps({"error": err.code, "detail": str(err)}))
-        return 1
-    as_json = getattr(args, "json", False)
-    try:
+        args = _build_parser().parse_args(argv)
         out = _dispatch(args)
-    except ParseError as err:
-        print(json.dumps({"error": err.code, "detail": str(err)}))
-        return 1
-    except (InternalInconsistency, ScanBoxTooSmall) as err:
-        print(json.dumps({"error": err.code, "detail": str(err)}))
-        return 3
     except EngineError as err:
         print(json.dumps({"error": err.code, "detail": str(err)}))
-        return 2
+        return err.exit_code
     payload, lines = out[0], out[1]
     code = out[2] if len(out) > 2 else 0
-    _emit(payload, as_json, lines)
+    _emit(payload, args.json, lines)
     return code
 
 

@@ -1,17 +1,19 @@
 """Exception hierarchy shared by all engine modules.
 
-Every error carries a short machine-readable ``code`` that the CLI maps
-onto its exit-code contract (parse errors -> 1, unsupported input -> 2,
-internal consistency failures -> 3).
+Every error carries a short machine-readable ``code`` and the CLI exit
+code it ends in, ``exit_code``: parse errors 1, unsupported input 2,
+internal consistency failures 3.
 """
 
 
 class EngineError(Exception):
     code = "engine-error"
+    exit_code = 2
 
 
 class ParseError(EngineError):
     code = "parse-error"
+    exit_code = 1
 
 
 class UnsupportedVariety(EngineError):
@@ -51,6 +53,7 @@ class ScanBoxTooSmall(EngineError):
     character contributed nonzero cohomology."""
 
     code = "scan-box-too-small"
+    exit_code = 3
 
 
 class InternalInconsistency(EngineError):
@@ -58,3 +61,4 @@ class InternalInconsistency(EngineError):
     a bug in the engine, never a mathematical fact."""
 
     code = "internal-inconsistency"
+    exit_code = 3

@@ -8,8 +8,8 @@ nonzero minor mod p is a nonzero integer minor: when the rank mod p
 reaches min(nonzero rows, columns), that bound is the exact rank.  Only
 when it falls short does Bareiss (fraction-free Gaussian) elimination run
 over the integers, where every intermediate value is a minor of the input
-and all divisions are exact.  Small determinants and square solves share
-one such elimination (``_eliminate``).
+and all divisions are exact.  That one elimination (``_bareiss``) also
+gives small determinants and square solves.
 """
 
 from __future__ import annotations
@@ -71,11 +71,18 @@ def _rank_mod_prime(rows, target: int) -> int:
     return len(pivots)
 
 
-def _bareiss_rank(m) -> int:
-    """Rank of nonzero dense integer rows by Bareiss elimination (mutates m)."""
-    nrows, ncols = len(m), len(m[0])
-    rk = 0
-    prev = 1
+def _bareiss(m, ncols: int) -> tuple:
+    """Fraction-free (Bareiss) forward elimination of dense integer rows,
+    in place, pivoting in the first ``ncols`` columns; any later columns
+    (a right-hand side) are carried along.  Returns the rank and the last
+    pivot, signed by the row swaps.
+
+    Every entry below the pivot rows is a minor of the row-permuted input,
+    so each division by the previous pivot is exact.  At full rank of a
+    square block the signed last pivot is its determinant.
+    """
+    nrows = len(m)
+    rk, sign, prev = 0, 1, 1
     for col in range(ncols):
         if rk == nrows:
             break
@@ -89,21 +96,23 @@ def _bareiss_rank(m) -> int:
             continue
         if piv_row != rk:
             m[rk], m[piv_row] = m[piv_row], m[rk]
-        piv = m[rk][col]
+            sign = -sign
         pivot_row = m[rk]
+        piv = pivot_row[col]
+        width = len(pivot_row)
         for i in range(rk + 1, nrows):
             row = m[i]
             factor = row[col]
             if factor:
-                for j in range(col + 1, ncols):
+                for j in range(col + 1, width):
                     row[j] = (piv * row[j] - factor * pivot_row[j]) // prev
                 row[col] = 0
             elif prev != 1 or piv != 1:
-                for j in range(col + 1, ncols):
+                for j in range(col + 1, width):
                     row[j] = piv * row[j] // prev
         prev = piv
         rk += 1
-    return rk
+    return rk, sign * prev
 
 
 def rank(rows) -> int:
@@ -121,45 +130,20 @@ def rank(rows) -> int:
         for c, v in zip(cols, vals):
             row[c] = v
         dense.append(row)
-    return _bareiss_rank(dense)
-
-
-def _eliminate(m, n: int) -> int:
-    """Fraction-free (Bareiss) forward elimination of the first n columns
-    of the n-row integer matrix m, in place; returns the determinant of
-    that n x n block, 0 if it is singular.
-
-    Every pivot is a leading minor of the row-permuted input, so every
-    division is exact and the last pivot is the determinant up to the sign
-    of the row swaps.
-    """
-    sign, prev = 1, 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        pivot_row = m[k]
-        p = pivot_row[k]
-        for row in m[k + 1:]:
-            f = row[k]
-            for j in range(k + 1, len(row)):
-                row[j] = (p * row[j] - f * pivot_row[j]) // prev
-        prev = p
-    return sign * prev
+    return _bareiss(dense, ncols)[0]
 
 
 def det(matrix) -> int:
     """Exact determinant of a square integer matrix (not modified)."""
-    return _eliminate([list(row) for row in matrix], len(matrix))
+    n = len(matrix)
+    rk, last = _bareiss([list(row) for row in matrix], n)
+    return last if rk == n else 0
 
 
 def solve_square(matrix, rhs):
     """Solve a small square integer system exactly; None if singular.
 
-    One elimination of the augmented integer matrix (``_eliminate``), then
+    One elimination of the augmented integer matrix (``_bareiss``), then
     integer back substitution: det * x is an integer vector by Cramer's
     rule, so every division is exact and only the returned entries are
     Fractions.  Used for hyperplane-arrangement vertices, so dimensions
@@ -167,8 +151,8 @@ def solve_square(matrix, rhs):
     """
     n = len(matrix)
     m = [[*row, b] for row, b in zip(matrix, rhs)]
-    d = _eliminate(m, n)
-    if not d:
+    rk, d = _bareiss(m, n)
+    if rk < n:
         return None
     # scaled[i] = d * x_i, solved from the last row up
     scaled = [0] * n

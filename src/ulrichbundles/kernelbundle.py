@@ -20,7 +20,10 @@ All ranks are exact over the rationals: ``exactlinalg.rank`` proves them
 by full rank modulo a fixed prime and falls back to fraction-free
 (Bareiss) elimination only when that fails.  Surjectivity of the sheaf
 map is certified exactly where possible (see ``_certify_surjective``) and
-honestly marked heuristic otherwise.
+honestly marked heuristic otherwise.  Both constructions are certified by
+one check: on each chart of P^n it reads a triangular maximal minor off
+the matrix itself, so it needs no per-construction column rule and any
+row order works.
 
 Each matrix carries one integer sparse view of itself, built with it:
 per row, the nonzero forms with that row's denominators cleared.  The
@@ -223,64 +226,38 @@ class SurjectivityCertificate:
         return {"method": self.method, "exact": self.exact, "detail": self.detail}
 
 
-def _min_coordinate_certificate(m: LinearFormMatrix, column_rule) -> bool:
+def _triangular_charts(m: LinearFormMatrix) -> bool:
     """Exhaustive triangularity check proving surjectivity at every point.
 
-    For each variable index j, ``column_rule(j)`` selects b2 columns and a
-    row order.  After substituting x_0 = .. = x_{j-1} = 0 the selected
-    square submatrix must be upper triangular with diagonal entries that
-    are pure nonzero multiples of x_j; its determinant is then a nonzero
-    multiple of x_j^{b2}, which cannot vanish at any point whose least
-    nonzero coordinate is j.  The charts over all j cover P^n.
+    Chart j is the set of points whose least nonzero coordinate is x_j;
+    the charts over all j cover P^n.  After substituting
+    x_0 = .. = x_{j-1} = 0, each row's diagonal is its leftmost column
+    whose form is a nonzero multiple of x_j alone.  If the diagonals are
+    distinct, and no row keeps a nonzero form in another row's diagonal
+    column left of its own, then the square minor on those columns, rows
+    ordered by diagonal, is upper triangular with determinant c * x_j^b2,
+    which cannot vanish on the chart.  The charts are read from the
+    matrix, so any row order works.
 
-    Only the support of each selected row in the integer view is visited,
-    so a chart costs O(nonzeros), not O(b2^2 n): a form outside the
-    support is zero and cannot break triangularity, and the diagonal entry
-    is looked up explicitly, so a zero diagonal still fails.  Row scaling
-    keeps every zero pattern, so the integer view decides as the entries do.
+    Only the integer view's support is visited, in column order, so a
+    chart costs O(nonzeros); row scaling keeps every zero pattern, so the
+    integer view decides as the entries do.
     """
     for j in range(m.n + 1):
-        cols, row_order = column_rule(j)
-        if cols is None:
-            return False
-        position = {c: k for k, c in enumerate(cols)}
-        for pos_r, i in enumerate(row_order):
-            row = m.int_rows[i]
-            diag = row.get(cols[pos_r])
-            if diag is None or not diag[j] or any(diag[j + 1:]):
+        diagonal = []
+        for row in m.int_rows:
+            own = next((c for c, f in row.items() if f[j] and not any(f[j + 1:])),
+                       None)
+            if own is None:
                 return False
-            for c, form in row.items():
-                pos_c = position.get(c)
-                if pos_c is not None and pos_c < pos_r and any(form[j:]):
-                    return False
+            diagonal.append(own)
+        taken = set(diagonal)
+        if len(taken) < len(diagonal):
+            return False
+        for row, own in zip(m.int_rows, diagonal):
+            if any(c < own and c in taken and any(f[j:]) for c, f in row.items()):
+                return False
     return True
-
-
-def _staircase_rule(m: LinearFormMatrix):
-    def rule(j):
-        cols = list(range(j, j + m.b2))
-        if cols[-1] >= m.b1:
-            return None, None
-        return cols, list(range(m.b2))
-
-    return rule
-
-
-def _sym_euler_rule(m: LinearFormMatrix):
-    rows_idx = monomial_exponents(m.n, m.d)
-    cols_idx = {alpha: i for i, alpha in enumerate(monomial_exponents(m.n, m.d + 1))}
-
-    def rule(j):
-        order = sorted(range(len(rows_idx)),
-                       key=lambda i: (-rows_idx[i][j], rows_idx[i]))
-        cols = []
-        for i in order:
-            beta = rows_idx[i]
-            alpha = tuple(b + (1 if v == j else 0) for v, b in enumerate(beta))
-            cols.append(cols_idx[alpha])
-        return cols, order
-
-    return rule
 
 
 def _pencil_minors_share_root(pencil) -> bool:
@@ -384,19 +361,25 @@ def _certify_sampling(m: LinearFormMatrix) -> SurjectivityCertificate:
     return SurjectivityCertificate("point-sampling", False, detail)
 
 
+# the kinds whose constructors are triangular on every chart, and the
+# certificate detail each one reports
+_TRIANGULAR_DETAIL = {
+    "staircase": "each chart has a triangular minor equal to x_j^b2",
+    "sym-euler": "each chart has a triangular minor with diagonal (beta_j+1) x_j",
+}
+
+
 def _certify_surjective(m: LinearFormMatrix, kind: str) -> SurjectivityCertificate:
-    if kind == "staircase":
-        if not _min_coordinate_certificate(m, _staircase_rule(m)):
-            raise InternalInconsistency("staircase triangularity check failed")
-        return SurjectivityCertificate(
-            "min-coordinate-triangular", True,
-            "each chart has a triangular minor equal to x_j^b2")
-    if kind == "sym-euler":
-        if not _min_coordinate_certificate(m, _sym_euler_rule(m)):
-            raise InternalInconsistency("contraction triangularity check failed")
-        return SurjectivityCertificate(
-            "min-coordinate-triangular", True,
-            "each chart has a triangular minor with diagonal (beta_j+1) x_j")
+    """The exact chart certificate for the built-in constructions (any row
+    order), then the exact narrow-target certificates, then sampling.
+
+    Only the built-in kinds run the chart certificate: each is triangular
+    on every chart, so a failure there is an engine bug."""
+    detail = _TRIANGULAR_DETAIL.get(kind)
+    if detail is not None:
+        if not _triangular_charts(m):
+            raise InternalInconsistency(f"{kind} triangularity check failed")
+        return SurjectivityCertificate("min-coordinate-triangular", True, detail)
     for attempt in (_certify_row_span, _certify_p1, _certify_cokernel_line):
         cert = attempt(m)
         if cert is not None:
@@ -485,14 +468,16 @@ def random_presentation(n: int, d: int, seed: int) -> KernelBundlePresentation:
     return KernelBundlePresentation(random_matrix(n, d, seed), "random", seed=seed)
 
 
-def _multiplication_rank(rows, width: int, n: int, src_deg: int) -> int:
-    """Exact rank of the section-level map induced in degree src_deg by a
-    matrix of integer linear forms, given as sparse rows {column: form} of
-    ``width`` columns (rows = target copies, columns = source)."""
+def _multiplication_rank(rows, width: int, n: int, src_deg: int) -> tuple:
+    """(dim source, dim target, exact rank) of the section-level map
+    induced in degree src_deg by a matrix of integer linear forms, given
+    as sparse rows {column: form} of ``width`` columns (rows = target
+    copies, columns = source), in monomial bases."""
     mons_src = monomial_exponents(n, src_deg)
     mons_tgt = monomial_exponents(n, src_deg + 1)
-    if not mons_src or not mons_tgt:
-        return 0
+    src, tgt = width * len(mons_src), len(rows) * len(mons_tgt)
+    if not src or not tgt:
+        return (src, tgt, 0)
     tgt_index = {mono: i for i, mono in enumerate(mons_tgt)}
     # raised[mi][var] = target index of mons_src[mi] * x_var
     raised = [[tgt_index[mono[:var] + (mono[var] + 1,) + mono[var + 1:]]
@@ -506,17 +491,12 @@ def _multiplication_rank(rows, width: int, n: int, src_deg: int) -> int:
             for col, up in enumerate(raised, cblock * nsrc):
                 for var, coeff in terms:
                     out[base + up[var]][col] += coeff
-    return exactlinalg.rank(out)
+    return (src, tgt, exactlinalg.rank(out))
 
 
 def h0_multiplication_rank(m: LinearFormMatrix, t: int):
     """(dim source, dim target, exact rank) of H^0(alpha(t)) in monomial bases."""
-    src = m.b1 * _proj_space_line(m.n, m.d + t).h[0]
-    tgt = m.b2 * _proj_space_line(m.n, m.d + 1 + t).h[0]
-    if src == 0 or tgt == 0:
-        return (src, tgt, 0)
-    rk = _multiplication_rank(m.int_rows, m.b1, m.n, m.d + t)
-    return (src, tgt, rk)
+    return _multiplication_rank(m.int_rows, m.b1, m.n, m.d + t)
 
 
 def kernel_cohomology(p: KernelBundlePresentation, t: int) -> CohomologyTable:
@@ -534,18 +514,16 @@ def kernel_cohomology(p: KernelBundlePresentation, t: int) -> CohomologyTable:
         raise NotSurjective("presentation lacks a surjectivity certificate")
     m = p.matrix
     n, d = m.n, m.d
-    key = t
-    cached = p.h0_certificates.get(key)
+    cached = p.h0_certificates.get(t)
     if cached is None:
         cached = h0_multiplication_rank(m, t)
-        p.h0_certificates[key] = cached
+        p.h0_certificates[t] = cached
     s0, t0, r0 = cached
     # Serre-dual side: the top-level map dualises to multiplication by the
-    # transposed matrix from degree e to e+1
-    sn = m.b1 * _proj_space_line(n, d + t).h[n]
-    tn = m.b2 * _proj_space_line(n, d + 1 + t).h[n]
+    # transposed matrix from degree e to e+1, so its source has dimension
+    # tn = b2 h^n(O(d+1+t)) and its target sn = b1 h^n(O(d+t))
     e = -(d + 1 + t) - n - 1
-    rn = _multiplication_rank(m.int_columns(), m.b2, n, e) if tn else 0
+    tn, sn, rn = _multiplication_rank(m.int_columns(), m.b2, n, e)
     if tn - rn != 0:
         raise InternalInconsistency(
             f"top-level section map not surjective at twist {t}: "

@@ -51,13 +51,13 @@ def random_matrix(rng, nrows, ncols, fractions, dependent):
 def bareiss_calls(monkeypatch):
     """Records the rows handed to the Bareiss fallback."""
     calls = []
-    original = exactlinalg._bareiss_rank
+    original = exactlinalg._bareiss
 
-    def spy(m):
+    def spy(m, ncols):
         calls.append([list(r) for r in m])
-        return original(m)
+        return original(m, ncols)
 
-    monkeypatch.setattr(exactlinalg, "_bareiss_rank", spy)
+    monkeypatch.setattr(exactlinalg, "_bareiss", spy)
     return calls
 
 

@@ -1,6 +1,8 @@
-"""Every name a module imports is used in that module."""
+"""Every name a module imports is used in that module, and the package
+imports nothing outside itself and the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,31 @@ def used_names(tree):
             if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
                 used |= used_names(ast.parse(ann.value, mode="eval"))
     return used
+
+
+def imported_modules(tree):
+    """The top-level names of the absolute imports of a module, at any
+    depth; relative imports stay inside the package and are skipped."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_stdlib_only(path):
+    tree = ast.parse(path.read_text())
+    outside = imported_modules(tree) - set(sys.stdlib_module_names) - {PACKAGE.name}
+    assert sorted(outside) == []
+
+
+def test_a_third_party_import_is_found():
+    tree = ast.parse("import os.path\nfrom . import picard\n"
+                     "def f():\n    import numpy as np\n    from yaml import load\n")
+    assert imported_modules(tree) - set(sys.stdlib_module_names) == {"numpy", "yaml"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -37,10 +37,9 @@ from ulrichbundles.kernelbundle import (
     LinearFormMatrix,
     SurjectivityCertificate,
     _certify_sampling,
-    _min_coordinate_certificate,
     _pencil_minors_share_root,
-    _staircase_rule,
-    _sym_euler_rule,
+    _triangular_charts,
+    monomial_exponents,
 )
 
 P2 = ProjSpace(2)
@@ -91,8 +90,6 @@ class TestSymEulerMatrix:
     def test_contraction_entries_scale(self, n, d):
         # entry (beta, beta + e_v) carries coefficient (beta_v + 1)
         m = sym_euler_matrix(n, d)
-        from ulrichbundles.kernelbundle import monomial_exponents
-
         rows = monomial_exponents(n, d)
         cols = monomial_exponents(n, d + 1)
         for bi, beta in enumerate(rows):
@@ -144,8 +141,49 @@ class TestCertificates:
 
     def test_heuristic_path_for_wide_targets(self):
         p = random_presentation(2, 2, seed=11)
-        assert p.surjectivity.method in ("point-sampling",
-                                         "min-coordinate-triangular")
+        assert (p.surjectivity.method, p.surjectivity.exact) == ("point-sampling", False)
+
+    def test_linear_span_on_the_cli(self, capsys):
+        assert run(["kernel", "2", "0", "--random", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "surjectivity: linear-span (exact=True)" in lines
+
+    def test_p1_shared_zero_rejected(self):
+        # the minors x0 (x0 - 2 x1), -3 x0 x1 and -3 x0^2 all vanish at x0 = 0
+        m = LinearFormMatrix(1, 1, (((1, 0), (2, 0), (3, 0)),
+                                    ((0, 1), (1, 0), (0, 0))))
+        with pytest.raises(NotSurjective, match="share a zero on P\\^1"):
+            KernelBundlePresentation(m, "custom")
+
+    @pytest.mark.parametrize("make, method, detail", [
+        (lambda: staircase_presentation(3, 2), "min-coordinate-triangular",
+         "each chart has a triangular minor equal to x_j^b2"),
+        (lambda: sym_euler_presentation(3, 2), "min-coordinate-triangular",
+         "each chart has a triangular minor with diagonal (beta_j+1) x_j"),
+        (lambda: random_presentation(2, 0, seed=1), "linear-span",
+         "entries span all linear forms"),
+        (lambda: random_presentation(1, 3, seed=5), "binary-minor-gcd",
+         "maximal minors have no common root on P^1"),
+        (lambda: random_presentation(2, 1, seed=42), "binary-form-resultant",
+         "no functional v with v^T * alpha singular exists"),
+    ])
+    def test_exact_method_and_detail(self, make, method, detail):
+        assert make().surjectivity.to_json() == {
+            "method": method, "exact": True, "detail": detail}
+
+    def test_sampling_method_and_detail(self):
+        assert random_presentation(2, 2, seed=11).surjectivity.to_json() == {
+            "method": "point-sampling", "exact": False,
+            "detail": "full rank at sampled points; "
+                      "pencil-restricted minor gcd constant"}
+
+    @pytest.mark.parametrize("make, kind", [(staircase_matrix, "staircase"),
+                                            (sym_euler_matrix, "sym-euler")])
+    def test_any_row_order(self, make, kind):
+        m = make(3, 2)
+        flipped = LinearFormMatrix(m.n, m.d, m.entries[::-1])
+        cert = KernelBundlePresentation(flipped, kind).surjectivity
+        assert (cert.method, cert.exact) == ("min-coordinate-triangular", True)
 
 
 def _poly_mul(p, q):
@@ -472,9 +510,40 @@ def _is_pure_in(entry, j):
     return entry[j] or None
 
 
+def staircase_rule(m):
+    """Chart j of the staircase: columns j..j+b2-1, rows in order."""
+    def rule(j):
+        cols = list(range(j, j + m.b2))
+        if cols[-1] >= m.b1:
+            return None, None
+        return cols, list(range(m.b2))
+
+    return rule
+
+
+def sym_euler_rule(m):
+    """Chart j of the contraction: row beta against column beta + e_j,
+    rows by decreasing beta_j, then by their exponent vectors."""
+    rows_idx = monomial_exponents(m.n, m.d)
+    cols_idx = {alpha: i for i, alpha in enumerate(monomial_exponents(m.n, m.d + 1))}
+
+    def rule(j):
+        order = sorted(range(len(rows_idx)),
+                       key=lambda i: (-rows_idx[i][j], rows_idx[i]))
+        cols = []
+        for i in order:
+            beta = rows_idx[i]
+            alpha = tuple(b + (1 if v == j else 0) for v, b in enumerate(beta))
+            cols.append(cols_idx[alpha])
+        return cols, order
+
+    return rule
+
+
 def dense_triangular(m, column_rule):
-    """The triangularity check over all b2^2 selected cells of the Fraction
-    entries, sharing no code with the engine's support-only checker."""
+    """The triangularity check over all b2^2 cells that a hand-written
+    column rule selects, on the Fraction entries, sharing no code with the
+    engine's chart certificate, which finds its columns in the matrix."""
     for j in range(m.n + 1):
         cols, row_order = column_rule(j)
         if cols is None:
@@ -491,26 +560,30 @@ def dense_triangular(m, column_rule):
 
 
 class TestTriangularityAgreement:
-    """The support-only checker decides as the dense one, on both families
-    under both column rules and on planted faults."""
+    """The chart certificate decides as the dense reference under each
+    family's hand-written column rule, and on planted faults."""
 
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("d", range(0, 6))
     def test_both_rules_on_both_families(self, n, d):
         stair, sym = staircase_matrix(n, d), sym_euler_matrix(n, d)
-        assert _min_coordinate_certificate(stair, _staircase_rule(stair))
-        assert _min_coordinate_certificate(sym, _sym_euler_rule(sym))
-        for m in (stair, sym):
-            rules = [_staircase_rule(m)]
-            if (m.b2, m.b1) == (sym.b2, sym.b1):  # the rule's indices fit
-                rules.append(_sym_euler_rule(m))
-            for rule in rules:
-                assert _min_coordinate_certificate(m, rule) == dense_triangular(m, rule)
+        assert dense_triangular(stair, staircase_rule(stair))
+        assert dense_triangular(sym, sym_euler_rule(sym))
+        assert _triangular_charts(stair) and _triangular_charts(sym)
 
     def test_staircase_rule_rejects_wide_contractions(self):
         m = sym_euler_matrix(2, 1)
-        assert not dense_triangular(m, _staircase_rule(m))
-        assert not _min_coordinate_certificate(m, _staircase_rule(m))
+        assert not dense_triangular(m, staircase_rule(m))
+        assert _triangular_charts(m)
+
+    def test_forms_outside_the_diagonal_columns_are_free(self):
+        # chart 0 reads columns 1, 2 and leaves x_1 in column 0, left of row
+        # 0's diagonal; chart 1 reads columns 0, 3
+        m = LinearFormMatrix(1, 1, (((0, 1), (1, 0), (0, 0), (0, 1)),
+                                    ((0, 0), (0, 0), (1, 0), (0, 1))))
+        charts = {0: ([1, 2], [0, 1]), 1: ([0, 3], [0, 1])}
+        assert dense_triangular(m, charts.get)
+        assert _triangular_charts(m)
 
     # staircase(3, 2): in chart j = 0 the diagonal is (i, i) = x_0, and in
     # chart j = 1 it is (i, i + 1) = x_1 with x_0 substituted by zero
@@ -528,8 +601,8 @@ class TestTriangularityAgreement:
         rows = [list(row) for row in staircase_matrix(3, 2).entries]
         rows[cell[0]][cell[1]] = form
         m = LinearFormMatrix(3, 2, tuple(map(tuple, rows)))
-        assert dense_triangular(m, _staircase_rule(m)) is expected
-        assert _min_coordinate_certificate(m, _staircase_rule(m)) is expected
+        assert dense_triangular(m, staircase_rule(m)) is expected
+        assert _triangular_charts(m) is expected
 
 
 def reference_sampling(m):
