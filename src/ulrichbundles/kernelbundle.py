@@ -163,20 +163,12 @@ def staircase_matrix(n: int, d: int) -> LinearFormMatrix:
 
 @lru_cache(maxsize=None)
 def monomial_exponents(n: int, q: int) -> tuple:
-    """Exponent vectors of the degree-q monomials in x_0..x_n."""
+    """Exponent vectors of the degree-q monomials in x_0..x_n, in descending
+    lexicographic order (x_0^q first, x_n^q last); () when q < 0."""
     if q < 0:
         return ()
-    out = []
-
-    def rec(i, left, cur):
-        if i == n:
-            out.append(tuple(cur) + (left,))
-            return
-        for a in range(left, -1, -1):
-            rec(i + 1, left - a, cur + [a])
-
-    rec(0, q, [])
-    return tuple(out)
+    return tuple(tuple(combo.count(i) for i in range(n + 1))
+                 for combo in itertools.combinations_with_replacement(range(n + 1), q))
 
 
 def sym_euler_matrix(n: int, d: int) -> LinearFormMatrix:
@@ -530,11 +522,8 @@ def kernel_cohomology(p: KernelBundlePresentation, t: int) -> CohomologyTable:
             f"coker dimension {tn - rn}")
     h = [0] * (n + 1)
     h[0] = s0 - r0
-    if n == 1:
-        h[1] = (t0 - r0) + (sn - rn)
-    else:
-        h[1] += t0 - r0
-        h[n] += sn - rn
+    h[1] += t0 - r0
+    h[n] += sn - rn
     return CohomologyTable.make(h)
 
 
@@ -583,8 +572,8 @@ class Prop61Result:
 
 
 def _condition_twists(n: int, d: int) -> tuple:
-    return tuple(sorted({d + 2 + k + j
-                         for k in range(0, n - 1) for j in range(0, k + 1)}))
+    # {d + 2 + k + j : 0 <= j <= k <= n - 2}, which fills d+2..d+2n-2
+    return tuple(range(d + 2, d + 2 * n - 1))
 
 
 def _pn_bundle(n: int, d: int):

@@ -4,7 +4,9 @@ Runtime answers always come from exhaustive scans over a lattice box; the
 known closed-form classifications on the Hirzebruch surfaces F_r =
 P(O + O(r)) over P^1 (``picard.hirzebruch_parameter``) are emitted
 alongside and asserted to agree with the scan inside the box, so the scan
-validates the formulas rather than the other way round.
+validates the formulas rather than the other way round.  The two line-bundle
+scans share one helper for each half: ``_scan`` (cap check, walk, sorted
+hits) and ``_closed_form`` (filter, agreement assertion, block).
 
 Closed forms used (polarisation A = a*f + b*C+ very ample):
 
@@ -83,10 +85,23 @@ class ScanResult:
         return out
 
 
-def _assert_closed_form(kind, scanned, expected) -> None:
-    if scanned != expected:
+def _scan(box: SearchBox, cap, keep) -> tuple:
+    """The sorted points of the box that ``keep`` accepts; the box must
+    pass the cap first."""
+    _check_cap(box.volume, cap)
+    return tuple(sorted(coords for coords in box.points() if keep(coords)))
+
+
+def _closed_form(kind, hits, box: SearchBox, family, notes, **block) -> ScanResult:
+    """The scan result with its closed-form block: ``block`` (the family's
+    description), the family's members in the box, which must equal the
+    scan's hits, and ``complete_beyond_box``."""
+    expected = tuple(sorted(c for c in family if box.contains(c)))
+    if hits != expected:
         raise InternalInconsistency(
-            f"{kind}: scan {scanned} disagrees with closed form {expected}")
+            f"{kind}: scan {hits} disagrees with closed form {expected}")
+    block.update(members_in_box=[list(c) for c in expected], complete_beyond_box=True)
+    return ScanResult(hits, block, notes)
 
 
 def zero_cohomology_line_bundles(v: Variety, box: SearchBox,
@@ -96,54 +111,37 @@ def zero_cohomology_line_bundles(v: Variety, box: SearchBox,
         raise GenericModeUnsupported(
             "zero-cohomology scans need exact tables; use "
             "generic_curve_ulrich_degree for the curve rule")
-    _check_cap(box.volume, cap)
-    hits = tuple(sorted(
-        coords for coords in box.points()
-        if cohomology(v, DivisorClass(v, coords)).is_zero()))
-    closed_form = None
-    notes = ()
-    if (r := hirzebruch_parameter(v)) is not None:
-        lo, hi = box.bounds[0]
-        if r > 0:
-            families = ["(-1, 0)", "(i, -1) for all i", f"({r - 1}, -2)"]
-            expected = {(-1, 0), (r - 1, -2)} | {(i, -1) for i in range(lo, hi + 1)}
-            notes = (ERRATUM_NOTE,)
-        else:
-            families = ["(-1, j) for all j", "(i, -1) for all i"]
-            lo2, hi2 = box.bounds[1]
-            expected = ({(-1, j) for j in range(lo2, hi2 + 1)}
-                        | {(i, -1) for i in range(lo, hi + 1)})
-        expected = tuple(sorted(c for c in expected if box.contains(c)))
-        _assert_closed_form("zero-cohomology classification", hits, expected)
-        closed_form = {"families": families,
-                       "members_in_box": [list(c) for c in expected],
-                       "complete_beyond_box": True}
-    return ScanResult(hits, closed_form, notes)
+    hits = _scan(box, cap, lambda coords: cohomology(v, DivisorClass(v, coords)).is_zero())
+    if (r := hirzebruch_parameter(v)) is None:
+        return ScanResult(hits)
+    kind = "zero-cohomology classification"
+    (lo, hi), (lo2, hi2) = box.bounds
+    fibres = {(i, -1) for i in range(lo, hi + 1)}
+    if r > 0:
+        return _closed_form(kind, hits, box, {(-1, 0), (r - 1, -2)} | fibres,
+                            (ERRATUM_NOTE,),
+                            families=["(-1, 0)", "(i, -1) for all i", f"({r - 1}, -2)"])
+    return _closed_form(kind, hits, box, {(-1, j) for j in range(lo2, hi2 + 1)} | fibres,
+                        (), families=["(-1, j) for all j", "(i, -1) for all i"])
 
 
 def ulrich_line_bundles(v: Variety, a, box: SearchBox,
                         cap: int | None = None) -> ScanResult:
     """All line bundles in the box that are Ulrich with respect to A."""
     pol = Polarisation.check(v, a)
-    _check_cap(box.volume, cap)
-    hits = tuple(sorted(
-        coords for coords in box.points()
-        if is_ulrich(v, SplitBundle(v, (DivisorClass(v, coords),)), pol).verdict))
-    closed_form = None
-    notes = ()
-    if (r := hirzebruch_parameter(v)) is not None:
-        ap, bp = pol.divisor.coords
-        if r > 0:
-            members = {(ap - 1, 1), (r - 1 + 2 * ap, 0)} if bp == 1 else set()
-            notes = (ERRATUM_NOTE,)
-        else:
-            members = {(ap - 1, 2 * bp - 1), (2 * ap - 1, bp - 1)}
-        expected = tuple(sorted(c for c in members if box.contains(c)))
-        _assert_closed_form("Ulrich line-bundle classification", hits, expected)
-        closed_form = {"members": [list(c) for c in sorted(members)],
-                       "members_in_box": [list(c) for c in expected],
-                       "complete_beyond_box": True}
-    return ScanResult(hits, closed_form, notes)
+    hits = _scan(box, cap, lambda coords: is_ulrich(
+        v, SplitBundle(v, (DivisorClass(v, coords),)), pol).verdict)
+    if (r := hirzebruch_parameter(v)) is None:
+        return ScanResult(hits)
+    ap, bp = pol.divisor.coords
+    if r > 0:
+        members = {(ap - 1, 1), (r - 1 + 2 * ap, 0)} if bp == 1 else set()
+        notes = (ERRATUM_NOTE,)
+    else:
+        members = {(ap - 1, 2 * bp - 1), (2 * ap - 1, bp - 1)}
+        notes = ()
+    return _closed_form("Ulrich line-bundle classification", hits, box, members, notes,
+                        members=[list(c) for c in sorted(members)])
 
 
 def pullback_ulrich_line_search(pb: ProjBundle, a, box: SearchBox,

@@ -66,6 +66,9 @@ class Polarisation:
         return cls(d, verdict.sufficient_only)
 
 
+_SUFFICIENT_NOTE = "polarisation verified by the sufficient degree bound only"
+
+
 @dataclass(frozen=True)
 class TwistCheck:
     label: str
@@ -119,29 +122,28 @@ def _base_table(v: Variety, cand, twists: dict, dim: int) -> CohomologyTable:
 
 
 def _report(cand, pol, checks, method, notes=()) -> UlrichReport:
-    verdict = all(c.ok for c in checks)
-    generic = any(c.table.generic for c in checks)
     return UlrichReport(
-        candidate=_candidate_name(cand),
-        polarisation=render_divisor(pol.divisor),
-        verdict=verdict,
-        checks=tuple(checks),
-        method=method,
-        generic=generic,
-        notes=tuple(notes),
-    )
+        candidate=_candidate_name(cand), polarisation=render_divisor(pol.divisor),
+        verdict=all(c.ok for c in checks), checks=tuple(checks), method=method,
+        generic=any(c.table.generic for c in checks), notes=tuple(notes))
+
+
+def _checks(v: Variety, cand, dim: int, labelled) -> list:
+    """One TwistCheck per ``(label, twists)`` pair: the ``_base_table`` of
+    cand tensored into those twists, ok when it vanishes."""
+    checks = []
+    for label, twists in labelled:
+        table = _base_table(v, cand, twists, dim)
+        checks.append(TwistCheck(label, table, table.is_zero()))
+    return checks
 
 
 def is_ulrich(v: Variety, cand, a) -> UlrichReport:
     """Definition check: the dim(v) twist tables of cand(-iA) must vanish."""
     pol = Polarisation.check(v, a)
-    checks = []
-    for i in range(1, v.dim + 1):
-        table = _base_table(v, cand, {(0, (-i * pol.divisor).coords): 1}, v.dim)
-        checks.append(TwistCheck(f"-{i}A", table, table.is_zero()))
-    notes = []
-    if pol.sufficient_only:
-        notes.append("polarisation verified by the sufficient degree bound only")
+    checks = _checks(v, cand, v.dim, ((f"-{i}A", {(0, (-i * pol.divisor).coords): 1})
+                                      for i in range(1, v.dim + 1)))
+    notes = [_SUFFICIENT_NOTE] if pol.sufficient_only else []
     return _report(cand, pol, checks, "definition", notes)
 
 
@@ -159,15 +161,23 @@ def serre_partner(v: Variety, f: SplitBundle, a):
 
 @dataclass(frozen=True)
 class _CriterionSetup:
-    """The part of the criterion that does not depend on the candidate:
-    the polarisation of P(E) and, on a surface base, D' with its note."""
+    """The half of the criterion that does not depend on the candidate:
+    the polarisation, the labelled twist terms of the k = 0..dim(X)-2
+    checks, the notes, and the (X, E) they were built for."""
 
     pol: Polarisation
-    d_prime: DivisorClass | None = None
-    d_prime_note: str | None = None
+    twists: tuple  # ("k=<k>", terms) pairs
+    notes: tuple
+    base: Variety
+    bundle: SplitBundle
 
 
 def _criterion_setup(x: Variety, e: SplitBundle, a) -> _CriterionSetup:
+    """Checks D = pullback(A) + H very ample on P(E) and builds the terms of
+    Hom^*(Sym^k E, F(-c1(E) - (rank+k)A)), k = 0..dim(X)-2, and the notes.
+    On a surface the k = 0 twist is -D', D' = rank(E)*A + c1(E), as
+    Sym^0 E = O; D' very ample is reported, never assumed (``undecided``
+    where no test applies).  A setup passed as ``a`` is returned as is."""
     if isinstance(a, _CriterionSetup):
         return a
     pb = ProjBundle(x, e)
@@ -178,14 +188,25 @@ def _criterion_setup(x: Variety, e: SplitBundle, a) -> _CriterionSetup:
         raise NotVeryAmple(
             f"pullback({render_divisor(a_div)}) + H is not very ample on {pb.name}")
     pol = Polarisation(a_div, verdict.sufficient_only)
-    if x.dim != 2:
-        return _CriterionSetup(pol)
-    d_prime = e.rank * a_div + e.c1
-    try:
-        flag = bool(is_very_ample(x, d_prime))
-    except UnsupportedPolarisation:
-        flag = "undecided"
-    return _CriterionSetup(pol, d_prime, f"D' very ample: {flag} (reported, not assumed)")
+    # Hom^*(Sym^k E, F(twist)) = H^*(F x dual(Sym^k E)(twist))
+    twists = tuple(
+        (f"k={k}", start_terms(x, sym_power(e, k).dual(),
+                               {(0, (-1 * e.c1 - (e.rank + k) * a_div).coords): 1}))
+        for k in range(x.dim - 1))
+    notes = []
+    if x.dim == 1:
+        notes.append("curve base: H(F) = 0 alone decides")
+    if x.dim == 2:
+        d_prime = e.rank * a_div + e.c1
+        try:
+            flag = bool(is_very_ample(x, d_prime))
+        except UnsupportedPolarisation:
+            flag = "undecided"
+        notes.append(f"D' = {render_divisor(d_prime)}; k=0 check equals H(F - D')")
+        notes.append(f"D' very ample: {flag} (reported, not assumed)")
+    if pol.sufficient_only:
+        notes.append(_SUFFICIENT_NOTE)
+    return _CriterionSetup(pol, twists, tuple(notes), x, e)
 
 
 def pullback_ulrich_criterion(x: Variety, e: SplitBundle, cand, a) -> UlrichReport:
@@ -194,39 +215,20 @@ def pullback_ulrich_criterion(x: Variety, e: SplitBundle, cand, a) -> UlrichRepo
     Checks H^*(X, F) = 0 together with, for k = 0..dim(X)-2,
     Hom^*(Sym^k E, F(-c1(E) - (rank+k)A)) = 0.  On curves the first check
     alone decides; on surfaces the single extra check equals
-    H^*(X, F(-D')) with D' = rank(E)*A + c1(E), which is asserted and the
-    very-ampleness of D' is reported (never assumed; ``undecided`` where
-    no test applies, as over a ruled surface on a curve).  A scan over
-    many candidates passes ``_criterion_setup(x, e, A)`` as ``a``, so the
-    polarisation and D' are checked once.
+    H^*(X, F(-D')) with D' = rank(E)*A + c1(E), whose very-ampleness is
+    reported.  Everything but F comes from ``_criterion_setup(x, e, A)``;
+    a scan over many candidates passes that setup as ``a``, so it is built
+    once, and a setup built for another (X, E) raises
+    InternalInconsistency.
     """
     setup = _criterion_setup(x, e, a)
-    pol = setup.pol
-    a_div = pol.divisor
-    table_f = _base_table(x, cand, {(0, (0,) * x.picard_rank): 1}, x.dim)
-    checks = [TwistCheck("F", table_f, table_f.is_zero())]
-    notes = []
-    for k in range(0, x.dim - 1):
-        twist = -1 * e.c1 - (e.rank + k) * a_div
-        # Hom^*(Sym^k E, F(twist)) = H^*(F x dual(Sym^k E)(twist))
-        twists = start_terms(x, sym_power(e, k).dual(), {(0, twist.coords): 1})
-        table = _base_table(x, cand, twists, x.dim)
-        checks.append(TwistCheck(f"k={k}", table, table.is_zero()))
-    if x.dim == 1:
-        notes.append("curve base: H(F) = 0 alone decides")
-    if x.dim == 2:
-        d_prime = setup.d_prime
-        # Sym^0 E = O, so the k=0 check is H(F - D') iff its twist is -D'
-        k0_twist = -1 * e.c1 - e.rank * a_div
-        if k0_twist != -d_prime:
-            raise InternalInconsistency(
-                f"surface reduction mismatch: k=0 twist {render_divisor(k0_twist)}, "
-                f"-D' = {render_divisor(-d_prime)}")
-        notes.append(f"D' = {render_divisor(d_prime)}; k=0 check equals H(F - D')")
-        notes.append(setup.d_prime_note)
-    if pol.sufficient_only:
-        notes.append("polarisation verified by the sufficient degree bound only")
-    return _report(cand, pol, checks, "criterion", notes)
+    if (setup.base, setup.bundle) != (x, e):
+        raise InternalInconsistency(
+            f"criterion setup for {render_bundle(setup.bundle)} on {setup.base.name} "
+            f"used for {render_bundle(e)} on {x.name}")
+    checks = _checks(x, cand, x.dim,
+                     (("F", {(0, (0,) * x.picard_rank): 1}),) + setup.twists)
+    return _report(cand, setup.pol, checks, "criterion", setup.notes)
 
 
 def direct_ulrich_check(pb: ProjBundle, cand, a) -> UlrichReport:
@@ -240,14 +242,11 @@ def direct_ulrich_check(pb: ProjBundle, cand, a) -> UlrichReport:
     if not isinstance(pb, ProjBundle):
         raise UnsupportedVariety("direct check expects a projective bundle")
     setup = _criterion_setup(pb.base, pb.summands, a)
-    pol = setup.pol
-    a_div = pol.divisor
-    checks = []
-    for i in range(1, pb.dim + 1):
-        terms = push_down(pb, {(0, ((1 - i) * a_div).coords + (1 - i,)): 1})
-        table = _base_table(pb.base, cand, terms, pb.dim)
-        checks.append(TwistCheck(f"-{i}D", table, table.is_zero()))
-    report = _report(cand, pol, checks, "direct",
+    a_div = setup.pol.divisor
+    checks = _checks(pb.base, cand, pb.dim, (
+        (f"-{i}D", push_down(pb, {(0, ((1 - i) * a_div).coords + (1 - i,)): 1}))
+        for i in range(1, pb.dim + 1)))
+    report = _report(cand, setup.pol, checks, "direct",
                      ["candidate on P(E): pullback(F) + D, D = pullback(A) + H"])
     criterion = pullback_ulrich_criterion(pb.base, pb.summands, cand, setup)
     if criterion.verdict != report.verdict:

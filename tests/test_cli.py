@@ -16,6 +16,7 @@ import pytest
 import ulrichbundles
 from ulrichbundles.cli import run
 
+from fuzz import fuzz
 from towers import rank2_tower
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -101,6 +102,20 @@ class TestExitCodes:
                              "-p", "5", "--json"])
         assert code == 2
         assert json.loads(out)["error"] == "bad-twist"
+
+    def test_negative_n_sym_kernel_is_two(self):
+        # the monomials were enumerated before n was checked, and recursed
+        # without end for n = -1
+        code, out = run_cli(["kernel", "-1", "1", "--sym", "--json"])
+        assert code == 2
+        assert json.loads(out) == {"error": "unsupported-variety",
+                                   "detail": "need n >= 1, d >= 0; got (-1, 1)"}
+
+
+class TestGrammarFuzz:
+    def test_seeded_requests_end_inside_the_contract(self):
+        # seed 1 holds two `kernel -1 -1 --sym` requests
+        assert fuzz(1) == 400
 
 
 class TestScanCap:

@@ -1,14 +1,19 @@
 """Classification scans and their closed-form cross-checks."""
 
+import contextlib
 import importlib
+import io
+import types
 
 import pytest
 
 from ulrichbundles import (
     BoxTooLarge,
+    CohomologyTable,
     DivisorClass,
     GenericModeUnsupported,
     GenericCurve,
+    InternalInconsistency,
     NotVeryAmple,
     ProjSpace,
     SearchBox,
@@ -24,6 +29,7 @@ from ulrichbundles import (
     ulrich_line_bundles,
     zero_cohomology_line_bundles,
 )
+from ulrichbundles.cli import run
 
 P2 = ProjSpace(2)
 F0 = hirzebruch(0)
@@ -151,6 +157,44 @@ class TestPullbackSearch:
             pullback_ulrich_line_search(v, a, SearchBox.symmetric(v.base, radius))
             counts.append(len(calls))
         assert counts[0] == counts[1] <= 12
+
+    @pytest.mark.parametrize("radius", [1, 3])
+    def test_sym_power_built_once_per_scan(self, monkeypatch, radius):
+        # Sym^k E does not depend on the candidate: the criterion's setup
+        # builds it once, however many points the box holds
+        ulrich = importlib.import_module("ulrichbundles.ulrich")
+        original = ulrich.sym_power
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(ulrich, "sym_power", spy)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = run(["search-pb", "PB(F1;[0,0],[1,1])", "--pol", "[1,1]",
+                        "--box", str(radius), "--json"])
+        assert code == 0
+        assert len(calls) == 1
+
+
+class TestClosedFormAgreement:
+    """A scan that disagrees with its closed form inside the box is an
+    engine bug: plant one in each scan and expect exit-3 errors."""
+
+    def test_zero_cohomology_scan(self, monkeypatch):
+        search = importlib.import_module("ulrichbundles.search")
+        monkeypatch.setattr(search, "cohomology",
+                            lambda v, d: CohomologyTable.make((0, 0, 0)))
+        with pytest.raises(InternalInconsistency, match="zero-cohomology"):
+            zero_cohomology_line_bundles(F2, SearchBox.symmetric(F2, 2))
+
+    def test_ulrich_scan(self, monkeypatch):
+        search = importlib.import_module("ulrichbundles.search")
+        monkeypatch.setattr(search, "is_ulrich",
+                            lambda *args: types.SimpleNamespace(verdict=False))
+        with pytest.raises(InternalInconsistency, match="Ulrich line-bundle"):
+            ulrich_line_bundles(F2, DivisorClass(F2, (1, 1)), SearchBox.symmetric(F2, 3))
 
 
 class TestBoxLimits:

@@ -10,6 +10,7 @@ from ulrichbundles import (
     CohomologyTable,
     DivisorClass,
     GenericCurve,
+    InternalInconsistency,
     NotVeryAmple,
     ProjBundle,
     ProjSpace,
@@ -39,6 +40,7 @@ from ulrichbundles import (
 )
 from ulrichbundles.cohomology import push_down, pushforward_table
 from ulrichbundles.kernelbundle import as_twisted_kernel
+from ulrichbundles.ulrich import _criterion_setup
 
 P1 = ProjSpace(1)
 P2 = ProjSpace(2)
@@ -356,6 +358,32 @@ class TestOneWalkPerCheck:
         for pres in (staircase_presentation(2, 1), sym_euler_presentation(2, 1)):
             for shift in (-1, 0, 1):
                 self.check_all(P2, e, TwistedKernel(pres, shift), a)
+
+
+class TestCriterionSetup:
+    def test_setup_for_another_bundle_refused(self):
+        e1 = parse_bundle("{[0],[1]}", P1)
+        e2 = parse_bundle("{[0],[2]}", P1)
+        setup = _criterion_setup(P1, e1, DivisorClass(P1, (1,)))
+        with pytest.raises(InternalInconsistency):
+            pullback_ulrich_criterion(P1, e2, line_bundle(P1, (-1,)), setup)
+
+    def test_setup_for_another_base_refused(self):
+        e = parse_bundle("{[0],[1]}", P2)
+        setup = _criterion_setup(P2, e, DivisorClass(P2, (1,)))
+        with pytest.raises(InternalInconsistency):
+            pullback_ulrich_criterion(P1, parse_bundle("{[0],[1]}", P1),
+                                      line_bundle(P1, (-1,)), setup)
+
+    def test_setup_gives_the_report_of_its_divisor(self):
+        v = parse_variety("PB(P3;[0],[1],[1])")
+        a = DivisorClass(v.base, (1,))
+        setup = _criterion_setup(v.base, v.summands, a)
+        assert [label for label, _ in setup.twists] == ["k=0", "k=1"]
+        for coords in [(-1,), (0,), (-2,)]:
+            f = line_bundle(v.base, (coords[0],))
+            assert (pullback_ulrich_criterion(v.base, v.summands, f, setup)
+                    == pullback_ulrich_criterion(v.base, v.summands, f, a))
 
 
 class TestSurfaceReduction:
