@@ -295,8 +295,8 @@ def _run_kernel(args) -> tuple:
     payload = {"presentation": pres.to_json(), "lemma": lemma.to_json()}
     lines.append(f"orthogonality conditions: "
                  f"{'pass' if lemma.passed else 'FAIL'}")
-    for label, table in lemma.tables:
-        lines.append(f"  {label}: h = {table.h}")
+    for check in lemma.checks:
+        lines.append(f"  {check.label}: h = {check.table.h}")
     return payload, lines
 
 

@@ -50,6 +50,7 @@ from . import exactlinalg
 from .errors import (
     BoxTooLarge,
     GenericModeUnsupported,
+    InternalInconsistency,
     ScanBoxTooSmall,
     UnsupportedVariety,
 )
@@ -76,7 +77,7 @@ class CohomologyTable:
     def make(cls, h, generic: bool = False) -> "CohomologyTable":
         h = tuple(map(int, h))
         if min(h) < 0:
-            raise AssertionError(f"negative cohomology dimension in {h}")
+            raise InternalInconsistency(f"negative cohomology dimension in {h}")
         return cls(h, sum(h[::2]) - sum(h[1::2]), generic)
 
     def is_zero(self) -> bool:

@@ -57,8 +57,8 @@ class ScanBoxTooSmall(EngineError):
 
 
 class InternalInconsistency(EngineError):
-    """Two independent computation routes disagreed.  This always signals
-    a bug in the engine, never a mathematical fact."""
+    """Two computation routes disagreed, or a result broke an invariant.
+    This always signals a bug in the engine, never a mathematical fact."""
 
     code = "internal-inconsistency"
     exit_code = 3

@@ -43,9 +43,10 @@ from math import comb, lcm
 from operator import mul
 
 from . import exactlinalg
-from .cohomology import CohomologyTable, _line_chi, _proj_space_line
+from .cohomology import CohomologyTable, _line_chi, _proj_space_line, pushforward_table
 from .errors import InternalInconsistency, NotSurjective, UnsupportedVariety
 from .picard import DivisorClass, ProjBundle, ProjSpace, SplitBundle
+from .ulrich import UlrichReport, _checks, direct_ulrich_check
 
 
 # --------------------------------------------------------------------------
@@ -428,24 +429,20 @@ class TwistedKernel:
     presentation: KernelBundlePresentation
     shift: int = 0
 
-    def lives_on(self, v) -> bool:
-        return isinstance(v, ProjSpace) and v.n == self.presentation.matrix.n
-
-    def twist(self, t: int) -> "TwistedKernel":
-        return TwistedKernel(self.presentation, self.shift + t)
+    def twisted_table(self, v, twists: dict, dim: int) -> CohomologyTable:
+        """h^0..h^dim of this kernel tensored into ``twists = {(shift, (t,)):
+        mult}``, each term ``kernel_cohomology(presentation, self.shift + t)``
+        (``pushforward_table``); v must be the P^n the kernel lives on."""
+        n = self.presentation.matrix.n
+        if not (isinstance(v, ProjSpace) and v.n == n):
+            raise UnsupportedVariety(f"kernel presentation is on P^{n}, not {v.name}")
+        return pushforward_table(dim, twists, lambda twist: kernel_cohomology(
+            self.presentation, self.shift + twist[0]))
 
     def __str__(self) -> str:
         if self.shift:
             return f"{self.presentation}({self.shift:+d})"
         return str(self.presentation)
-
-
-def as_twisted_kernel(obj) -> TwistedKernel:
-    if isinstance(obj, TwistedKernel):
-        return obj
-    if isinstance(obj, KernelBundlePresentation):
-        return TwistedKernel(obj, 0)
-    raise UnsupportedVariety(f"not a kernel-bundle candidate: {obj!r}")
 
 
 def staircase_presentation(n: int, d: int) -> KernelBundlePresentation:
@@ -502,8 +499,6 @@ def kernel_cohomology(p: KernelBundlePresentation, t: int) -> CohomologyTable:
     Serre-dual section spaces.  The top-level map is checked surjective
     (H^{n+1} of a sheaf on P^n vanishes); failure would be an engine bug.
     """
-    if p.surjectivity is None:  # pragma: no cover - constructor guarantees it
-        raise NotSurjective("presentation lacks a surjectivity certificate")
     m = p.matrix
     n, d = m.n, m.d
     cached = p.h0_certificates.get(t)
@@ -533,33 +528,33 @@ def kernel_cohomology(p: KernelBundlePresentation, t: int) -> CohomologyTable:
 
 @dataclass(frozen=True)
 class LemmaReport:
-    """Vanishing checks placing the kernel in <O(d), O(d+1)> with H^* = 0."""
+    """The ``ulrich.TwistCheck``s placing the kernel in <O(d), O(d+1)>."""
 
     passed: bool
-    tables: tuple  # (label, CohomologyTable) pairs
+    checks: tuple
 
     def to_json(self) -> dict:
         return {"passed": self.passed,
-                "tables": [{"twist": lab, "h": list(tab.h), "ok": tab.is_zero()}
-                           for lab, tab in self.tables]}
+                "tables": [{"twist": c.label, "h": list(c.table.h), "ok": c.ok}
+                           for c in self.checks]}
 
 
 def lemma_conditions_check(p: KernelBundlePresentation) -> LemmaReport:
     """H^*(F) = 0 together with H^*(F(-d-k)) = 0 for k = 2..n, the
-    right-orthogonality to O(d+2)..O(d+n) inside the exceptional sequence."""
+    right-orthogonality to O(d+2)..O(d+n) inside the exceptional sequence,
+    checked by ``ulrich._checks`` on P^n with labels F and F(-d-k)."""
     n, d = p.matrix.n, p.matrix.d
-    tables = [("F", kernel_cohomology(p, 0))]
-    for k in range(2, n + 1):
-        tables.append((f"F({-d - k})", kernel_cohomology(p, -d - k)))
-    passed = all(tab.is_zero() for _, tab in tables)
-    return LemmaReport(passed, tuple(tables))
+    twists = [0] + [-d - k for k in range(2, n + 1)]
+    checks = _checks(ProjSpace(n), TwistedKernel(p), n,
+                     ((f"F({t})" if t else "F", {(0, (t,)): 1}) for t in twists))
+    return LemmaReport(all(c.ok for c in checks), tuple(checks))
 
 
 @dataclass(frozen=True)
 class Prop61Result:
     """Outcome of the rank-n Ulrich construction on P(O(1) + O^d) over P^n."""
 
-    report: "UlrichReport"  # noqa: F821 - imported lazily from ulrich
+    report: UlrichReport
     presentation: KernelBundlePresentation | None
     condition_twists: tuple
 
@@ -606,8 +601,6 @@ def prop61_builder(n: int, d: int, line_box: int = 8,
     scanned over line bundles and staircase / symmetric-power kernels;
     absence of a hit is reported with a discrepancy note, not an error.
     """
-    from .ulrich import UlrichReport, direct_ulrich_check
-
     if n < 2 or d < 1:
         raise UnsupportedVariety(f"builder needs n >= 2, d >= 1; got ({n}, {d})")
     base, e, one = _pn_bundle(n, d)

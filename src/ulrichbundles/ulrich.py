@@ -12,8 +12,8 @@ H^*(X, F(-iA)) = 0 for i = 1..dim X.  This module implements
   pushforward engine, cross-asserted against the criterion,
 * the semiorthogonality probe Hom^*(pullback(L1), pullback(L2)(-pH)).
 
-Candidates may be split bundles or twisted kernel-bundle presentations
-on P^n (see kernelbundle).
+Candidates are split bundles or objects with a ``twisted_table(v, twists,
+dim)`` method, such as a twisted kernel bundle on P^n (see kernelbundle).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .cohomology import (
     CohomologyTable,
     cohomology,
     push_down,
-    pushforward_table,
     split_table,
     start_terms,
 )
@@ -108,17 +107,13 @@ def _candidate_name(cand) -> str:
 def _base_table(v: Variety, cand, twists: dict, dim: int) -> CohomologyTable:
     """Table h^0..h^dim of cand(twist)^mult in degree shift, summed over
     ``twists = {(shift, coords): mult}`` on v; cand is split (tensored into
-    the twists and walked once, ``split_table``) or a twisted kernel."""
+    the twists and walked once, ``split_table``) or tabulates itself with
+    ``cand.twisted_table(v, twists, dim)``; anything else is refused."""
     if isinstance(cand, SplitBundle):
         return split_table(v, start_terms(v, cand, twists), dim)
-    from . import kernelbundle  # local import, kernelbundle calls back here
-
-    kern = kernelbundle.as_twisted_kernel(cand)
-    if not kern.lives_on(v):
-        raise UnsupportedVariety(
-            f"kernel presentation is on P^{kern.presentation.matrix.n}, not {v.name}")
-    return pushforward_table(dim, twists, lambda twist: kernelbundle.kernel_cohomology(
-        kern.presentation, kern.shift + twist[0]))
+    if not hasattr(cand, "twisted_table"):
+        raise UnsupportedVariety(f"not an Ulrich candidate: {cand}")
+    return cand.twisted_table(v, twists, dim)
 
 
 def _report(cand, pol, checks, method, notes=()) -> UlrichReport:

@@ -14,6 +14,7 @@ from ulrichbundles import (
     DivisorClass,
     GenericCurve,
     GenericModeUnsupported,
+    InternalInconsistency,
     ProjBundle,
     ProjSpace,
     SplitBundle,
@@ -312,7 +313,7 @@ class TestTableInvariants:
                 assert all(x >= 0 for x in t.h)
 
     def test_negative_entries_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(InternalInconsistency):
             CohomologyTable.make((1, -1))
 
 

@@ -1,8 +1,10 @@
-"""Every name a module imports is used in that module, and the package
-imports nothing outside itself and the standard library."""
+"""Every name a module imports is used in that module, the package
+imports nothing outside itself and the standard library, and its modules
+import each other at module level only, without a cycle."""
 
 import ast
 import sys
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -74,3 +76,65 @@ def test_an_unused_import_is_found():
     tree = ast.parse("from os import path, sep\nimport sys\n"
                      "def f(x: 'sep') -> None:\n    return x\n")
     assert imported_names(tree) - used_names(tree) == {"path", "sys"}
+
+
+def package_graph(sources: dict, package: str = PACKAGE.name) -> tuple:
+    """``(graph, nested)`` for the package modules ``{stem: source}``: graph
+    maps each module to the package modules it imports at any depth (a
+    name that is no module is read from ``__init__``), and nested lists
+    ``"stem:line"`` for each of those imports below module level."""
+    graph, nested = {}, []
+    for stem, source in sources.items():
+        tree = ast.parse(source)
+        top = set(map(id, tree.body))
+        graph[stem] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                dotted = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level <= 1:
+                base = node.module if not node.level else (
+                    f"{package}.{node.module}" if node.module else package)
+                dotted = ([f"{base}.{alias.name}" for alias in node.names]
+                          if base == package else [base])
+            else:
+                continue
+            targets = {name.split(".")[1] if name.count(".") else "__init__"
+                       for name in dotted if name.split(".")[0] == package}
+            targets = {t if t in sources else "__init__" for t in targets}
+            graph[stem] |= targets
+            if targets and id(node) not in top:
+                nested.append(f"{stem}:{node.lineno}")
+    return graph, nested
+
+
+def import_cycle(graph: dict):
+    """A cycle ``[a, ..., a]`` of the module graph, or None."""
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as err:
+        return err.args[1]
+    return None
+
+
+PACKAGE_GRAPH = package_graph({p.stem: p.read_text() for p in PACKAGE.glob("*.py")})
+
+
+def test_package_imports_form_a_dag():
+    assert import_cycle(PACKAGE_GRAPH[0]) is None
+
+
+def test_package_imports_sit_at_module_level():
+    assert PACKAGE_GRAPH[1] == []
+
+
+def test_a_planted_cycle_is_found():
+    graph, nested = package_graph({
+        "a": "import os\nfrom ulrichbundles.b import g\n",
+        "b": "from . import c\nfrom . import f\n",
+        "c": "def h():\n    from .a import f\n    import json\n"})
+    assert graph == {"a": {"b"}, "b": {"c", "__init__"}, "c": {"a"}}
+    assert nested == ["c:2"]
+    cycle = import_cycle(graph)
+    assert cycle[0] == cycle[-1] and set(cycle) == {"a", "b", "c"}
+    graph["c"] = set()
+    assert import_cycle(graph) is None

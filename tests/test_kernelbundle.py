@@ -16,6 +16,7 @@ from ulrichbundles import (
     NotSurjective,
     ProjSpace,
     TwistedKernel,
+    UnsupportedVariety,
     euler_characteristic,
     h0_multiplication_rank,
     is_ulrich,
@@ -47,6 +48,20 @@ P2 = ProjSpace(2)
 
 def form(*coeffs):
     return tuple(coeffs)
+
+
+class TestMatrixShape:
+    @pytest.mark.parametrize("entries, detail", [
+        ((), "empty matrix"),
+        (((),), "empty matrix"),
+        (((form(1, 0), form(0, 1), form(1, 1)),), "entries must have n+1 coefficients"),
+        (((form(1, 0, 0), form(0, 1, 0)), (form(0, 0, 1), form(1, 0, 0))),
+         "need more columns than rows (b1 > b2)"),
+    ], ids=["no-rows", "empty-row", "short-forms", "square"])
+    def test_refused(self, entries, detail):
+        with pytest.raises(UnsupportedVariety) as err:
+            LinearFormMatrix(2, 0, entries)
+        assert str(err.value) == detail
 
 
 class TestStaircaseMatrix:
@@ -436,7 +451,7 @@ class TestLemmaConditions:
     def test_staircase21(self):
         rep = lemma_conditions_check(staircase_presentation(2, 1))
         assert rep.passed
-        assert [lab for lab, _ in rep.tables] == ["F", "F(-3)"]
+        assert [c.label for c in rep.checks] == ["F", "F(-3)"]
 
     def test_staircase33(self):
         assert lemma_conditions_check(staircase_presentation(3, 3)).passed

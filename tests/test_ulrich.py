@@ -17,6 +17,7 @@ from ulrichbundles import (
     SearchBox,
     SplitBundle,
     TwistedKernel,
+    UnsupportedVariety,
     cohomology,
     direct_ulrich_check,
     hirzebruch,
@@ -39,7 +40,6 @@ from ulrichbundles import (
     zero_divisor,
 )
 from ulrichbundles.cohomology import push_down, pushforward_table
-from ulrichbundles.kernelbundle import as_twisted_kernel
 from ulrichbundles.ulrich import _criterion_setup
 
 P1 = ProjSpace(1)
@@ -187,6 +187,23 @@ class TestDirect:
         assert any("criterion agrees" in n for n in r.notes)
 
 
+class TestCandidates:
+    """Split bundles and objects with ``twisted_table`` are candidates;
+    a kernel is tabulated on its own P^n only."""
+
+    def test_bare_presentation_refused(self):
+        pres = staircase_presentation(2, 1)
+        with pytest.raises(UnsupportedVariety, match="not an Ulrich candidate"):
+            is_ulrich(P2, pres, DivisorClass(P2, (3,)))
+
+    @pytest.mark.parametrize("v", [ProjSpace(3), F1], ids=["P3", "F1"])
+    def test_kernel_on_another_variety_refused(self, v):
+        kern = TwistedKernel(staircase_presentation(2, 1), 3)
+        with pytest.raises(UnsupportedVariety, match="kernel presentation is on P"):
+            pullback_ulrich_criterion(v, SplitBundle(v, (zero_divisor(v),) * 2), kern,
+                                      DivisorClass(v, (1,) * v.picard_rank))
+
+
 class TestCriterionDirectEquivalence:
     def test_seeded_random_instances(self):
         rng = random.Random(987123)
@@ -261,8 +278,7 @@ def reference_base_table(v, cand, twist):
     """The per-twist route: one table, and one walk, per base twist."""
     if isinstance(cand, SplitBundle):
         return cohomology(v, cand.twist(twist))
-    kern = as_twisted_kernel(cand)
-    return kernel_cohomology(kern.presentation, kern.shift + twist.coords[0])
+    return kernel_cohomology(cand.presentation, cand.shift + twist.coords[0])
 
 
 def reference_sum(tables):
