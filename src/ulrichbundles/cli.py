@@ -9,7 +9,8 @@ combination, 3 internal consistency failure (criterion vs direct
 mismatch, oracle mismatch, scan-shell violation).
 
 The environment variable ``ULRICH_SCAN_CAP`` overrides the default cap
-on scan-box volumes, the oracle's character box included.
+on scan-box volumes, the oracle's character box included, and on the
+coefficients of a ``kernel`` or ``prop61`` presentation matrix.
 """
 
 from __future__ import annotations
@@ -246,7 +247,8 @@ def _dispatch(args) -> tuple:
     if args.command == "prop61":
         result = kernelbundle.prop61_builder(args.n, args.d,
                                              line_box=args.box,
-                                             presentation_bound=args.bound)
+                                             presentation_bound=args.bound,
+                                             cap=_scan_cap())
         lines = _report_lines(result.report)
         if result.presentation is not None:
             lines.append(f"presentation: {result.presentation}")
@@ -274,6 +276,9 @@ def _parse_pb(text: str) -> ProjBundle:
 
 
 def _run_kernel(args) -> tuple:
+    kind = ("random" if args.random is not None
+            else "sym-euler" if args.sym else "staircase")
+    kernelbundle.check_presentation_size(kind, args.n, args.d, _scan_cap())
     if args.random is not None:
         pres = kernelbundle.random_presentation(args.n, args.d, args.random)
     elif args.sym:

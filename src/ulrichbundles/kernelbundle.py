@@ -16,6 +16,26 @@ H^*(F(-d-k)) for k = 2..n are exactly the conditions for F(d+2) to be an
 Ulrich bundle on P^2 (w.r.t. O(d+2)), and feed the rank-n construction on
 P(O(1) + O^d) over P^2.
 
+Tables of twists F(t) come from one of three routes, chosen once per
+presentation (``KernelBundlePresentation.route``):
+
+* ``buchsbaum-rim`` when surjectivity is certified exactly and b1 = b2 + n
+  (every staircase, every exactly certified random matrix, the contraction
+  with d = 0).  The cokernel M of S(-1)^b1 -> S^b2 then has finite length
+  and the Buchsbaum-Rim complex resolves it (Buchsbaum-Rim, "A generalized
+  Koszul complex II", 1964; Eisenbud, *Commutative Algebra*, A2.6), so
+  the table is a sum of binomials that does not depend on the matrix.
+* ``borel-weil-bott`` when the matrix is the contraction that
+  ``sym_euler_matrix`` builds, read off the matrix itself: its kernel
+  twisted by t is Sym^(d+1)(Omega(1)) (d+t), an irreducible homogeneous
+  bundle (Bott, "Homogeneous vector bundles", 1957).
+* ``ranks`` for every other matrix, heuristic certificates included: the
+  long exact sequence with exact section-map ranks.  If such a map is not
+  onto, the ranks still give h^0 and no closed form is right.
+
+Each closed table is checked against the Euler characteristic
+b1 chi(O(d+t)) - b2 chi(O(d+1+t)), which shares no code with it.
+
 All ranks are exact over the rationals: ``exactlinalg.rank`` proves them
 by full rank modulo a fixed prime and falls back to fraction-free
 (Bareiss) elimination only when that fails.  Surjectivity of the sheaf
@@ -39,11 +59,17 @@ import random as _random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, lcm, prod
 from operator import mul
 
 from . import exactlinalg
-from .cohomology import CohomologyTable, _line_chi, _proj_space_line, pushforward_table
+from .cohomology import (
+    CohomologyTable,
+    _check_cap,
+    _line_chi,
+    _proj_space_line,
+    pushforward_table,
+)
 from .errors import InternalInconsistency, NotSurjective, UnsupportedVariety
 from .picard import DivisorClass, ProjBundle, ProjSpace, SplitBundle
 from .ulrich import UlrichReport, _checks, direct_ulrich_check
@@ -172,6 +198,20 @@ def monomial_exponents(n: int, q: int) -> tuple:
                  for combo in itertools.combinations_with_replacement(range(n + 1), q))
 
 
+def _contraction_rows(n: int, d: int) -> tuple:
+    """The integer view of ``sym_euler_matrix(n, d)``: per degree-d
+    exponent vector beta, {column of alpha = beta + e_v: alpha_v * x_v}."""
+    cols_idx = {alpha: c for c, alpha in enumerate(monomial_exponents(n, d + 1))}
+    rows = []
+    for beta in monomial_exponents(n, d):
+        row = {}
+        for v in range(n + 1):
+            alpha = beta[:v] + (beta[v] + 1,) + beta[v + 1:]
+            row[cols_idx[alpha]] = tuple(alpha[v] if i == v else 0 for i in range(n + 1))
+        rows.append(row)
+    return tuple(rows)
+
+
 def sym_euler_matrix(n: int, d: int) -> LinearFormMatrix:
     """Contraction with the Euler vector field on degree-(d+1) monomials.
 
@@ -180,16 +220,9 @@ def sym_euler_matrix(n: int, d: int) -> LinearFormMatrix:
     when alpha = beta + e_v.  The kernel is the (d+1)-st symmetric power
     of the cotangent bundle twisted by 2d+1, of rank C(n+d, n-1).
     """
-    cols_idx = {alpha: c for c, alpha in enumerate(monomial_exponents(n, d + 1))}
-    zero = _zero_form(n)
-    rows = []
-    for beta in monomial_exponents(n, d):
-        row = [zero] * len(cols_idx)
-        for v in range(n + 1):
-            alpha = beta[:v] + (beta[v] + 1,) + beta[v + 1:]
-            row[cols_idx[alpha]] = tuple(alpha[v] if i == v else 0 for i in range(n + 1))
-        rows.append(row)
-    m = LinearFormMatrix(n, d, tuple(rows))
+    width, zero = len(monomial_exponents(n, d + 1)), _zero_form(n)
+    m = LinearFormMatrix(n, d, tuple(_dense_row(row, width, zero)
+                                     for row in _contraction_rows(n, d)))
     assert m.b1 == comb(n + d + 1, n) and m.b2 == comb(n + d, n)
     assert m.kernel_rank == comb(n + d, n - 1)
     return m
@@ -386,17 +419,25 @@ def _certify_surjective(m: LinearFormMatrix, kind: str) -> SurjectivityCertifica
 
 @dataclass
 class KernelBundlePresentation:
-    """A certified-surjective matrix plus cached exact rank certificates."""
+    """A certified-surjective matrix, the route its tables take, and one
+    H^0 certificate per twist whose table was asked for.
+
+    ``h0_certificates[t]`` is (dim source, dim target, rank) of
+    H^0(alpha(t)): on the ``ranks`` route the rank is computed, on a
+    closed-form route it is derived as dim source - h^0(F(t)).
+    """
 
     matrix: LinearFormMatrix
     kind: str
     seed: int | None = None
     surjectivity: SurjectivityCertificate = None
     h0_certificates: dict = field(default_factory=dict)
+    route: str = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.surjectivity is None:
             self.surjectivity = _certify_surjective(self.matrix, self.kind)
+        self.route = _table_route(self.matrix, self.surjectivity)
 
     @property
     def rank(self) -> int:
@@ -457,6 +498,17 @@ def random_presentation(n: int, d: int, seed: int) -> KernelBundlePresentation:
     return KernelBundlePresentation(random_matrix(n, d, seed), "random", seed=seed)
 
 
+def check_presentation_size(kind: str, n: int, d: int, cap: int | None) -> None:
+    """Refuse, before the build, a built-in presentation of ``kind`` whose
+    b2 x b1 matrix holds more than ``cap`` coefficients (n+1 per entry)
+    with ``BoxTooLarge``; invalid (n, d) are left to the constructor."""
+    if n < 1 or d < 0:
+        return
+    b1, b2 = ((comb(n + d + 1, n), comb(n + d, n)) if kind == "sym-euler"
+              else (n + d + 1, d + 1))
+    _check_cap(b1 * b2 * (n + 1), cap, f"{kind} presentation coefficients")
+
+
 def _multiplication_rank(rows, width: int, n: int, src_deg: int) -> tuple:
     """(dim source, dim target, exact rank) of the section-level map
     induced in degree src_deg by a matrix of integer linear forms, given
@@ -488,7 +540,94 @@ def h0_multiplication_rank(m: LinearFormMatrix, t: int):
     return _multiplication_rank(m.int_rows, m.b1, m.n, m.d + t)
 
 
+def _table_route(m: LinearFormMatrix, surjectivity: SurjectivityCertificate) -> str:
+    """The route of every table of this presentation (module docstring):
+    Buchsbaum-Rim needs an exact certificate and b1 = b2 + n; Borel-Weil-Bott
+    needs the integer view to be the contraction's, row for row."""
+    n, d = m.n, m.d
+    if surjectivity.exact and m.b1 == m.b2 + n:
+        return "buchsbaum-rim"
+    if ((m.b1, m.b2) == (comb(n + d + 1, n), comb(n + d, n))
+            and m.int_rows == _contraction_rows(n, d)):
+        return "borel-weil-bott"
+    return "ranks"
+
+
+def _buchsbaum_rim_h(m: LinearFormMatrix, t: int) -> list:
+    """h^*(F(t)) for a presentation onto at every point with b1 = b2 + n.
+
+    coker H^0(alpha(t)) is M_{d+1+t} for M = coker(S(-1)^b1 -> S^b2), which
+    the Buchsbaum-Rim complex C_0 = S^b2, C_1 = S(-1)^b1 and, for
+    j = 2..n+1, C_j = S(-(b2+j-1))^(C(b1, b2+j-1) C(b2+j-3, j-2)) resolves.
+    The top-level map is onto, so h^n is b1 h^n(O(d+t)) - b2 h^n(O(d+1+t)).
+    """
+    n, b1, b2 = m.n, m.b1, m.b2
+    deg = m.d + 1 + t
+    terms = [(b2, 0), (b1, 1)] + [(comb(b1, b2 + j - 1) * comb(b2 + j - 3, j - 2),
+                                   b2 + j - 1) for j in range(2, n + 2)]
+    coker = sum((-1) ** j * mult * _proj_space_line(n, deg - shift).h[0]
+                for j, (mult, shift) in enumerate(terms))
+    src, tgt = _proj_space_line(n, m.d + t).h, _proj_space_line(n, deg).h
+    h = [0] * (n + 1)
+    h[0] = b1 * src[0] - b2 * tgt[0] + coker
+    h[1] += coker
+    h[n] += b1 * src[n] - b2 * tgt[n]
+    return h
+
+
+def _borel_weil_bott_h(m: LinearFormMatrix, t: int) -> list:
+    """h^*(Sym^k(Omega(1)) (a)) with k = d+1 and a = d+t, the contraction's
+    kernel twisted by t.  The weight (a, k, 0, .., 0) plus
+    rho = (n, .., 0) either repeats an entry, and every group vanishes, or
+    sorts in l transpositions to nu, and h^l is the dimension of the GL_{n+1}
+    module of highest weight nu - rho: prod (nu_i - nu_j) / (j - i) over
+    i < j (Weyl)."""
+    n = m.n
+    weight = [m.d + t + n, m.d + n] + list(range(n - 2, -1, -1))
+    h = [0] * (n + 1)
+    if len(set(weight)) == n + 1:
+        pairs = list(itertools.combinations(range(n + 1), 2))
+        nu = sorted(weight, reverse=True)
+        h[sum(weight[i] < weight[j] for i, j in pairs)] = (
+            prod(nu[i] - nu[j] for i, j in pairs) // prod(j - i for i, j in pairs))
+    return h
+
+
+_CLOSED_TABLES = {"buchsbaum-rim": _buchsbaum_rim_h,
+                  "borel-weil-bott": _borel_weil_bott_h}
+
+
+def _kernel_chi(m: LinearFormMatrix, t: int) -> int:
+    """b1 chi(O(d+t)) - b2 chi(O(d+1+t)), the chi of F(t), by Riemann-Roch."""
+    pn = ProjSpace(m.n)
+    return m.b1 * _line_chi(pn, (m.d + t,)) - m.b2 * _line_chi(pn, (m.d + 1 + t,))
+
+
 def kernel_cohomology(p: KernelBundlePresentation, t: int) -> CohomologyTable:
+    """Table of H^*(F(t)) for the kernel F on the presentation's route.
+
+    On a closed-form route (``_buchsbaum_rim_h``, ``_borel_weil_bott_h``)
+    the table must be nonnegative and its chi must equal
+    ``_kernel_chi``, else ``InternalInconsistency``; its H^0 certificate
+    is derived from h^0.  On the ``ranks`` route see ``_rank_table``.
+    """
+    closed = _CLOSED_TABLES.get(p.route)
+    if closed is None:
+        return _rank_table(p, t)
+    m = p.matrix
+    table = CohomologyTable.make(closed(m, t))
+    chi = _kernel_chi(m, t)
+    if table.chi != chi:
+        raise InternalInconsistency(
+            f"{p.route} table {table.h} of {p} at twist {t} has chi "
+            f"{table.chi}, Riemann-Roch gives {chi}")
+    s0 = m.b1 * _proj_space_line(m.n, m.d + t).h[0]
+    t0 = m.b2 * _proj_space_line(m.n, m.d + 1 + t).h[0]
+    p.h0_certificates[t] = (s0, t0, s0 - table.h[0])
+    return table
+
+
+def _rank_table(p: KernelBundlePresentation, t: int) -> CohomologyTable:
     """Table of H^*(F(t)) for the kernel F, assembled from the long exact
     sequence of 0 -> F(t) -> O(d+t)^b1 -> O(d+1+t)^b2 -> 0.
 
@@ -580,18 +719,16 @@ def _pn_bundle(n: int, d: int):
 
 
 def _kernel_table_or_chi(p: KernelBundlePresentation, t: int):
-    """(is_zero, evidence) with a cheap chi rejection before exact ranks."""
-    m = p.matrix
-    pn = ProjSpace(m.n)
-    chi = m.b1 * _line_chi(pn, (m.d + t,)) - m.b2 * _line_chi(pn, (m.d + 1 + t,))
+    """(is_zero, evidence) with a cheap chi rejection before the table."""
+    chi = _kernel_chi(p.matrix, t)
     if chi != 0:
         return False, f"chi = {chi}"
     table = kernel_cohomology(p, t)
     return table.is_zero(), f"h = {table.h}"
 
 
-def prop61_builder(n: int, d: int, line_box: int = 8,
-                   presentation_bound: int = 4) -> Prop61Result:
+def prop61_builder(n: int, d: int, line_box: int = 8, presentation_bound: int = 4,
+                   cap: int | None = None) -> Prop61Result:
     """Search for rank-n Ulrich bundles pullback(F)(h + H) on P(O(1) + O^d).
 
     The exact obstruction set is H^*(F) = 0 together with
@@ -600,9 +737,16 @@ def prop61_builder(n: int, d: int, line_box: int = 8,
     on P(E) confirms the Ulrich verdict.  For n >= 3 the condition set is
     scanned over line bundles and staircase / symmetric-power kernels;
     absence of a hit is reported with a discrepancy note, not an error.
+    Presentations over ``cap`` coefficients are refused before any build
+    (``check_presentation_size``).
     """
     if n < 2 or d < 1:
         raise UnsupportedVariety(f"builder needs n >= 2, d >= 1; got ({n}, {d})")
+    if n == 2:
+        check_presentation_size("staircase", n, d, cap)
+    else:
+        for kind in ("staircase", "sym-euler"):
+            check_presentation_size(kind, n, presentation_bound, cap)
     base, e, one = _pn_bundle(n, d)
     pb = ProjBundle(base, e)
     twists = _condition_twists(n, d)

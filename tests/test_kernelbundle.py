@@ -4,15 +4,17 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm, prod
 
 import pytest
 
 from ulrichbundles import (
     DivisorClass,
+    InternalInconsistency,
     NotSurjective,
     ProjSpace,
     TwistedKernel,
@@ -32,11 +34,12 @@ from ulrichbundles import (
 )
 from ulrichbundles.cli import run
 from ulrichbundles.exactlinalg import PRIME
-from ulrichbundles import exactlinalg
+from ulrichbundles import exactlinalg, kernelbundle
 from ulrichbundles.kernelbundle import (
     KernelBundlePresentation,
     LinearFormMatrix,
     SurjectivityCertificate,
+    _rank_table,
     _certify_sampling,
     _pencil_minors_share_root,
     _triangular_charts,
@@ -380,7 +383,9 @@ class TestH0Rank:
 
 class TestScaledCoefficients:
     """Scaling every coefficient by a unit of Q changes no rank.  Scaling by
-    PRIME makes every rank vanish mod PRIME, so the exact fallback runs."""
+    PRIME makes every rank vanish mod PRIME, so the exact fallback runs.
+    The staircase takes the Buchsbaum-Rim table, so the rank route is also
+    called directly."""
 
     @pytest.mark.parametrize("scale", [PRIME, Fraction(1, 3)])
     @pytest.mark.parametrize("t", [0, 2, -6])
@@ -394,7 +399,155 @@ class TestScaledCoefficients:
         pres = KernelBundlePresentation(scaled, base.kind,
                                         surjectivity=base.surjectivity)
         assert h0_multiplication_rank(scaled, t) == h0_multiplication_rank(m, t)
+        assert _rank_table(pres, t).h == kernel_cohomology(base, t).h
+        assert pres.h0_certificates[t] == base.h0_certificates[t]
         assert kernel_cohomology(pres, t).h == kernel_cohomology(base, t).h
+
+
+def rank_route_cells(m, t):
+    """Dense cells of the two section maps the rank route fills at twist t."""
+    def cells(rows, cols, deg):
+        if deg < 0:
+            return 0
+        return rows * cols * comb(m.n + deg + 1, m.n) * comb(m.n + deg, m.n)
+    return cells(m.b2, m.b1, m.d + t) + cells(m.b1, m.b2, -(m.d + 1 + t) - m.n - 1)
+
+
+def sweep_presentations():
+    """(route, build) of every presentation the closed forms are swept on."""
+    for n in range(1, 6):
+        for d in range(0, 6 if n < 4 else 4):
+            yield "buchsbaum-rim", lambda n=n, d=d: staircase_presentation(n, d)
+    for n, top in ((1, 3), (2, 3), (3, 2), (4, 1)):
+        for d in range(0, top + 1):
+            route = "buchsbaum-rim" if n == 1 or d == 0 else "borel-weil-bott"
+            yield route, lambda n=n, d=d: sym_euler_presentation(n, d)
+    for seed in (1, 2, 3):
+        for n in range(1, 7):
+            for d in range(0, 7 - n):
+                pres = random_presentation(n, d, seed)
+                if pres.surjectivity.exact:
+                    yield "buchsbaum-rim", lambda n=n, d=d, seed=seed: \
+                        random_presentation(n, d, seed)
+
+
+def closed_form_sweep(max_cells=None) -> int:
+    """Every closed-form table equals the rank route's, H^0 certificate
+    included, for t in [-(n+d+4), 3]; with ``max_cells``, only twists whose
+    section maps stay under it.  Returns the number of twists compared."""
+    compared = 0
+    for route, build in sweep_presentations():
+        closed, ranks = build(), build()
+        assert closed.route == route, (closed, closed.route)
+        m = closed.matrix
+        for t in range(-(m.n + m.d + 4), 4):
+            if max_cells is not None and rank_route_cells(m, t) > max_cells:
+                continue
+            assert kernel_cohomology(closed, t) == _rank_table(ranks, t), (closed, t)
+            assert closed.h0_certificates[t] == ranks.h0_certificates[t], (closed, t)
+            compared += 1
+    return compared
+
+
+class TestClosedFormTables:
+    """Buchsbaum-Rim and Borel-Weil-Bott against the long-exact-sequence
+    ranks; the full sweep (no cell bound) runs in CI."""
+
+    def test_sweep_against_the_rank_route(self):
+        assert closed_form_sweep(max_cells=50_000) >= 960
+
+    @pytest.fixture
+    def rank_calls(self, monkeypatch):
+        calls = []
+        real = kernelbundle._multiplication_rank
+
+        def spy(*args):
+            calls.append(args[1:])
+            return real(*args)
+        monkeypatch.setattr(kernelbundle, "_multiplication_rank", spy)
+        return calls
+
+    def test_closed_routes_rank_nothing(self, rank_calls):
+        for pres in (staircase_presentation(2, 1), sym_euler_presentation(3, 2),
+                     random_presentation(2, 1, 5)):
+            assert pres.route != "ranks"
+            for t in range(-8, 4):
+                kernel_cohomology(pres, t)
+        assert rank_calls == []
+
+    def test_sampling_certificate_keeps_the_ranks(self, rank_calls):
+        pres = random_presentation(2, 2, 1)
+        assert not pres.surjectivity.exact and pres.route == "ranks"
+        assert kernel_cohomology(pres, 0).h == (0, 0, 0)
+        assert len(rank_calls) == 2
+
+    def test_hand_built_contraction_keeps_the_ranks(self, rank_calls):
+        # the contraction with its rows reversed is certified exactly as
+        # kind "sym-euler", but it is not the matrix Borel-Weil-Bott reads
+        m = sym_euler_matrix(2, 1)
+        pres = KernelBundlePresentation(LinearFormMatrix(2, 1, m.entries[::-1]),
+                                        "sym-euler")
+        assert pres.surjectivity.exact and pres.route == "ranks"
+        assert kernel_cohomology(pres, 0) == kernel_cohomology(sym_euler_presentation(2, 1), 0)
+        assert len(rank_calls) == 2
+
+    def test_wrong_chi_is_an_internal_inconsistency(self, monkeypatch):
+        monkeypatch.setitem(kernelbundle._CLOSED_TABLES, "buchsbaum-rim",
+                            lambda m, t: [1, 0, 0])
+        with pytest.raises(InternalInconsistency, match="Riemann-Roch"):
+            kernel_cohomology(staircase_presentation(2, 1), 0)
+
+
+def kernel_chi(kind, n, d, t):
+    """b1 chi(O(d+t)) - b2 chi(O(d+1+t)) on P^n, binomials as polynomials."""
+    def chi(k):
+        return Fraction(prod(range(k + 1, k + n + 1)), prod(range(1, n + 1)))
+    b1, b2 = ((comb(n + d + 1, n), comb(n + d, n)) if kind == "--sym"
+              else (n + d + 1, d + 1))
+    return b1 * chi(d + t) - b2 * chi(d + 1 + t)
+
+
+def timed_json(argv):
+    buf = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(buf):
+        code = run(argv)
+    return code, json.loads(buf.getvalue()), time.perf_counter() - start
+
+
+class TestBoundedRequests:
+    """Kernel requests that filled dense section maps (a MemoryError under a
+    1.5 GB address-space limit, or millions of cells) answer from the
+    closed forms; oversized presentations are refused before the build."""
+
+    @pytest.mark.parametrize("argv", [
+        "kernel 2 1 --twist -150 --json", "kernel 2 1 --twist 200 --json",
+        "kernel 3 2 --sym --twist 6 --json", "kernel 4 3 --sym --json",
+    ])
+    def test_answers_within_a_bound(self, argv):
+        argv = argv.split()
+        code, out, elapsed = timed_json(argv)
+        assert code == 0 and elapsed < 0.25
+        kind = "--sym" if "--sym" in argv else "staircase"
+        n, d = int(argv[1]), int(argv[2])
+        if "--twist" in argv:
+            tables = [(out["twist"], out["table"]["h"])]
+        else:
+            assert out["lemma"]["passed"]
+            tables = [(int(c["twist"][2:-1]) if c["twist"] != "F" else 0, c["h"])
+                      for c in out["lemma"]["tables"]]
+        for t, h in tables:
+            assert sum((-1) ** i * x for i, x in enumerate(h)) == kernel_chi(kind, n, d, t)
+
+    @pytest.mark.parametrize("argv", [
+        "kernel 20000 0 --json", "prop61 40 1 --json", "kernel 2 3000 --json",
+        "kernel 2 3000 --random 1 --json", "kernel 40 3 --sym --json",
+    ])
+    def test_oversized_presentation_refused(self, argv):
+        code, out, elapsed = timed_json(argv.split())
+        assert code == 2 and elapsed < 0.1
+        assert out["error"] == "box-too-large"
+        assert "presentation coefficients" in out["detail"]
 
 
 class TestKernelCohomology:
