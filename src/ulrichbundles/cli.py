@@ -9,13 +9,18 @@ combination, 3 internal consistency failure (criterion vs direct
 mismatch, oracle mismatch, scan-shell violation).
 
 The environment variable ``ULRICH_SCAN_CAP`` overrides the default cap
-on scan-box volumes, the oracle's character box included, and on the
-coefficients of a ``kernel`` or ``prop61`` presentation matrix.
+on scan-box volumes, the oracle's character box included, on the
+coefficients of a ``kernel`` or ``prop61`` presentation matrix, and on
+the section-map cells of a rank-route ``kernel --twist`` table.
+
+``run`` may be called many times in one process; the parser is built on
+the first call and shared by the later ones.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -44,7 +49,10 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process, built on the first ``run``: every
+    ``parse_args`` returns a fresh namespace and leaves the parser as it was."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON")
     common.add_argument("--minus-basis", action="store_true",
@@ -291,6 +299,7 @@ def _run_kernel(args) -> tuple:
              f"surjectivity: {pres.surjectivity.method} "
              f"(exact={pres.surjectivity.exact})"]
     if args.twist is not None:
+        kernelbundle.check_section_map_size(pres, args.twist, _scan_cap())
         table = kernelbundle.kernel_cohomology(pres, args.twist)
         payload = {"presentation": pres.to_json(),
                    "twist": args.twist, "table": table.to_json()}

@@ -509,6 +509,26 @@ def check_presentation_size(kind: str, n: int, d: int, cap: int | None) -> None:
     _check_cap(b1 * b2 * (n + 1), cap, f"{kind} presentation coefficients")
 
 
+def rank_route_cells(m: LinearFormMatrix, t: int) -> int:
+    """Dense cells of the two section maps ``_rank_table`` fills at twist t:
+    H^0(alpha(t)), b2 dim S_{d+1+t} x b1 dim S_{d+t}, and its Serre-dual
+    counterpart, b1 dim S_{e+1} x b2 dim S_e with e = -(d+1+t)-n-1."""
+    def cells(rows, cols, deg):
+        if deg < 0:
+            return 0
+        return rows * cols * comb(m.n + deg + 1, m.n) * comb(m.n + deg, m.n)
+    return cells(m.b2, m.b1, m.d + t) + cells(m.b1, m.b2, -(m.d + 1 + t) - m.n - 1)
+
+
+def check_section_map_size(p: KernelBundlePresentation, t: int,
+                           cap: int | None) -> None:
+    """Refuse, before any fill, a ``ranks``-route table at twist t whose
+    section maps hold more than ``cap`` cells with ``BoxTooLarge``; the
+    closed-form routes fill nothing and pass."""
+    if p.route == "ranks":
+        _check_cap(rank_route_cells(p.matrix, t), cap, "rank-route section map cells")
+
+
 def _multiplication_rank(rows, width: int, n: int, src_deg: int) -> tuple:
     """(dim source, dim target, exact rank) of the section-level map
     induced in degree src_deg by a matrix of integer linear forms, given
@@ -764,10 +784,12 @@ def prop61_builder(n: int, d: int, line_box: int = 8, presentation_bound: int = 
         ))
         return Prop61Result(report, pres, twists)
 
-    # n >= 3: exhaustive scan of the stated search class
+    # n >= 3: exhaustive scan of the stated search class; a line bundle O(e)
+    # with H^*(O(e)) = 0 lies in the dead band -n..-1, so only its degrees
+    # inside the box are tried
     dead_band = set(range(-n, 0))
-    line_hits = [deg for deg in range(-line_box, line_box + 1)
-                 if deg in dead_band
+    line_hits = [deg for deg in sorted(dead_band)
+                 if abs(deg) <= line_box
                  and all(deg - s in dead_band for s in twists)]
     scanned = []
     pres_hits = []

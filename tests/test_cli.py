@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import ulrichbundles
+from ulrichbundles import cli
 from ulrichbundles.cli import run
 
 from fuzz import fuzz
@@ -199,7 +200,8 @@ class TestCriterionOverRuledSurfaces:
 
 
 class TestRepeatedCalls:
-    # pairs that differ only in a flag, and failures next to successes
+    # pairs that differ only in a flag, where the second call must get the
+    # defaults back, and failures next to successes
     SEQUENCE = [
         ["coh", "F2", "[-4,-2]", "--minus-basis", "--json"],
         ["coh", "F2", "[-4,-2]", "--json"],
@@ -208,7 +210,16 @@ class TestRepeatedCalls:
         ["enum-ulrich", "F2", "--box", "3"],  # usage error: no --pol
         ["enum-ulrich", "F2", "--pol", "[1,2]", "--box", "3"],
         ["kernel", "2", "1", "--sym", "--twist", "1", "--json"],
+        ["kernel", "2", "1", "--sym", "--random", "1"],  # usage error: exclusive
         ["kernel", "2", "1"],
+        ["kernel", "2", "1", "--random", "1", "--twist", "1"],
+        ["coh", "F2"],  # usage error: no bundle
+        ["kernel", "2", "1", "--twist", "1"],
+        ["kernel", "2", "1", "--sym", "--random", "1"],
+        ["prop61", "2", "1", "--box", "3"],
+        ["prop61", "2", "1"],
+        ["probe", "PB(P1;[0],[3])", "[0]", "[1]", "-p", "1", "--json"],
+        ["probe", "PB(P1;[0],[3])", "[0]", "[1]", "-p", "0", "--json"],
     ]
 
     @staticmethod
@@ -226,6 +237,14 @@ class TestRepeatedCalls:
         order = self.SEQUENCE + self.SEQUENCE[::-1] + self.SEQUENCE[::2]
         for args in order:
             assert run_cli(args) == fresh[tuple(args)], args
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+        cli._build_parser.cache_clear()
+        for args in self.SEQUENCE:
+            run_cli(args)
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(self.SEQUENCE) - 1)
 
 
 class TestHumanOutput:

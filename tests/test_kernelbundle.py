@@ -44,6 +44,7 @@ from ulrichbundles.kernelbundle import (
     _pencil_minors_share_root,
     _triangular_charts,
     monomial_exponents,
+    rank_route_cells,
 )
 
 P2 = ProjSpace(2)
@@ -404,15 +405,6 @@ class TestScaledCoefficients:
         assert kernel_cohomology(pres, t).h == kernel_cohomology(base, t).h
 
 
-def rank_route_cells(m, t):
-    """Dense cells of the two section maps the rank route fills at twist t."""
-    def cells(rows, cols, deg):
-        if deg < 0:
-            return 0
-        return rows * cols * comb(m.n + deg + 1, m.n) * comb(m.n + deg, m.n)
-    return cells(m.b2, m.b1, m.d + t) + cells(m.b1, m.b2, -(m.d + 1 + t) - m.n - 1)
-
-
 def sweep_presentations():
     """(route, build) of every presentation the closed forms are swept on."""
     for n in range(1, 6):
@@ -548,6 +540,44 @@ class TestBoundedRequests:
         assert code == 2 and elapsed < 0.1
         assert out["error"] == "box-too-large"
         assert "presentation coefficients" in out["detail"]
+
+    @pytest.mark.parametrize("twist", [200, -200])
+    def test_oversized_rank_route_refused_before_any_fill(self, twist, monkeypatch):
+        # a point-sampled certificate keeps the ranks route; twist 200 fills
+        # 6.5e9 cells of H^0(alpha), twist -200 as many on the Serre-dual side
+        assert random_presentation(2, 2, 1).route == "ranks"
+
+        def no_fill(*args):
+            raise AssertionError("section map filled")
+        monkeypatch.setattr(kernelbundle, "_multiplication_rank", no_fill)
+        code, out, elapsed = timed_json(
+            ["kernel", "2", "2", "--random", "1", "--twist", str(twist), "--json"])
+        assert code == 2 and elapsed < 0.1
+        assert out["error"] == "box-too-large"
+        assert "section map cells" in out["detail"]
+
+    def test_rank_route_cap_follows_the_scan_cap(self, monkeypatch):
+        argv = ["kernel", "2", "2", "--random", "1", "--twist", "3", "--json"]
+        cells = rank_route_cells(random_presentation(2, 2, 1).matrix, 3)
+        monkeypatch.setenv("ULRICH_SCAN_CAP", str(cells))
+        assert timed_json(argv)[0] == 0
+        monkeypatch.setenv("ULRICH_SCAN_CAP", str(cells - 1))
+        code, out, _ = timed_json(argv)
+        assert code == 2 and out["error"] == "box-too-large"
+
+    def test_prop61_line_box_costs_no_walk(self):
+        # the line hits lie in the dead band -n..-1, whatever the box
+        def hits_line(box):
+            code, out, elapsed = timed_json(["prop61", "3", "1", "--box", str(box),
+                                             "--json"])
+            assert code == 0
+            notes = out["report"]["notes"]
+            line = next(note for note in notes if note.startswith("line bundles"))
+            return line.split(": ", 1)[1], elapsed
+
+        wide, elapsed = hits_line(100_000_000)
+        assert elapsed < 0.5
+        assert wide == hits_line(8)[0]
 
 
 class TestKernelCohomology:
