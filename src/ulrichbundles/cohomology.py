@@ -16,12 +16,13 @@ Five ingredients:
   criterion (all of Sym^k per k) and of the direct check (a pushed-down
   twist) from the candidate tensored into its twists; ``push_down``
   merges equal twists, so a level costs its distinct twists,
-* suffix sums over P^1: for P(E) over P^1 (F_r and PB(P1;...) of any
-  rank) the twists e of the pushforward of O(kH) and their multiplicities
-  m_e do not depend on the base degree a, so they are counted once per
-  (E, k) and kept sorted with prefix sums of m_e and m_e * e; the table
-  of O(af + kH) is then one ``bisect`` and two sums, since h^0(O(a + e))
-  = a + e + 1 for e >= -a - 1 and h^1 = -(a + e + 1) below,
+* a closed level for P(E) over P^n or over a curve (F_r and PB(P1;...)
+  among them): the twists e of the pushforward of O(kH) and their
+  multiplicities m_e do not depend on the base degree a, so they are
+  kept sorted with prefix sums of m_e * C(e, i), i = 0..n; the table of
+  O(a + kH) is then one ``bisect`` and O(n) sums, since h^0(O(x)) =
+  C(x + n, n) for x >= -n and h^n(O(x)) = (-1)^n C(x + n, n) below
+  (x - g in place of x on a curve of genus g),
 * an independent combinatorial Cech oracle on P^n and every split tower
   over it, recomputing tables from the fan run by run: along the last
   axis of the character box each ray's sign flips at most once, so a row
@@ -29,9 +30,10 @@ Five ingredients:
 
 chi (``euler_characteristic``) is a closed polynomial on P^n and on every
 P(E) over P^1, F_r included; on deeper towers it sums these over the
-tables' walk, which the oracle checks.  The Ulrich criterion enumerates
-Sym^k with ``picard.sym_power`` instead, so the direct check on P(E) and
-the criterion expand the pushforward in two different ways.  The oracle
+merged walk, which the oracle checks, and so checks the closed levels
+over P^n.  The Ulrich criterion enumerates Sym^k with
+``picard.sym_power`` instead, so the direct check on P(E) and the
+criterion expand the pushforward in two different ways.  The oracle
 shares no code with either.
 
 All values are exact integers; generic-curve answers are flagged.
@@ -119,36 +121,54 @@ def _line_table(v: Variety, coords: tuple) -> CohomologyTable:
     if isinstance(v, GenericCurve):
         return _curve_line(v.genus, coords[0])
     if isinstance(v, ProjBundle):
-        return _p1_bundle_line(v, *coords)
+        return _bundle_line(v, *coords)
     raise UnsupportedVariety(f"no cohomology rule for {v!r}")
 
 
 @lru_cache(maxsize=1024)
-def _p1_twist_sums(summands: tuple, k: int):
-    """``(shift, twists, mults, weights)`` for O(kH) on P(E) over P^1.
+def _twist_sums(summands: tuple, k: int, n: int):
+    """``(shift, twists, sums)`` for O(kH) on P(E) over a base of dimension n.
 
     ``twists`` are the sorted degrees e of the pushforward terms of
-    ``pushforward_terms(summands, (0,), k)``; ``mults[j]`` and
-    ``weights[j]`` are the sums of m_e and m_e * e over ``twists[:j]``.
+    ``pushforward_terms(summands, (0,), k)``; ``sums[i][j]`` is the sum of
+    m_e * C(e, i) over ``twists[:j]``, for i = 0..n.
     """
     shift, terms = pushforward_terms(summands, (0,), k)
     items = sorted((e, m) for (e,), m in terms.items())
-    mults = list(itertools.accumulate((m for _, m in items), initial=0))
-    weights = list(itertools.accumulate((m * e for e, m in items), initial=0))
-    return shift, [e for e, _ in items], mults, weights
+    sums = [list(itertools.accumulate((m * _binomial(e, i) for e, m in items),
+                                      initial=0))
+            for i in range(n + 1)]
+    return shift, [e for e, _ in items], sums
 
 
-def _p1_bundle_line(v: ProjBundle, a: int, k: int) -> CohomologyTable:
-    """O(af + kH) on P(E) over P^1: the twists e >= -a - 1 give h^shift,
-    the ones below give h^(shift + 1); e = -a - 1 gives zero either way.
-    The callers' ``CohomologyTable.make`` checks the result."""
-    shift, twists, mults, weights = _p1_twist_sums(v.summand_coords, k)
-    cut = bisect_left(twists, -a - 1)
-    low = -((a + 1) * mults[cut] + weights[cut])
-    high = (a + 1) * (mults[-1] - mults[cut]) + weights[-1] - weights[cut]
+def _bundle_line(v: ProjBundle, a: int, k: int) -> CohomologyTable:
+    """O(a + kH) on P(E) over P^n or a curve, a the base degree.
+
+    On P^n, h^0(O(x)) = C(x + n, n) for x >= -n (zero on -n..-1) and
+    h^n(O(x)) = (-1)^n C(x + n, n) for x <= -n - 1; a curve of genus g is
+    the case n = 1 at x - g.  So the twists e >= -n - a give h^shift, the
+    ones below h^(shift + n), and by Vandermonde each is a sum over j of
+    C(a + n, j) times the power sums of C(e, n - j): one ``bisect`` and
+    O(n) integer work whatever the twists are.  The callers'
+    ``CohomologyTable.make`` checks the result.
+    """
+    curve = isinstance(v.base, GenericCurve)
+    n = 1 if curve else v.base.n
+    if curve:
+        a -= v.base.genus
+    shift, twists, sums = _twist_sums(v.summand_coords, k, n)
+    cut = bisect_left(twists, -n - a)
+    low = high = 0
+    c = 1  # C(a + n, j)
+    for j in range(n + 1):
+        s = sums[n - j]
+        low += c * s[cut]
+        high += c * (s[-1] - s[cut])
+        c = c * (a + n - j) // (j + 1)
     h = [0] * (v.dim + 1)
-    h[shift], h[shift + 1] = high, low
-    return CohomologyTable(tuple(h), (-1) ** shift * (high - low))
+    h[shift], h[shift + n] = high, (-1) ** n * low
+    return CohomologyTable(tuple(h), (-1) ** shift * (high + low),
+                           curve and bool(twists))
 
 
 def pushforward_terms(summands: tuple, b_coords: tuple, k: int):
@@ -205,10 +225,15 @@ def push_down(v: ProjBundle, terms: dict) -> dict:
     return down
 
 
-def _tower_terms(v: Variety, terms: dict):
-    """``(base, terms)``: the terms pushed down to the first closed-table
-    level (P^n, a curve, or a P(E) over P^1)."""
-    while isinstance(v, ProjBundle) and v.base != _P1:
+def _closed_level(v: ProjBundle) -> bool:
+    """Where the tables' walk stops: a P(E) over P^n or over a curve."""
+    return not isinstance(v.base, ProjBundle)
+
+
+def _tower_terms(v: Variety, terms: dict, closed=_closed_level):
+    """``(level, terms)``: the terms pushed down to the first level that
+    ``closed`` accepts, or to the bottom of the tower (P^n or a curve)."""
+    while isinstance(v, ProjBundle) and not closed(v):
         v, terms = v.base, push_down(v, terms)
     return v, terms
 
@@ -267,8 +292,13 @@ def _binomial(x: int, j: int) -> int:
     return prod(range(x - j + 1, x + 1)) // factorial(j)
 
 
+def _over_p1(v: ProjBundle) -> bool:
+    """Where the chi walk stops: a P(E) over P^1, whose chi is closed."""
+    return v.base == _P1
+
+
 def _line_chi(v: Variety, coords: tuple) -> int:
-    """chi of O(coords) on a variety where ``_tower_terms`` stops."""
+    """chi of O(coords) on a variety where the chi walk stops."""
     if isinstance(v, ProjSpace):
         return _binomial(coords[0] + v.n, v.n)
     if isinstance(v, GenericCurve):
@@ -289,12 +319,13 @@ def euler_characteristic(v: Variety, bundle) -> int:
     Always equal to the alternating sum of cohomology(v, bundle), and it
     refuses a bundle on another variety the same way.  On P^n and on every
     P(E) over P^1, F_r among them, the polynomial shares no code with the
-    tables.  On deeper towers it takes the tables' merged walk of all the
-    summands (``_tower_terms``) and replaces the closed table of each term
-    at its bottom by the polynomial, so it checks those tables but not the
-    walk (``toric_cech_oracle`` does, over P^n and towers over it).
+    tables.  On deeper towers it takes the merged walk of all the summands
+    (``_tower_terms``) down to P^n or to a P(E) over P^1, one level past
+    the tables' stop over P^n, and replaces the closed table of each term
+    at its bottom by the polynomial, so it checks the closed levels but
+    not the walk (``toric_cech_oracle`` does, over P^n and towers over it).
     """
-    base, terms = _tower_terms(v, start_terms(v, bundle))
+    base, terms = _tower_terms(v, start_terms(v, bundle), _over_p1)
     return sum((-1) ** s * m * _line_chi(base, e) for (s, e), m in terms.items())
 
 
