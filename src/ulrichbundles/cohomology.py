@@ -130,14 +130,14 @@ def _twist_sums(summands: tuple, k: int, n: int):
     """``(shift, twists, sums)`` for O(kH) on P(E) over a base of dimension n.
 
     ``twists`` are the sorted degrees e of the pushforward terms of
-    ``pushforward_terms(summands, (0,), k)``; ``sums[i][j]`` is the sum of
-    m_e * C(e, i) over ``twists[:j]``, for i = 0..n.
+    ``pushforward_terms(summands, (0,), k)``; ``sums[j][c]`` is the sum of
+    m_e * C(e, n - j) over ``twists[:c]``, for j = 0..n.
     """
     shift, terms = pushforward_terms(summands, (0,), k)
     items = sorted((e, m) for (e,), m in terms.items())
     sums = [list(itertools.accumulate((m * _binomial(e, i) for e, m in items),
                                       initial=0))
-            for i in range(n + 1)]
+            for i in range(n, -1, -1)]
     return shift, [e for e, _ in items], sums
 
 
@@ -152,19 +152,20 @@ def _bundle_line(v: ProjBundle, a: int, k: int) -> CohomologyTable:
     O(n) integer work whatever the twists are.  The callers'
     ``CohomologyTable.make`` checks the result.
     """
-    curve = isinstance(v.base, GenericCurve)
-    n = 1 if curve else v.base.n
-    if curve:
-        a -= v.base.genus
+    base = v.base
+    if isinstance(base, GenericCurve):
+        n, a, curve = 1, a - base.genus, True
+    else:
+        n, curve = base.n, False
     shift, twists, sums = _twist_sums(v.summand_coords, k, n)
     cut = bisect_left(twists, -n - a)
     low = high = 0
     c = 1  # C(a + n, j)
-    for j in range(n + 1):
-        s = sums[n - j]
+    for j, s in enumerate(sums):
         low += c * s[cut]
-        high += c * (s[-1] - s[cut])
+        high += c * s[-1]
         c = c * (a + n - j) // (j + 1)
+    high -= low
     h = [0] * (v.dim + 1)
     h[shift], h[shift + n] = high, (-1) ** n * low
     return CohomologyTable(tuple(h), (-1) ** shift * (high + low),
