@@ -183,9 +183,10 @@ def _scan_lines(result) -> list:
 
 
 def _scan_output(variety_text: str, result) -> tuple:
-    """Scan output; the F_r closed form is shown for the names F<r>/P1xP1
-    only, PB(P1;[0],[r]) prints bare results as pinned in bench/references."""
-    if "PB" in variety_text:
+    """Scan output; the F_r closed form and its notes are shown for the
+    names F<r>/P1xP1 only, PB(P1;[0],[r]) prints bare results as pinned in
+    bench/references.  No generic-curve note comes with a closed form."""
+    if "PB" in variety_text and result.closed_form is not None:
         result = search.ScanResult(result.results)
     return result.to_json(), _scan_lines(result)
 

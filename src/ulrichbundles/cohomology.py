@@ -22,7 +22,10 @@ Five ingredients:
   kept sorted with prefix sums of m_e * C(e, i), i = 0..n; the table of
   O(a + kH) is then one ``bisect`` and O(n) sums, since h^0(O(x)) =
   C(x + n, n) for x >= -n and h^n(O(x)) = (-1)^n C(x + n, n) below
-  (x - g in place of x on a curve of genus g),
+  (x - g in place of x on a curve of genus g).  ``_bundle_row`` reads
+  the sums once for a whole row of base degrees a at one k, which is how
+  the box scans of ``search`` tabulate (``_zero_row``); one table is the
+  row of one degree,
 * an independent combinatorial Cech oracle on P^n and every split tower
   over it, recomputing tables from the fan run by run: along the last
   axis of the character box each ray's sign flips at most once, so a row
@@ -141,35 +144,62 @@ def _twist_sums(summands: tuple, k: int, n: int):
     return shift, [e for e, _ in items], sums
 
 
-def _bundle_line(v: ProjBundle, a: int, k: int) -> CohomologyTable:
-    """O(a + kH) on P(E) over P^n or a curve, a the base degree.
+def _bundle_row(v: ProjBundle, k: int, lo: int, hi: int) -> tuple:
+    """``(shift, n, generic, row)`` for O(a + kH) on P(E) over P^n or a
+    curve, a = lo..hi the base degree: ``row[a - lo]`` is the pair
+    (h^shift, h^(shift + n)), the only entries that can be nonzero.
 
     On P^n, h^0(O(x)) = C(x + n, n) for x >= -n (zero on -n..-1) and
     h^n(O(x)) = (-1)^n C(x + n, n) for x <= -n - 1; a curve of genus g is
     the case n = 1 at x - g.  So the twists e >= -n - a give h^shift, the
     ones below h^(shift + n), and by Vandermonde each is a sum over j of
-    C(a + n, j) times the power sums of C(e, n - j): one ``bisect`` and
-    O(n) integer work whatever the twists are.  The callers'
-    ``CohomologyTable.make`` checks the result.
+    C(a + n, j) times the power sums of C(e, n - j): ``_twist_sums`` is
+    read once per row, and each degree costs one ``bisect`` and O(n)
+    integer work whatever the twists are.  A negative entry raises
+    InternalInconsistency, as in ``CohomologyTable.make``.
     """
     base = v.base
     if isinstance(base, GenericCurve):
-        n, a, curve = 1, a - base.genus, True
+        n, genus, curve = 1, base.genus, True
     else:
-        n, curve = base.n, False
+        n, genus, curve = base.n, 0, False
     shift, twists, sums = _twist_sums(v.summand_coords, k, n)
-    cut = bisect_left(twists, -n - a)
-    low = high = 0
-    c = 1  # C(a + n, j)
-    for j, s in enumerate(sums):
-        low += c * s[cut]
-        high += c * s[-1]
-        c = c * (a + n - j) // (j + 1)
-    high -= low
+    sign = (-1) ** n
+    row = []
+    for a in range(lo - genus, hi - genus + 1):
+        cut = bisect_left(twists, -n - a)
+        low = high = 0
+        c = 1  # C(a + n, j)
+        for j, s in enumerate(sums):
+            low += c * s[cut]
+            high += c * s[-1]
+            c = c * (a + n - j) // (j + 1)
+        entry = (high - low, sign * low)
+        if entry[0] < 0 or entry[1] < 0:
+            h = [0] * (v.dim + 1)
+            h[shift], h[shift + n] = entry
+            raise InternalInconsistency(f"negative cohomology dimension in {tuple(h)}")
+        row.append(entry)
+    return shift, n, curve and bool(twists), row
+
+
+def _bundle_line(v: ProjBundle, a: int, k: int) -> CohomologyTable:
+    """O(a + kH) on P(E) over P^n or a curve: the one-degree row."""
+    shift, n, generic, ((top, bottom),) = _bundle_row(v, k, a, a)
     h = [0] * (v.dim + 1)
-    h[shift], h[shift + n] = high, (-1) ** n * low
-    return CohomologyTable(tuple(h), (-1) ** shift * (high + low),
-                           curve and bool(twists))
+    h[shift], h[shift + n] = top, bottom
+    return CohomologyTable(tuple(h), (-1) ** shift * (top + (-1) ** n * bottom), generic)
+
+
+def _zero_row(v: Variety, lo: int, hi: int, rest: tuple) -> tuple:
+    """``(generic, flags)``: for a = lo..hi, whether O(a, *rest) has no
+    cohomology on v, a P^n, a curve or a P(E) over either; ``generic``
+    when any of these tables is.  On P(E) it is one ``_bundle_row``."""
+    if isinstance(v, ProjBundle):
+        _, _, generic, row = _bundle_row(v, *rest, lo, hi)
+        return generic, [entry == (0, 0) for entry in row]
+    tables = [_line_table(v, (a,)) for a in range(lo, hi + 1)]
+    return any(t.generic for t in tables), [t.is_zero() for t in tables]
 
 
 def pushforward_terms(summands: tuple, b_coords: tuple, k: int):

@@ -4,9 +4,17 @@ Runtime answers always come from exhaustive scans over a lattice box; the
 known closed-form classifications on the Hirzebruch surfaces F_r =
 P(O + O(r)) over P^1 (``picard.hirzebruch_parameter``) are emitted
 alongside and asserted to agree with the scan inside the box, so the scan
-validates the formulas rather than the other way round.  The two line-bundle
-scans share one helper for each half: ``_scan`` (cap check, walk, sorted
-hits) and ``_closed_form`` (filter, agreement assertion, block).
+validates the formulas rather than the other way round.  The three scans
+share one helper for each half: ``_scan`` (the hits) and ``_closed_form``
+(filter, agreement assertion, block).  A point c is a hit when every line
+bundle O(c + t) has no cohomology, t running over the offsets of its
+checks: 0 for ``enum-zero``, -iA (i = 1..dim) for ``enum-ulrich``, 0 and
+the Sym^k terms of the criterion for ``search-pb``.  On P^n, curves and
+P(E) over either, ``_scan`` tabulates the box by rows (one
+``cohomology._bundle_row`` per H-degree and offset) and re-checks every
+hit through the public route (``cohomology``, ``is_ulrich``,
+``pullback_ulrich_criterion``); deeper towers take that route at every
+point.  Scans whose tables are generic (over a curve) say so in a note.
 
 Closed forms used (polarisation A = a*f + b*C+ very ample):
 
@@ -24,19 +32,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import add, and_
 
-from .cohomology import _check_cap, cohomology
+from .cohomology import _check_cap, _closed_level, _zero_row, cohomology
 from .errors import BoxTooLarge, GenericModeUnsupported, InternalInconsistency
 from .picard import (
     DivisorClass,
     GenericCurve,
     ProjBundle,
-    SplitBundle,
     Variety,
     hirzebruch_parameter,
+    line_bundle,
 )
 from .ulrich import Polarisation, _criterion_setup, is_ulrich, pullback_ulrich_criterion
 
+GENERIC_NOTE = "verdicts use the generic-curve model"
 ERRATUM_NOTE = ("third vanishing family on F_r (r>0) is (r-1)f - 2C+; "
                 "the class (r-2)f - 2C+ equals the canonical divisor and has h^2 = 1")
 
@@ -85,11 +95,40 @@ class ScanResult:
         return out
 
 
-def _scan(box: SearchBox, cap, keep) -> tuple:
-    """The sorted points of the box that ``keep`` accepts; the box must
-    pass the cap first."""
-    _check_cap(box.volume, cap)
-    return tuple(sorted(coords for coords in box.points() if keep(coords)))
+def _scan(v: Variety, box: SearchBox, offsets, check) -> tuple:
+    """``(hits, generic)``: the sorted points c of the box at which every
+    O(c + t), t in ``offsets``, has no cohomology, and whether any of those
+    tables is generic.  A sum of tables with positive multiplicities
+    vanishes iff each one does, so this is the verdict of ``check(c)``,
+    the per-point public route, which returns ``(verdict, generic)``.
+
+    On P^n, a curve or a P(E) over either the box is tabulated row by row
+    (``_zero_row``: one ``_twist_sums`` lookup per H-degree and offset),
+    and every hit is re-checked by ``check``; a disagreement raises
+    InternalInconsistency.  Deeper towers take ``check`` at every point.
+    """
+    if isinstance(v, ProjBundle) and not _closed_level(v):
+        hits, generic = [], False
+        for c in box.points():
+            verdict, flag = check(c)
+            generic = generic or flag
+            if verdict:
+                hits.append(c)
+        return tuple(hits), generic
+    (lo, hi), *rest = box.bounds
+    hits, generic = [], False
+    for tail in itertools.product(*(range(a, b + 1) for a, b in rest)):
+        keep = [True] * (hi - lo + 1)
+        for t, *t_rest in offsets:
+            flag, zero = _zero_row(v, lo + t, hi + t, tuple(map(add, tail, t_rest)))
+            generic = generic or flag
+            keep = list(map(and_, keep, zero))
+        hits += [(a, *tail) for a, ok in zip(range(lo, hi + 1), keep) if ok]
+    for c in hits:
+        if not check(c)[0]:
+            raise InternalInconsistency(
+                f"row scan hit {list(c)} on {v.name} fails its per-point check")
+    return tuple(sorted(hits)), generic
 
 
 def _closed_form(kind, hits, box: SearchBox, family, notes, **block) -> ScanResult:
@@ -104,6 +143,10 @@ def _closed_form(kind, hits, box: SearchBox, family, notes, **block) -> ScanResu
     return ScanResult(hits, block, notes)
 
 
+def _notes(generic: bool) -> tuple:
+    return (GENERIC_NOTE,) if generic else ()
+
+
 def zero_cohomology_line_bundles(v: Variety, box: SearchBox,
                                  cap: int | None = None) -> ScanResult:
     """All divisor classes D in the box with H^*(v, O(D)) = 0."""
@@ -111,9 +154,15 @@ def zero_cohomology_line_bundles(v: Variety, box: SearchBox,
         raise GenericModeUnsupported(
             "zero-cohomology scans need exact tables; use "
             "generic_curve_ulrich_degree for the curve rule")
-    hits = _scan(box, cap, lambda coords: cohomology(v, DivisorClass(v, coords)).is_zero())
+    _check_cap(box.volume, cap)
+
+    def check(coords):
+        table = cohomology(v, DivisorClass(v, coords))
+        return table.is_zero(), table.generic
+
+    hits, generic = _scan(v, box, ((0,) * v.picard_rank,), check)
     if (r := hirzebruch_parameter(v)) is None:
-        return ScanResult(hits)
+        return ScanResult(hits, None, _notes(generic))
     kind = "zero-cohomology classification"
     (lo, hi), (lo2, hi2) = box.bounds
     fibres = {(i, -1) for i in range(lo, hi + 1)}
@@ -129,10 +178,16 @@ def ulrich_line_bundles(v: Variety, a, box: SearchBox,
                         cap: int | None = None) -> ScanResult:
     """All line bundles in the box that are Ulrich with respect to A."""
     pol = Polarisation.check(v, a)
-    hits = _scan(box, cap, lambda coords: is_ulrich(
-        v, SplitBundle(v, (DivisorClass(v, coords),)), pol).verdict)
+    _check_cap(box.volume, cap)
+
+    def check(coords):
+        report = is_ulrich(v, line_bundle(v, coords), pol)
+        return report.verdict, report.generic
+
+    offsets = [(-i * pol.divisor).coords for i in range(1, v.dim + 1)]
+    hits, generic = _scan(v, box, offsets, check)
     if (r := hirzebruch_parameter(v)) is None:
-        return ScanResult(hits)
+        return ScanResult(hits, None, _notes(generic))
     ap, bp = pol.divisor.coords
     if r > 0:
         members = {(ap - 1, 1), (r - 1 + 2 * ap, 0)} if bp == 1 else set()
@@ -149,17 +204,18 @@ def pullback_ulrich_line_search(pb: ProjBundle, a, box: SearchBox,
     """Base line bundles F in the box for which pullback(F)(D) is Ulrich
     on P(E) with respect to D = pullback(A) + H."""
     _check_cap(box.volume, cap)
-    setup = _criterion_setup(pb.base, pb.summands, a)
-    hits = []
-    generic = False
-    for coords in box.points():
-        cand = SplitBundle(pb.base, (DivisorClass(pb.base, coords),))
-        report = pullback_ulrich_criterion(pb.base, pb.summands, cand, setup)
-        generic = generic or report.generic
-        if report.verdict:
-            hits.append(coords)
-    notes = ("verdicts use the generic-curve model",) if generic else ()
-    return ScanResult(tuple(sorted(hits)), None, notes)
+    x = pb.base
+    setup = _criterion_setup(x, pb.summands, a)
+
+    def check(coords):
+        report = pullback_ulrich_criterion(x, pb.summands, line_bundle(x, coords), setup)
+        return report.verdict, report.generic
+
+    # H^*(F) and every term of the criterion's Sym^k twists (all in degree 0)
+    offsets = dict.fromkeys([(0,) * x.picard_rank]
+                            + [t for _, terms in setup.twists for _, t in terms])
+    hits, generic = _scan(x, box, offsets, check)
+    return ScanResult(hits, None, _notes(generic))
 
 
 def generic_curve_ulrich_degree(genus: int) -> int:
