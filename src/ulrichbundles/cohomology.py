@@ -164,22 +164,22 @@ def _bundle_row(v: ProjBundle, k: int, lo: int, hi: int) -> tuple:
     else:
         n, genus, curve = base.n, 0, False
     shift, twists, sums = _twist_sums(v.summand_coords, k, n)
-    sign = (-1) ** n
     row = []
-    for a in range(lo - genus, hi - genus + 1):
-        cut = bisect_left(twists, -n - a)
+    for x in range(lo - genus + n, hi - genus + n + 1):  # x = a + n
+        cut = bisect_left(twists, -x)
         low = high = 0
-        c = 1  # C(a + n, j)
+        c = 1  # C(x, j)
         for j, s in enumerate(sums):
             low += c * s[cut]
             high += c * s[-1]
-            c = c * (a + n - j) // (j + 1)
-        entry = (high - low, sign * low)
-        if entry[0] < 0 or entry[1] < 0:
+            c = c * (x - j) // (j + 1)
+        high -= low
+        low *= (-1) ** n
+        if high < 0 or low < 0:
             h = [0] * (v.dim + 1)
-            h[shift], h[shift + n] = entry
+            h[shift], h[shift + n] = high, low
             raise InternalInconsistency(f"negative cohomology dimension in {tuple(h)}")
-        row.append(entry)
+        row.append((high, low))
     return shift, n, curve and bool(twists), row
 
 
