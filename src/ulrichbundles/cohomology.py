@@ -22,10 +22,9 @@ Five ingredients:
   kept sorted with prefix sums of m_e * C(e, i), i = 0..n; the table of
   O(a + kH) is then one ``bisect`` and O(n) sums, since h^0(O(x)) =
   C(x + n, n) for x >= -n and h^n(O(x)) = (-1)^n C(x + n, n) below
-  (x - g in place of x on a curve of genus g).  ``_bundle_row`` reads
-  the sums once for a whole row of base degrees a at one k, which is how
-  the box scans of ``search`` tabulate (``_zero_row``); one table is the
-  row of one degree,
+  (x - g in place of x on a curve of genus g).  As every m_e > 0, the
+  table vanishes exactly on one interval of a (``_zero_interval``): the
+  box scans of ``search`` find their hits from these intervals,
 * an independent combinatorial Cech oracle on P^n and every split tower
   over it, recomputing tables from the fan run by run: along the last
   axis of the character box each ray's sign flips at most once, so a row
@@ -48,7 +47,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from math import ceil, comb, factorial, floor, prod
+from math import ceil, comb, factorial, floor, inf, prod
 from operator import add, mul
 
 from . import exactlinalg
@@ -134,72 +133,68 @@ def _twist_sums(summands: tuple, k: int, n: int):
 
     ``twists`` are the sorted degrees e of the pushforward terms of
     ``pushforward_terms(summands, (0,), k)``; ``sums[j][c]`` is the sum of
-    m_e * C(e, n - j) over ``twists[:c]``, for j = 0..n.
+    m_e * C(e, n - j) over ``twists[:c]``, for j = 0..n.  A multiplicity
+    m_e < 1 raises InternalInconsistency: ``_zero_interval`` needs m_e > 0.
     """
     shift, terms = pushforward_terms(summands, (0,), k)
     items = sorted((e, m) for (e,), m in terms.items())
+    if any(m < 1 for _, m in items):
+        raise InternalInconsistency(
+            f"non-positive multiplicity in the pushforward of O({k}H): {items}")
     sums = [list(itertools.accumulate((m * _binomial(e, i) for e, m in items),
                                       initial=0))
             for i in range(n, -1, -1)]
     return shift, [e for e, _ in items], sums
 
 
-def _bundle_row(v: ProjBundle, k: int, lo: int, hi: int) -> tuple:
-    """``(shift, n, generic, row)`` for O(a + kH) on P(E) over P^n or a
-    curve, a = lo..hi the base degree: ``row[a - lo]`` is the pair
-    (h^shift, h^(shift + n)), the only entries that can be nonzero.
+def _bundle_line(v: ProjBundle, a: int, k: int) -> CohomologyTable:
+    """O(a + kH) on P(E) over P^n or a curve.
 
     On P^n, h^0(O(x)) = C(x + n, n) for x >= -n (zero on -n..-1) and
     h^n(O(x)) = (-1)^n C(x + n, n) for x <= -n - 1; a curve of genus g is
     the case n = 1 at x - g.  So the twists e >= -n - a give h^shift, the
     ones below h^(shift + n), and by Vandermonde each is a sum over j of
-    C(a + n, j) times the power sums of C(e, n - j): ``_twist_sums`` is
-    read once per row, and each degree costs one ``bisect`` and O(n)
-    integer work whatever the twists are.  A negative entry raises
-    InternalInconsistency, as in ``CohomologyTable.make``.
+    C(a + n, j) times the power sums of C(e, n - j) (``_twist_sums``):
+    one ``bisect`` and O(n) integer work whatever the twists are.  The
+    callers' ``CohomologyTable.make`` checks the result.
     """
     base = v.base
     if isinstance(base, GenericCurve):
-        n, genus, curve = 1, base.genus, True
+        n, x, curve = 1, a - base.genus + 1, True
     else:
-        n, genus, curve = base.n, 0, False
+        n, x, curve = base.n, a + base.n, False
     shift, twists, sums = _twist_sums(v.summand_coords, k, n)
-    row = []
-    for x in range(lo - genus + n, hi - genus + n + 1):  # x = a + n
-        cut = bisect_left(twists, -x)
-        low = high = 0
-        c = 1  # C(x, j)
-        for j, s in enumerate(sums):
-            low += c * s[cut]
-            high += c * s[-1]
-            c = c * (x - j) // (j + 1)
-        high -= low
-        low *= (-1) ** n
-        if high < 0 or low < 0:
-            h = [0] * (v.dim + 1)
-            h[shift], h[shift + n] = high, low
-            raise InternalInconsistency(f"negative cohomology dimension in {tuple(h)}")
-        row.append((high, low))
-    return shift, n, curve and bool(twists), row
-
-
-def _bundle_line(v: ProjBundle, a: int, k: int) -> CohomologyTable:
-    """O(a + kH) on P(E) over P^n or a curve: the one-degree row."""
-    shift, n, generic, ((top, bottom),) = _bundle_row(v, k, a, a)
+    cut = bisect_left(twists, -x)
+    low = high = 0
+    c = 1  # C(x, j)
+    for j, s in enumerate(sums):
+        low += c * s[cut]
+        high += c * s[-1]
+        c = c * (x - j) // (j + 1)
+    high -= low
     h = [0] * (v.dim + 1)
-    h[shift], h[shift + n] = top, bottom
-    return CohomologyTable(tuple(h), (-1) ** shift * (top + (-1) ** n * bottom), generic)
+    h[shift], h[shift + n] = high, (-1) ** n * low
+    return CohomologyTable(tuple(h), (-1) ** shift * (high + low),
+                           curve and bool(twists))
 
 
-def _zero_row(v: Variety, lo: int, hi: int, rest: tuple) -> tuple:
-    """``(generic, flags)``: for a = lo..hi, whether O(a, *rest) has no
-    cohomology on v, a P^n, a curve or a P(E) over either; ``generic``
-    when any of these tables is.  On P(E) it is one ``_bundle_row``."""
-    if isinstance(v, ProjBundle):
-        _, _, generic, row = _bundle_row(v, *rest, lo, hi)
-        return generic, [entry == (0, 0) for entry in row]
-    tables = [_line_table(v, (a,)) for a in range(lo, hi + 1)]
-    return any(t.generic for t in tables), [t.is_zero() for t in tables]
+def _zero_interval(v: Variety, rest: tuple) -> tuple:
+    """``(generic, first, last)``: O(a, *rest) on v, a P^n, a curve or a
+    P(E) over either (rest = (k,)), has no cohomology exactly when first
+    <= a <= last; ``generic`` when its tables are.  On P(E) each h^i of
+    O(a + kH) is the sum of m_e * h^(i - shift)(O(a + e)) over the twists
+    e of ``_twist_sums``, every m_e > 0: the base's interval shifted by
+    -min e and -max e, or every a when there are none (the dead band).
+    """
+    if isinstance(v, ProjSpace):
+        return False, -v.n, -1
+    if isinstance(v, GenericCurve):
+        return True, v.genus - 1, v.genus - 1
+    generic, first, last = _zero_interval(v.base, ())
+    twists = _twist_sums(v.summand_coords, *rest, v.base.dim)[1]
+    if not twists:
+        return False, -inf, inf
+    return generic, first - twists[0], last - twists[-1]
 
 
 def pushforward_terms(summands: tuple, b_coords: tuple, k: int):

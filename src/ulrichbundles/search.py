@@ -10,9 +10,9 @@ share one helper for each half: ``_scan`` (the hits) and ``_closed_form``
 bundle O(c + t) has no cohomology, t running over the offsets of its
 checks: 0 for ``enum-zero``, -iA (i = 1..dim) for ``enum-ulrich``, 0 and
 the Sym^k terms of the criterion for ``search-pb``.  On P^n, curves and
-P(E) over either, ``_scan`` tabulates the box by rows (one
-``cohomology._bundle_row`` per H-degree and offset) and re-checks every
-hit through the public route (``cohomology``, ``is_ulrich``,
+P(E) over either, ``_scan`` meets each row with one zero interval per
+offset (``cohomology._zero_interval``) and tabulates only the hits,
+each re-checked through the public route (``cohomology``, ``is_ulrich``,
 ``pullback_ulrich_criterion``); deeper towers take that route at every
 point.  Scans whose tables are generic (over a curve) say so in a note.
 
@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import add, and_
+from operator import add
 
-from .cohomology import _check_cap, _closed_level, _zero_row, cohomology
+from .cohomology import _check_cap, _closed_level, _zero_interval, cohomology
 from .errors import BoxTooLarge, GenericModeUnsupported, InternalInconsistency
 from .picard import (
     DivisorClass,
@@ -102,9 +102,9 @@ def _scan(v: Variety, box: SearchBox, offsets, check) -> tuple:
     vanishes iff each one does, so this is the verdict of ``check(c)``,
     the per-point public route, which returns ``(verdict, generic)``.
 
-    On P^n, a curve or a P(E) over either the box is tabulated row by row
-    (``_zero_row``: one ``_twist_sums`` lookup per H-degree and offset),
-    and every hit is re-checked by ``check``; a disagreement raises
+    On P^n, a curve or a P(E) over either, each row of the box meets the
+    zero intervals of its offsets (``_zero_interval``) in its hits, and
+    only they are re-checked by ``check``; a disagreement raises
     InternalInconsistency.  Deeper towers take ``check`` at every point.
     """
     if isinstance(v, ProjBundle) and not _closed_level(v):
@@ -118,12 +118,12 @@ def _scan(v: Variety, box: SearchBox, offsets, check) -> tuple:
     (lo, hi), *rest = box.bounds
     hits, generic = [], False
     for tail in itertools.product(*(range(a, b + 1) for a, b in rest)):
-        keep = [True] * (hi - lo + 1)
+        first, last = lo, hi
         for t, *t_rest in offsets:
-            flag, zero = _zero_row(v, lo + t, hi + t, tuple(map(add, tail, t_rest)))
+            flag, zero_lo, zero_hi = _zero_interval(v, tuple(map(add, tail, t_rest)))
             generic = generic or flag
-            keep = list(map(and_, keep, zero))
-        hits += [(a, *tail) for a, ok in zip(range(lo, hi + 1), keep) if ok]
+            first, last = max(first, zero_lo - t), min(last, zero_hi - t)
+        hits += [(a, *tail) for a in range(first, last + 1)]
     for c in hits:
         if not check(c)[0]:
             raise InternalInconsistency(

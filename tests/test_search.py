@@ -3,8 +3,11 @@
 import contextlib
 import importlib
 import io
+import itertools
 import json
 import random
+from collections import Counter
+from math import inf
 
 import pytest
 
@@ -33,6 +36,7 @@ from ulrichbundles import (
     zero_cohomology_line_bundles,
 )
 from ulrichbundles.cli import run
+from ulrichbundles.cohomology import _line_table, _zero_interval
 from ulrichbundles.search import GENERIC_NOTE
 from ulrichbundles.ulrich import _criterion_setup
 
@@ -183,45 +187,58 @@ class TestPullbackSearch:
         assert len(calls) == 1
 
 
-def plant_row(monkeypatch, entry, rows_only=False):
-    """Make the row kernel ``cohomology._bundle_row`` report ``entry`` for
-    every degree; with ``rows_only``, only in rows of two or more degrees,
-    so the one-degree tables of the per-point route stay right."""
+def plant_twists(monkeypatch, summands, k):
+    """Make ``cohomology._twist_sums``, which the scan's zero intervals and
+    the per-point tables share, answer at every H-degree as for O(kH) on
+    P(E), E the sum of O(s) over ``summands``."""
     coh = importlib.import_module("ulrichbundles.cohomology")
-    real = coh._bundle_row
-
-    def planted(v, k, lo, hi):
-        shift, n, generic, row = real(v, k, lo, hi)
-        if rows_only and lo == hi:
-            return shift, n, generic, row
-        return shift, n, generic, [entry] * len(row)
-
-    monkeypatch.setattr(coh, "_bundle_row", planted)
+    real = coh._twist_sums
+    monkeypatch.setattr(coh, "_twist_sums", lambda _, __, n: real(summands, k, n))
 
 
 class TestClosedFormAgreement:
     """A scan that disagrees with its closed form inside the box is an
-    engine bug: plant one in the row kernel, which the per-point route
-    shares, so only the closed form can tell, and expect exit-3 errors."""
+    engine bug: plant one in the twist sums, which the zero intervals and
+    the per-point route share, so only the closed form can tell, and
+    expect exit-3 errors."""
 
     def test_zero_cohomology_scan(self, monkeypatch):
-        plant_row(monkeypatch, (0, 0))
+        # the dead band of a rank-2 bundle: every table zero
+        plant_twists(monkeypatch, ((0,), (0,)), -1)
         with pytest.raises(InternalInconsistency, match="zero-cohomology"):
             zero_cohomology_line_bundles(F2, SearchBox.symmetric(F2, 2))
 
     def test_ulrich_scan(self, monkeypatch):
-        plant_row(monkeypatch, (1, 0))
+        # twists 0 and 5 over P^1: no table zero
+        plant_twists(monkeypatch, ((0,), (5,)), 1)
         with pytest.raises(InternalInconsistency, match="Ulrich line-bundle"):
             ulrich_line_bundles(F2, DivisorClass(F2, (1, 1)), SearchBox.symmetric(F2, 3))
 
 
+@pytest.fixture
+def fresh_twist_sums():
+    """An empty ``_twist_sums`` cache before and after the test, so that
+    planted expansions are computed and none outlives the test."""
+    coh = importlib.import_module("ulrichbundles.cohomology")
+    coh._twist_sums.cache_clear()
+    yield
+    coh._twist_sums.cache_clear()
+
+
 class TestRowScan:
-    """Rows on P^n, curves and P(E) over either; per-point checks of every
-    hit there and of every point on deeper towers."""
+    """Zero intervals on P^n, curves and P(E) over either; per-point checks
+    of every hit there and of every point on deeper towers."""
 
     def test_row_fault_caught_by_the_per_hit_recheck(self, monkeypatch):
         # no closed form on a rank-3 bundle: only the re-check can tell
-        plant_row(monkeypatch, (0, 0), rows_only=True)
+        search = importlib.import_module("ulrichbundles.search")
+        real = search._zero_interval
+
+        def widened(v, rest):
+            generic, first, last = real(v, rest)
+            return generic, first, last + 1
+
+        monkeypatch.setattr(search, "_zero_interval", widened)
         with contextlib.redirect_stdout(io.StringIO()) as out:
             code = run(["enum-zero", "PB(P1;[0],[1],[3])", "--box", "2", "--json"])
         assert code == 3
@@ -230,6 +247,8 @@ class TestRowScan:
         assert "per-point check" in error["detail"]
 
     def test_negative_row_entry_is_three(self, monkeypatch):
+        # a scan tabulates every point of a tower, through the closed level
+        # F1 at the bottom of its walk
         coh = importlib.import_module("ulrichbundles.cohomology")
         real = coh._twist_sums
 
@@ -239,15 +258,40 @@ class TestRowScan:
 
         monkeypatch.setattr(coh, "_twist_sums", negated)
         with contextlib.redirect_stdout(io.StringIO()) as out:
-            code = run(["enum-zero", "PB(P1;[0],[1],[3])", "--box", "2", "--json"])
+            code = run(["enum-zero", "PB(F1;[0,0],[1,1])", "--box", "1", "--json"])
         assert code == 3
         assert "negative cohomology dimension" in json.loads(out.getvalue())["detail"]
+
+    @pytest.mark.parametrize("mult", [0, -1])
+    def test_non_positive_multiplicity_is_three(self, monkeypatch, fresh_twist_sums,
+                                                mult):
+        # the intervals compute no entries: the twist sums refuse the
+        # multiplicity that would make one negative
+        coh = importlib.import_module("ulrichbundles.cohomology")
+        real = coh.pushforward_terms
+
+        def planted(*args):
+            shift, terms = real(*args)
+            if terms:
+                terms[next(iter(terms))] = mult
+            return shift, terms
+
+        monkeypatch.setattr(coh, "pushforward_terms", planted)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = run(["enum-zero", "F3", "--box", "2", "--json"])
+        assert code == 3
+        error = json.loads(out.getvalue())
+        assert error["error"] == "internal-inconsistency"
+        assert "non-positive multiplicity" in error["detail"]
 
     @pytest.mark.parametrize("argv, results", [
         (["enum-zero", "PB(C1;[0],[1])", "--box", "3"],
          [[-3, -1], [-2, -1], [-1, -1], [0, -1], [0, 0], [1, -2], [1, -1], [2, -1],
           [3, -1]]),
         (["enum-ulrich", "C2", "--pol", "[5]", "--box", "6"], [[6]]),
+        # the last row's last offset, H-degree 2 - 3, lies in the dead band,
+        # whose table is not generic: the flag is OR-ed over rows and offsets
+        (["enum-ulrich", "PB(C1;[0],[1],[2])", "--pol", "[3,1]", "--box", "2"], []),
     ])
     def test_curve_scans_carry_the_generic_note(self, argv, results):
         with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -361,6 +405,62 @@ def scan_sweep(seeds) -> int:
                 assert (GENERIC_NOTE in result.erratum_notes) == generic, (seed, kind, w.name)
                 compared += box.volume
     return compared
+
+
+def interval_sweep(seeds) -> int:
+    """``cohomology._zero_interval`` against the per-point tables
+    (``_line_table``, ``_bundle_line`` on P(E)) at every (a, k) of seeded
+    boxes over P^1..P^3, the curves C0..C3 and a seeded P(E) of rank 2-4
+    over each, negative and repeated summands included: a lies in its
+    row's interval iff the table of O(a, k) is zero, and the interval's
+    generic flag is the table's.  Radii run from 2 to 12, past the twists
+    and across the dead bands.  Asserts that rows of every kind occurred:
+    dead-band rows (no twists, every a zero), rows whose nonempty interval
+    lies wholly outside the box, and rows with hits.  Returns the number
+    of points compared.  CI runs seeds 1..100."""
+    compared, kinds = 0, Counter()
+    for seed in seeds:
+        rng = random.Random(seed)
+        bases = ["P1", "P2", "P3"] + [f"C{g}" for g in range(4)]
+        names = bases + [f"PB({b};{_summands(rng, rng.randint(2, 4), 1)})" for b in bases]
+        for name in names:
+            v = parse_variety(name)
+            (lo, hi), *rest = SearchBox.symmetric(v, rng.randint(2, 12)).bounds
+            for tail in itertools.product(*(range(a, b + 1) for a, b in rest)):
+                generic, first, last = _zero_interval(v, tail)
+                for a in range(lo, hi + 1):
+                    table = _line_table(v, (a, *tail))
+                    assert (first <= a <= last) == table.is_zero(), (seed, name, a, tail)
+                    assert generic == table.generic, (seed, name, a, tail)
+                kinds["dead band"] += first == -inf
+                kinds["outside"] += first <= last and (last < lo or first > hi)
+                kinds["hits"] += max(first, lo) <= min(last, hi)
+                compared += hi - lo + 1
+    assert all(kinds[k] for k in ("dead band", "outside", "hits")), kinds
+    return compared
+
+
+class TestZeroInterval:
+    def test_sweep_slice(self):
+        assert interval_sweep(range(1, 4)) >= 7000
+
+    def test_tables_only_at_the_hits(self, monkeypatch):
+        # 641601 points, under the default cap of 10^6; tabulated: the
+        # fibre row (i, -1), (-1, 0) and (2, -2), each once by its re-check
+        coh = importlib.import_module("ulrichbundles.cohomology")
+        real = coh._line_table
+        calls = []
+
+        def spy(v, coords):
+            calls.append(coords)
+            return real(v, coords)
+
+        monkeypatch.setattr(coh, "_line_table", spy)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert run(["enum-zero", "F3", "--box", "400", "--json"]) == 0
+        hits = [tuple(c) for c in json.loads(out.getvalue())["results"]]
+        assert len(hits) == 803
+        assert sorted(calls) == hits
 
 
 class TestBoxLimits:
