@@ -23,8 +23,8 @@ Five ingredients:
   O(a + kH) is then one ``bisect`` and O(n) sums, since h^0(O(x)) =
   C(x + n, n) for x >= -n and h^n(O(x)) = (-1)^n C(x + n, n) below
   (x - g in place of x on a curve of genus g).  As every m_e > 0, the
-  table vanishes exactly on one interval of a (``_zero_interval``): the
-  box scans of ``search`` find their hits from these intervals,
+  table vanishes exactly on one interval of a (``_zero_interval``), on
+  deeper towers too: the box scans of ``search`` read their hits off it,
 * an independent combinatorial Cech oracle on P^n and every split tower
   over it, recomputing tables from the fan run by run: along the last
   axis of the character box each ray's sign flips at most once, so a row
@@ -47,7 +47,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from math import ceil, comb, factorial, floor, inf, prod
+from math import ceil, comb, floor, inf, prod
 from operator import add, mul
 
 from . import exactlinalg
@@ -179,17 +179,26 @@ def _bundle_line(v: ProjBundle, a: int, k: int) -> CohomologyTable:
 
 
 def _zero_interval(v: Variety, rest: tuple) -> tuple:
-    """``(generic, first, last)``: O(a, *rest) on v, a P^n, a curve or a
-    P(E) over either (rest = (k,)), has no cohomology exactly when first
-    <= a <= last; ``generic`` when its tables are.  On P(E) each h^i of
-    O(a + kH) is the sum of m_e * h^(i - shift)(O(a + e)) over the twists
-    e of ``_twist_sums``, every m_e > 0: the base's interval shifted by
-    -min e and -max e, or every a when there are none (the dead band).
+    """``(generic, first, last)``: O(a, *rest) on v has no cohomology
+    exactly when first <= a <= last; ``generic`` when its tables are.  On
+    P(E) over P^n or a curve each h^i of O(a + kH) is the sum of m_e *
+    h^(i - shift)(O(a + e)) over the twists e of ``_twist_sums``, every
+    m_e > 0: the base's interval shifted by -min e and -max e, or every a
+    when there are none (the dead band).  A deeper tower pushes O(0, *rest)
+    down to that level, where a adds to each term's first coordinate e:
+    the intersection of their intervals shifted by -e (every a if none).
     """
     if isinstance(v, ProjSpace):
         return False, -v.n, -1
     if isinstance(v, GenericCurve):
         return True, v.genus - 1, v.genus - 1
+    if not _closed_level(v):
+        level, terms = _tower_terms(v, {(0, (0, *rest)): 1})
+        generic, first, last = False, -inf, inf
+        for _, (e, *e_rest) in terms:
+            flag, lo, hi = _zero_interval(level, tuple(e_rest))
+            generic, first, last = generic or flag, max(first, lo - e), min(last, hi - e)
+        return generic, first, last
     generic, first, last = _zero_interval(v.base, ())
     twists = _twist_sums(v.summand_coords, *rest, v.base.dim)[1]
     if not twists:
@@ -315,7 +324,7 @@ def hom_complex_dims(v: Variety, e1: SplitBundle, e2: SplitBundle) -> Cohomology
 
 def _binomial(x: int, j: int) -> int:
     """C(x, j) = x (x-1) ... (x-j+1) / j! read as a polynomial in x."""
-    return prod(range(x - j + 1, x + 1)) // factorial(j)
+    return comb(x, j) if x >= 0 else (-1) ** j * comb(j - x - 1, j)
 
 
 def _over_p1(v: ProjBundle) -> bool:

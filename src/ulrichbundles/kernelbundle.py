@@ -68,6 +68,7 @@ from .cohomology import (
     _check_cap,
     _line_chi,
     _proj_space_line,
+    _zero_interval,
     pushforward_table,
 )
 from .errors import InternalInconsistency, NotSurjective, UnsupportedVariety
@@ -785,12 +786,11 @@ def prop61_builder(n: int, d: int, line_box: int = 8, presentation_bound: int = 
         return Prop61Result(report, pres, twists)
 
     # n >= 3: exhaustive scan of the stated search class; a line bundle O(e)
-    # with H^*(O(e)) = 0 lies in the dead band -n..-1, so only its degrees
-    # inside the box are tried
-    dead_band = set(range(-n, 0))
-    line_hits = [deg for deg in sorted(dead_band)
-                 if abs(deg) <= line_box
-                 and all(deg - s in dead_band for s in twists)]
+    # with H^*(O(e)) = 0 lies in the zero interval of P^n, so only its
+    # degrees inside the box are tried
+    _, first, last = _zero_interval(ProjSpace(n), ())
+    line_hits = [deg for deg in range(max(first, -line_box), min(last, line_box) + 1)
+                 if all(first <= deg - s <= last for s in twists)]
     scanned = []
     pres_hits = []
     for maker, kind in ((staircase_presentation, "staircase"),

@@ -1,7 +1,7 @@
 """Box-bounded classification scans.
 
-Runtime answers always come from exhaustive scans over a lattice box; the
-known closed-form classifications on the Hirzebruch surfaces F_r =
+Runtime answers come from scans over a lattice box; the known
+closed-form classifications on the Hirzebruch surfaces F_r =
 P(O + O(r)) over P^1 (``picard.hirzebruch_parameter``) are emitted
 alongside and asserted to agree with the scan inside the box, so the scan
 validates the formulas rather than the other way round.  The three scans
@@ -9,12 +9,12 @@ share one helper for each half: ``_scan`` (the hits) and ``_closed_form``
 (filter, agreement assertion, block).  A point c is a hit when every line
 bundle O(c + t) has no cohomology, t running over the offsets of its
 checks: 0 for ``enum-zero``, -iA (i = 1..dim) for ``enum-ulrich``, 0 and
-the Sym^k terms of the criterion for ``search-pb``.  On P^n, curves and
-P(E) over either, ``_scan`` meets each row with one zero interval per
-offset (``cohomology._zero_interval``) and tabulates only the hits,
-each re-checked through the public route (``cohomology``, ``is_ulrich``,
-``pullback_ulrich_criterion``); deeper towers take that route at every
-point.  Scans whose tables are generic (over a curve) say so in a note.
+the Sym^k terms of the criterion for ``search-pb``.  On every variety
+``_scan`` meets each row with one zero interval per offset
+(``cohomology._zero_interval``) and tabulates only the hits, each
+re-checked through the public route (``cohomology``, ``is_ulrich``,
+``pullback_ulrich_criterion``).  Scans whose tables are generic (over a
+curve) say so in a note.
 
 Closed forms used (polarisation A = a*f + b*C+ very ample):
 
@@ -34,7 +34,7 @@ import itertools
 from dataclasses import dataclass, field
 from operator import add
 
-from .cohomology import _check_cap, _closed_level, _zero_interval, cohomology
+from .cohomology import _check_cap, _zero_interval, cohomology
 from .errors import BoxTooLarge, GenericModeUnsupported, InternalInconsistency
 from .picard import (
     DivisorClass,
@@ -102,19 +102,10 @@ def _scan(v: Variety, box: SearchBox, offsets, check) -> tuple:
     vanishes iff each one does, so this is the verdict of ``check(c)``,
     the per-point public route, which returns ``(verdict, generic)``.
 
-    On P^n, a curve or a P(E) over either, each row of the box meets the
-    zero intervals of its offsets (``_zero_interval``) in its hits, and
-    only they are re-checked by ``check``; a disagreement raises
-    InternalInconsistency.  Deeper towers take ``check`` at every point.
+    Each row of the box meets the zero intervals of its offsets
+    (``_zero_interval``) in its hits, and only they are re-checked by
+    ``check``; a disagreement raises InternalInconsistency.
     """
-    if isinstance(v, ProjBundle) and not _closed_level(v):
-        hits, generic = [], False
-        for c in box.points():
-            verdict, flag = check(c)
-            generic = generic or flag
-            if verdict:
-                hits.append(c)
-        return tuple(hits), generic
     (lo, hi), *rest = box.bounds
     hits, generic = [], False
     for tail in itertools.product(*(range(a, b + 1) for a, b in rest)):

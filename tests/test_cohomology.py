@@ -1,11 +1,15 @@
 """Cohomology engine: line-bundle tables, pushforward branches, chi."""
 
+import contextlib
 import importlib
+import io
 import itertools
+import json
 import random
+import time
 from collections import Counter
 from functools import partial
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 
@@ -31,6 +35,7 @@ from ulrichbundles import (
 )
 from ulrichbundles.cli import run
 from ulrichbundles.cohomology import (
+    _binomial,
     _line_table,
     _twist_sums,
     push_down,
@@ -160,6 +165,20 @@ class TestEulerCharacteristic:
         for coords in [(0, 0, 0), (1, 2, 3), (-2, 1, -4), (3, -3, 2)]:
             d = DivisorClass(v, coords)
             assert euler_characteristic(v, d) == cohomology(v, d).chi
+
+    def test_binomial_is_the_falling_factorial_polynomial(self):
+        # the falling-factorial product that math.comb replaced, as reference
+        for x, j in itertools.product(range(-30, 31), range(13)):
+            assert _binomial(x, j) == prod(range(x - j + 1, x + 1)) // factorial(j), (x, j)
+
+    def test_huge_projective_space_is_quick(self):
+        # chi is C(100003, 100000): the falling-factorial product took
+        # seconds over its 100000 factors and 100000!
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert run(["chi", "P100000", "[3]", "--json"]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert json.loads(out.getvalue()) == {"chi": comb(100003, 3)}
 
 
 # E takes the first `rank` summands of the pool for its Picard rank

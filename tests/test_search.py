@@ -36,9 +36,11 @@ from ulrichbundles import (
     zero_cohomology_line_bundles,
 )
 from ulrichbundles.cli import run
-from ulrichbundles.cohomology import _line_table, _zero_interval
+from ulrichbundles.cohomology import _zero_interval
 from ulrichbundles.search import GENERIC_NOTE
 from ulrichbundles.ulrich import _criterion_setup
+
+from towers import rank2_tower
 
 P2 = ProjSpace(2)
 F0 = hirzebruch(0)
@@ -226,8 +228,8 @@ def fresh_twist_sums():
 
 
 class TestRowScan:
-    """Zero intervals on P^n, curves and P(E) over either; per-point checks
-    of every hit there and of every point on deeper towers."""
+    """Zero intervals on every variety, towers included; per-point checks
+    of every hit."""
 
     def test_row_fault_caught_by_the_per_hit_recheck(self, monkeypatch):
         # no closed form on a rank-3 bundle: only the re-check can tell
@@ -247,8 +249,9 @@ class TestRowScan:
         assert "per-point check" in error["detail"]
 
     def test_negative_row_entry_is_three(self, monkeypatch):
-        # a scan tabulates every point of a tower, through the closed level
-        # F1 at the bottom of its walk
+        # a scan tabulates only zero tables, which a negation leaves zero:
+        # a nonzero table on a tower, through the closed level F1 at the
+        # bottom of its walk
         coh = importlib.import_module("ulrichbundles.cohomology")
         real = coh._twist_sums
 
@@ -258,7 +261,7 @@ class TestRowScan:
 
         monkeypatch.setattr(coh, "_twist_sums", negated)
         with contextlib.redirect_stdout(io.StringIO()) as out:
-            code = run(["enum-zero", "PB(F1;[0,0],[1,1])", "--box", "1", "--json"])
+            code = run(["coh", "PB(F1;[0,0],[1,1])", "[1,1,1]", "--json"])
         assert code == 3
         assert "negative cohomology dimension" in json.loads(out.getvalue())["detail"]
 
@@ -302,7 +305,7 @@ class TestRowScan:
             assert run(argv) == 0
         assert out.getvalue().splitlines()[-1] == f"note: {GENERIC_NOTE}"
 
-    def test_towers_checked_once_per_point(self, monkeypatch):
+    def test_towers_tabulated_only_at_the_hits(self, monkeypatch):
         search = importlib.import_module("ulrichbundles.search")
         calls = []
 
@@ -312,9 +315,9 @@ class TestRowScan:
 
         monkeypatch.setattr(search, "cohomology", spy)
         v = parse_variety("PB(F1;[0,0],[1,1])")
-        box = SearchBox.symmetric(v, 2)
-        zero_cohomology_line_bundles(v, box)
-        assert sorted(calls) == list(box.points())
+        result = zero_cohomology_line_bundles(v, SearchBox.symmetric(v, 2))
+        assert result.results
+        assert sorted(calls) == list(result.results)
 
     def test_sweep_slice(self):
         assert scan_sweep(range(1, 6)) >= 13000
@@ -327,11 +330,20 @@ def _summands(rng, rank, width):
 
 
 def _bundle_names(rng):
-    """Seeded P(E) over P^1 (rank 2-4), P^2, P^3 and a curve, and one over F_1."""
+    """Seeded P(E) over P^1 (rank 2-4), P^2, P^3 and a curve, and the
+    towers of ``_tower_names`` over F_r, P^2 and a curve."""
     names = [f"PB(P1;{_summands(rng, rank, 1)})" for rank in (2, 3, 4)]
     names += [f"PB(P{n};{_summands(rng, rng.randint(2, 3), 1)})" for n in (2, 3)]
     names += [f"PB(C{rng.randint(0, 3)};{_summands(rng, rng.randint(2, 3), 1)})"]
-    return names + [f"PB(F1;{_summands(rng, 2, 2)})"]
+    return names + _tower_names(rng)
+
+
+def _tower_names(rng):
+    """Seeded depth-2 towers: P(E) over F_r (rank 2-3), over a P(E) over
+    P^2 and over a P(E) over a curve."""
+    return [f"PB(F{rng.randint(0, 4)};{_summands(rng, rng.randint(2, 3), 2)})"] + [
+        f"PB(PB({b};{_summands(rng, 2, 1)});{_summands(rng, 2, 2)})"
+        for b in ("P2", f"C{rng.randint(0, 3)}")]
 
 
 def _pick(rng, accept, rank, tries=40):
@@ -374,7 +386,7 @@ def scan_sweep(seeds) -> int:
     the curves C0..C3 (enum-ulrich only), F0..F4 and seeded bundles
     (``_bundle_names``), and search-pb over a seeded P(E) on each of them.
     Radii run from 2 to 12 on P^n and curves and to 6 on Picard rank 2,
-    past the twists and across the dead bands, and are 2 on the tower;
+    past the twists and across the dead bands, and are 2 on the towers;
     returns the number of points compared.  CI runs seeds 1..100."""
     compared = 0
     for seed in seeds:
@@ -408,35 +420,40 @@ def scan_sweep(seeds) -> int:
 
 
 def interval_sweep(seeds) -> int:
-    """``cohomology._zero_interval`` against the per-point tables
-    (``_line_table``, ``_bundle_line`` on P(E)) at every (a, k) of seeded
-    boxes over P^1..P^3, the curves C0..C3 and a seeded P(E) of rank 2-4
-    over each, negative and repeated summands included: a lies in its
-    row's interval iff the table of O(a, k) is zero, and the interval's
-    generic flag is the table's.  Radii run from 2 to 12, past the twists
-    and across the dead bands.  Asserts that rows of every kind occurred:
-    dead-band rows (no twists, every a zero), rows whose nonempty interval
-    lies wholly outside the box, and rows with hits.  Returns the number
-    of points compared.  CI runs seeds 1..100."""
+    """``cohomology._zero_interval`` against the per-point tables of
+    ``cohomology`` at every point of seeded boxes over P^1..P^3, the
+    curves C0..C3, a seeded P(E) of rank 2-4 over each, the seeded towers
+    of ``_tower_names`` and ``rank2_tower(3)``, negative and repeated
+    summands included: a lies in its row's interval iff the table of
+    O(a, *row) is zero, and the interval's generic flag is the table's.
+    Radii run from 2 to 12 up to Picard rank 2, past the twists and across
+    the dead bands, to 4 on the depth-2 towers and are 2 on
+    ``rank2_tower(3)``.  Asserts that rows of every kind occurred, both
+    on the towers and below them: dead-band rows (every a zero), rows
+    whose nonempty interval lies wholly outside the box, and rows with
+    hits.  Returns the number of points compared.  CI runs seeds 1..100."""
     compared, kinds = 0, Counter()
     for seed in seeds:
         rng = random.Random(seed)
         bases = ["P1", "P2", "P3"] + [f"C{g}" for g in range(4)]
         names = bases + [f"PB({b};{_summands(rng, rng.randint(2, 4), 1)})" for b in bases]
-        for name in names:
-            v = parse_variety(name)
-            (lo, hi), *rest = SearchBox.symmetric(v, rng.randint(2, 12)).bounds
+        towers = _tower_names(rng) + [rank2_tower(3)]
+        for name in names + towers:
+            v, tower = parse_variety(name), name in towers
+            radius = rng.randint(2, {1: 12, 2: 12, 3: 4}.get(v.picard_rank, 2))
+            (lo, hi), *rest = SearchBox.symmetric(v, radius).bounds
             for tail in itertools.product(*(range(a, b + 1) for a, b in rest)):
                 generic, first, last = _zero_interval(v, tail)
                 for a in range(lo, hi + 1):
-                    table = _line_table(v, (a, *tail))
+                    table = cohomology(v, DivisorClass(v, (a, *tail)))
                     assert (first <= a <= last) == table.is_zero(), (seed, name, a, tail)
                     assert generic == table.generic, (seed, name, a, tail)
-                kinds["dead band"] += first == -inf
-                kinds["outside"] += first <= last and (last < lo or first > hi)
-                kinds["hits"] += max(first, lo) <= min(last, hi)
+                kinds["dead band", tower] += first == -inf
+                kinds["outside", tower] += first <= last and (last < lo or first > hi)
+                kinds["hits", tower] += max(first, lo) <= min(last, hi)
                 compared += hi - lo + 1
-    assert all(kinds[k] for k in ("dead band", "outside", "hits")), kinds
+    assert all(kinds[k, tower] for k in ("dead band", "outside", "hits")
+               for tower in (False, True)), kinds
     return compared
 
 
