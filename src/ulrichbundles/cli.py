@@ -11,7 +11,8 @@ mismatch, oracle mismatch, scan-shell violation).
 The environment variable ``ULRICH_SCAN_CAP`` overrides the default cap
 on scan-box volumes, the oracle's character box included, on the
 coefficients of a ``kernel`` or ``prop61`` presentation matrix, and on
-the section-map cells of a rank-route ``kernel --twist`` table.
+the section-map cells of each rank-route ``kernel`` table, whether asked
+for with ``--twist`` or by the orthogonality conditions.
 
 ``run`` may be called many times in one process; the parser is built on
 the first call and shared by the later ones.
@@ -306,7 +307,7 @@ def _run_kernel(args) -> tuple:
                    "twist": args.twist, "table": table.to_json()}
         lines.append(f"H(F({args.twist:+d})): {table}")
         return payload, lines
-    lemma = kernelbundle.lemma_conditions_check(pres)
+    lemma = kernelbundle.lemma_conditions_check(pres, _scan_cap())
     payload = {"presentation": pres.to_json(), "lemma": lemma.to_json()}
     lines.append(f"orthogonality conditions: "
                  f"{'pass' if lemma.passed else 'FAIL'}")

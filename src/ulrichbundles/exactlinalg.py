@@ -10,6 +10,11 @@ when it falls short does Bareiss (fraction-free Gaussian) elimination run
 over the integers, where every intermediate value is a minor of the input
 and all divisions are exact.  That one elimination (``_bareiss``) also
 gives small determinants and square solves.
+
+``PRIME`` is 32749, the largest prime below 2^15, so every residue and
+every product of two residues fits in one 30-bit CPython digit and the
+elimination's arithmetic stays single-digit.  A smaller prime divides a
+nonzero minor more often; that costs only a Bareiss run, never an answer.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from fractions import Fraction
 from itertools import compress
 from math import lcm
 
-PRIME = 2**31 - 1
+PRIME = 32749
 
 
 def _sparse_integer_rows(rows) -> list:

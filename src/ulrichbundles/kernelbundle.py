@@ -37,19 +37,22 @@ Each closed table is checked against the Euler characteristic
 b1 chi(O(d+t)) - b2 chi(O(d+1+t)), which shares no code with it.
 
 All ranks are exact over the rationals: ``exactlinalg.rank`` proves them
-by full rank modulo a fixed prime and falls back to fraction-free
-(Bareiss) elimination only when that fails.  Surjectivity of the sheaf
-map is certified exactly where possible (see ``_certify_surjective``) and
-honestly marked heuristic otherwise.  Both constructions are certified by
-one check: on each chart of P^n it reads a triangular maximal minor off
-the matrix itself, so it needs no per-construction column rule and any
-row order works.
+by full rank modulo a fixed one-digit prime and falls back to
+fraction-free (Bareiss) elimination only when that fails.  Surjectivity
+of the sheaf map is certified exactly where possible (see
+``_certify_surjective``) and honestly marked heuristic otherwise.  Both
+constructions are certified by one check: on each chart of P^n it reads
+a triangular maximal minor off the matrix itself, so it needs no
+per-construction column rule and any row order works.
 
 Each matrix carries one integer sparse view of itself, built with it:
 per row, the nonzero forms with that row's denominators cleared.  The
 certificates and the section-map ranks read only that view, so their work
 follows the nonzeros ((n+1) per row of the contraction matrix), not the
-b2 x b1 grid; row scaling changes no rank, root or zero pattern.
+b2 x b1 grid; row scaling changes no rank, root or zero pattern.  The
+three built-in constructions have integer entries and build that view
+directly, the contraction's rows once per (n, d); only a hand-built
+matrix converts its entries cell by cell.
 """
 
 from __future__ import annotations
@@ -91,6 +94,13 @@ class LinearFormMatrix:
     cleared.  Scaling a row by a nonzero integer keeps the map surjective
     at every point, every maximal minor up to a nonzero constant and every
     section-map rank, so the certificates and ranks read only this view.
+
+    ``LinearFormMatrix(n, d, entries)`` converts each distinct form of a
+    hand-built matrix to ``Fraction``s once and derives the view from them.
+    The built-in constructors have integer entries, so every row's lcm is 1:
+    they build the view itself and lay ``entries`` out from it as plain int
+    tuples (``_from_int_rows``), never visiting a cell one by one.  Both
+    paths run the same shape checks (``_check_shape``).
     """
 
     n: int
@@ -99,8 +109,6 @@ class LinearFormMatrix:
     int_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1 or self.d < 0:
-            raise UnsupportedVariety(f"need n >= 1, d >= 0; got ({self.n}, {self.d})")
         # each distinct coefficient tuple -> (Fraction form, lcm of its
         # denominators, integer numerators); the lcm is 0 for a zero form
         forms = {}
@@ -123,9 +131,33 @@ class LinearFormMatrix:
                              for col, (form, den, numer) in support.items()})
         object.__setattr__(self, "entries", tuple(rows))
         object.__setattr__(self, "int_rows", tuple(int_rows))
-        if not rows or not rows[0]:
+        self._check_shape(map(len, forms))
+
+    @classmethod
+    def _from_int_rows(cls, n: int, d: int, width: int, int_rows) -> LinearFormMatrix:
+        """The matrix of ``width`` columns whose integer view is ``int_rows``:
+        rows of {column: nonzero integer form}, each row's lcm 1.  The rows
+        are kept as given, not copied."""
+        m = object.__new__(cls)
+        zero = (0,) * (n + 1)
+        int_rows = tuple(int_rows)
+        object.__setattr__(m, "n", n)
+        object.__setattr__(m, "d", d)
+        object.__setattr__(m, "entries", tuple(tuple(_dense_row(row, width, zero))
+                                               for row in int_rows))
+        object.__setattr__(m, "int_rows", int_rows)
+        forms = itertools.chain.from_iterable(map(dict.values, int_rows))
+        m._check_shape(map(len, forms))
+        return m
+
+    def _check_shape(self, form_lengths) -> None:
+        """Refuse bad degrees, an empty matrix, a form whose length in
+        ``form_lengths`` is not n+1, and b1 <= b2, in that order."""
+        if self.n < 1 or self.d < 0:
+            raise UnsupportedVariety(f"need n >= 1, d >= 0; got ({self.n}, {self.d})")
+        if not self.entries or not self.entries[0]:
             raise UnsupportedVariety("empty matrix")
-        if any(len(form) != self.n + 1 for form, _, _ in forms.values()):
+        if set(form_lengths) - {self.n + 1}:
             raise UnsupportedVariety("entries must have n+1 coefficients")
         if self.b1 <= self.b2:
             raise UnsupportedVariety("need more columns than rows (b1 > b2)")
@@ -174,19 +206,12 @@ def _unit(n: int, v: int) -> tuple:
     return tuple(1 if i == v else 0 for i in range(n + 1))
 
 
-def _zero_form(n: int) -> tuple:
-    return (0,) * (n + 1)
-
-
 def staircase_matrix(n: int, d: int) -> LinearFormMatrix:
     """Row i of the (d+1) x (n+d+1) matrix is x_0..x_n shifted i slots."""
-    rows = []
-    for i in range(d + 1):
-        row = []
-        for j in range(n + d + 1):
-            row.append(_unit(n, j - i) if 0 <= j - i <= n else _zero_form(n))
-        rows.append(tuple(row))
-    return LinearFormMatrix(n, d, tuple(rows))
+    units = [_unit(n, v) for v in range(n + 1)]
+    return LinearFormMatrix._from_int_rows(
+        n, d, n + d + 1,
+        ({i + v: unit for v, unit in enumerate(units)} for i in range(d + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -199,9 +224,11 @@ def monomial_exponents(n: int, q: int) -> tuple:
                  for combo in itertools.combinations_with_replacement(range(n + 1), q))
 
 
+@lru_cache(maxsize=None)
 def _contraction_rows(n: int, d: int) -> tuple:
     """The integer view of ``sym_euler_matrix(n, d)``: per degree-d
-    exponent vector beta, {column of alpha = beta + e_v: alpha_v * x_v}."""
+    exponent vector beta, {column of alpha = beta + e_v: alpha_v * x_v}.
+    Cached, so every contraction matrix of one (n, d) shares these rows."""
     cols_idx = {alpha: c for c, alpha in enumerate(monomial_exponents(n, d + 1))}
     rows = []
     for beta in monomial_exponents(n, d):
@@ -221,22 +248,23 @@ def sym_euler_matrix(n: int, d: int) -> LinearFormMatrix:
     when alpha = beta + e_v.  The kernel is the (d+1)-st symmetric power
     of the cotangent bundle twisted by 2d+1, of rank C(n+d, n-1).
     """
-    width, zero = len(monomial_exponents(n, d + 1)), _zero_form(n)
-    m = LinearFormMatrix(n, d, tuple(_dense_row(row, width, zero)
-                                     for row in _contraction_rows(n, d)))
+    m = LinearFormMatrix._from_int_rows(n, d, len(monomial_exponents(n, d + 1)),
+                                        _contraction_rows(n, d))
     assert m.b1 == comb(n + d + 1, n) and m.b2 == comb(n + d, n)
     assert m.kernel_rank == comb(n + d, n - 1)
     return m
 
 
 def random_matrix(n: int, d: int, seed: int) -> LinearFormMatrix:
-    """Seeded random matrix with the staircase dimensions (d+1) x (n+d+1)."""
+    """Seeded random matrix with the staircase dimensions (d+1) x (n+d+1);
+    the coefficients are drawn row by row, form by form."""
     rng = _random.Random(seed)
-    rows = tuple(
-        tuple(tuple(rng.randint(-5, 5) for _ in range(n + 1))
-              for _ in range(n + d + 1))
-        for _ in range(d + 1))
-    return LinearFormMatrix(n, d, rows)
+    rows = []
+    for _ in range(d + 1):
+        forms = [tuple(rng.randint(-5, 5) for _ in range(n + 1))
+                 for _ in range(n + d + 1)]
+        rows.append({col: form for col, form in enumerate(forms) if any(form)})
+    return LinearFormMatrix._from_int_rows(n, d, n + d + 1, rows)
 
 
 # --------------------------------------------------------------------------
@@ -699,12 +727,18 @@ class LemmaReport:
                            for c in self.checks]}
 
 
-def lemma_conditions_check(p: KernelBundlePresentation) -> LemmaReport:
+def lemma_conditions_check(p: KernelBundlePresentation,
+                           cap: int | None = None) -> LemmaReport:
     """H^*(F) = 0 together with H^*(F(-d-k)) = 0 for k = 2..n, the
     right-orthogonality to O(d+2)..O(d+n) inside the exceptional sequence,
-    checked by ``ulrich._checks`` on P^n with labels F and F(-d-k)."""
+    checked by ``ulrich._checks`` on P^n with labels F and F(-d-k).
+
+    Every twist is checked against ``cap`` (``check_section_map_size``)
+    before any table is filled."""
     n, d = p.matrix.n, p.matrix.d
     twists = [0] + [-d - k for k in range(2, n + 1)]
+    for t in twists:
+        check_section_map_size(p, t, cap)
     checks = _checks(ProjSpace(n), TwistedKernel(p), n,
                      ((f"F({t})" if t else "F", {(0, (t,)): 1}) for t in twists))
     return LemmaReport(all(c.ok for c in checks), tuple(checks))
@@ -773,7 +807,7 @@ def prop61_builder(n: int, d: int, line_box: int = 8, presentation_bound: int = 
     twists = _condition_twists(n, d)
     if n == 2:
         pres = staircase_presentation(2, d)
-        lemma = lemma_conditions_check(pres)
+        lemma = lemma_conditions_check(pres, cap)
         if not lemma.passed:
             raise InternalInconsistency("staircase kernel fails its own "
                                         "orthogonality conditions")

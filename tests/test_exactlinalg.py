@@ -3,6 +3,7 @@ the fraction-free square solve."""
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -47,6 +48,38 @@ def random_matrix(rng, nrows, ncols, fractions, dependent):
     return rows
 
 
+def rank_sweep(seeds) -> int:
+    """Check ``rank`` against ``reference_rank`` on 20 seeded matrices per
+    seed; returns how many were checked.
+
+    Each matrix starts from ``random_matrix`` (integer or fraction entries,
+    some rows integer combinations of others).  Then each row may be
+    scaled by PRIME, made congruent modulo PRIME to another row while
+    differing from it over Q, or given entries beyond PRIME.  So the
+    mod-p proof falls short on many matrices, and the Bareiss fallback
+    decides there."""
+    checked = 0
+    for seed in seeds:
+        rng = random.Random(f"rank/{seed}")
+        for _ in range(20):
+            nrows, ncols = rng.randint(1, 10), rng.randint(1, 10)
+            rows = random_matrix(rng, nrows, ncols, fractions=rng.random() < 0.3,
+                                 dependent=rng.randint(0, 3))
+            for i in range(nrows):
+                change = rng.choice(("keep", "scale", "congruent", "beyond"))
+                if change == "scale":
+                    rows[i] = [PRIME * x for x in rows[i]]
+                elif change == "congruent" and nrows > 1:
+                    j = rng.choice([j for j in range(nrows) if j != i])
+                    rows[i] = [x + PRIME * rng.randint(-3, 3) for x in rows[j]]
+                elif change == "beyond":
+                    rows[i] = [x + PRIME * rng.randint(1, 10**6) if rng.random() < 0.5
+                               else x for x in rows[i]]
+            assert rank(rows) == reference_rank(rows), (seed, rows)
+            checked += 1
+    return checked
+
+
 @pytest.fixture
 def bareiss_calls(monkeypatch):
     """Records the rows handed to the Bareiss fallback."""
@@ -84,6 +117,18 @@ class TestAgainstReference:
 
 
 class TestModularProof:
+    def test_prime_fits_one_digit(self):
+        # prime by trial division, and a product of two residues fits in
+        # one 30-bit CPython digit
+        assert PRIME > 2 and all(PRIME % q for q in range(2, isqrt(PRIME) + 1))
+        assert PRIME**2 < 2**30
+
+    def test_rank_sweep_takes_both_routes(self, bareiss_calls):
+        # CI runs seeds 1-100
+        checked = rank_sweep(range(1, 4))
+        assert checked == 60
+        assert 0 < len(bareiss_calls) < checked
+
     def test_full_rank_skips_bareiss(self, bareiss_calls):
         assert rank([[1, 2, 3], [4, 5, 6]]) == 2
         assert rank([[Fraction(1, 3), 0], [0, Fraction(2, 7)], [1, 1]]) == 2

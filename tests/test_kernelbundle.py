@@ -13,6 +13,7 @@ from math import comb, lcm, prod
 import pytest
 
 from ulrichbundles import (
+    BoxTooLarge,
     DivisorClass,
     InternalInconsistency,
     NotSurjective,
@@ -120,6 +121,52 @@ class TestSymEulerMatrix:
                     assert entry[v] == alpha[v]
                 else:
                     assert not any(entry)
+
+
+class TestConstructionPaths:
+    """The built-in constructors build the integer view and lay ``entries``
+    out from it as ints; a hand-built matrix converts each cell to a
+    Fraction and derives the view.  Both must give the same matrix."""
+
+    BUILDERS = {"staircase": staircase_presentation,
+                "sym-euler": sym_euler_presentation,
+                "random": lambda n, d: random_presentation(n, d, 10 * n + d)}
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_hand_built_copy_agrees(self, kind):
+        for n, d in itertools.product(range(1, 5), range(0, 5)):
+            built = self.BUILDERS[kind](n, d)
+            m = built.matrix
+            copy = LinearFormMatrix(n, d, m.entries)
+            assert all(type(c) is int for row in m.entries for e in row for c in e)
+            assert all(type(c) is Fraction
+                       for row in copy.entries for e in row for c in e)
+            assert copy == m
+            assert copy.int_rows == m.int_rows
+            assert copy.entries == m.entries
+            assert copy.to_json() == m.to_json()
+            again = KernelBundlePresentation(copy, kind, seed=built.seed)
+            assert again.route == built.route
+            assert again.to_json() == built.to_json()
+
+    def test_contraction_rows_built_once(self):
+        assert sym_euler_matrix(3, 2).int_rows is sym_euler_matrix(3, 2).int_rows
+
+    def test_sym_json_is_byte_stable(self, capsys):
+        outs = []
+        for _ in range(2):
+            assert run(["kernel", "3", "2", "--sym", "--json"]) == 0
+            outs.append(capsys.readouterr().out.encode())
+        assert outs[0] == outs[1]
+
+    def test_built_ins_share_the_shape_checks(self):
+        for build in (staircase_matrix, sym_euler_matrix):
+            with pytest.raises(UnsupportedVariety) as err:
+                build(-1, 1)
+            assert str(err.value) == "need n >= 1, d >= 0; got (-1, 1)"
+        with pytest.raises(UnsupportedVariety) as err:
+            kernelbundle.random_matrix(2, -1, 1)
+        assert str(err.value) == "need n >= 1, d >= 0; got (2, -1)"
 
 
 class TestCertificates:
@@ -555,6 +602,28 @@ class TestBoundedRequests:
         assert code == 2 and elapsed < 0.1
         assert out["error"] == "box-too-large"
         assert "section map cells" in out["detail"]
+
+    def test_lemma_twists_refused_before_any_fill(self, monkeypatch):
+        # the orthogonality conditions of kernel 2 2 rank at twists 0 and -4
+        pres = random_presentation(2, 2, 1)
+        cells = max(rank_route_cells(pres.matrix, t) for t in (0, -4))
+        assert cells == 900
+
+        def no_fill(*args):
+            raise AssertionError("section map filled")
+        monkeypatch.setattr(kernelbundle, "_multiplication_rank", no_fill)
+        with pytest.raises(BoxTooLarge):
+            lemma_conditions_check(pres, cells - 1)
+        monkeypatch.setenv("ULRICH_SCAN_CAP", str(cells - 1))
+        code, out, _ = timed_json(["kernel", "2", "2", "--random", "1", "--json"])
+        assert code == 2 and out["error"] == "box-too-large"
+        assert "section map cells" in out["detail"]
+
+    def test_lemma_cap_follows_the_scan_cap(self, monkeypatch):
+        argv = ["kernel", "2", "2", "--random", "1", "--json"]
+        monkeypatch.setenv("ULRICH_SCAN_CAP", "900")
+        code, out, _ = timed_json(argv)
+        assert code == 0 and out["lemma"]["passed"]
 
     def test_rank_route_cap_follows_the_scan_cap(self, monkeypatch):
         argv = ["kernel", "2", "2", "--random", "1", "--twist", "3", "--json"]
