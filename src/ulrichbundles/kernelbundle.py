@@ -228,7 +228,8 @@ def monomial_exponents(n: int, q: int) -> tuple:
 def _contraction_rows(n: int, d: int) -> tuple:
     """The integer view of ``sym_euler_matrix(n, d)``: per degree-d
     exponent vector beta, {column of alpha = beta + e_v: alpha_v * x_v}.
-    Cached, so every contraction matrix of one (n, d) shares these rows."""
+    Cached, so every contraction matrix of one (n, d) shares these rows;
+    nothing may mutate them."""
     cols_idx = {alpha: c for c, alpha in enumerate(monomial_exponents(n, d + 1))}
     rows = []
     for beta in monomial_exponents(n, d):
