@@ -1,5 +1,5 @@
 """Exact linear algebra helpers: exact rank, and small fraction-free
-integer determinants and solves.
+integer solves.
 
 Rank is exact and never uses floating point.  After clearing
 denominators, the rank is first taken modulo the fixed prime ``PRIME`` by
@@ -9,7 +9,7 @@ reaches min(nonzero rows, columns), that bound is the exact rank.  Only
 when it falls short does Bareiss (fraction-free Gaussian) elimination run
 over the integers, where every intermediate value is a minor of the input
 and all divisions are exact.  That one elimination (``_bareiss``) also
-gives small determinants and square solves.
+gives square solves.
 
 ``PRIME`` is 32749, the largest prime below 2^15, so every residue and
 every product of two residues fits in one 30-bit CPython digit and the
@@ -80,14 +80,14 @@ def _bareiss(m, ncols: int) -> tuple:
     """Fraction-free (Bareiss) forward elimination of dense integer rows,
     in place, pivoting in the first ``ncols`` columns; any later columns
     (a right-hand side) are carried along.  Returns the rank and the last
-    pivot, signed by the row swaps.
+    pivot.
 
     Every entry below the pivot rows is a minor of the row-permuted input,
     so each division by the previous pivot is exact.  At full rank of a
-    square block the signed last pivot is its determinant.
+    square block the last pivot is its determinant up to sign.
     """
     nrows = len(m)
-    rk, sign, prev = 0, 1, 1
+    rk, prev = 0, 1
     for col in range(ncols):
         if rk == nrows:
             break
@@ -101,7 +101,6 @@ def _bareiss(m, ncols: int) -> tuple:
             continue
         if piv_row != rk:
             m[rk], m[piv_row] = m[piv_row], m[rk]
-            sign = -sign
         pivot_row = m[rk]
         piv = pivot_row[col]
         width = len(pivot_row)
@@ -117,7 +116,7 @@ def _bareiss(m, ncols: int) -> tuple:
                     row[j] = piv * row[j] // prev
         prev = piv
         rk += 1
-    return rk, sign * prev
+    return rk, prev
 
 
 def rank(rows) -> int:
@@ -138,21 +137,14 @@ def rank(rows) -> int:
     return _bareiss(dense, ncols)[0]
 
 
-def det(matrix) -> int:
-    """Exact determinant of a square integer matrix (not modified)."""
-    n = len(matrix)
-    rk, last = _bareiss([list(row) for row in matrix], n)
-    return last if rk == n else 0
-
-
 def solve_square(matrix, rhs):
     """Solve a small square integer system exactly; None if singular.
 
     One elimination of the augmented integer matrix (``_bareiss``), then
-    integer back substitution: det * x is an integer vector by Cramer's
-    rule, so every division is exact and only the returned entries are
-    Fractions.  Used for hyperplane-arrangement vertices, so dimensions
-    stay tiny.  The input is not modified.
+    integer back substitution: the last pivot d is +-det, so d * x is an
+    integer vector by Cramer's rule, every division is exact and only the
+    returned entries are Fractions.  Used for hyperplane-arrangement
+    vertices, so dimensions stay tiny.  The input is not modified.
     """
     n = len(matrix)
     m = [[*row, b] for row, b in zip(matrix, rhs)]

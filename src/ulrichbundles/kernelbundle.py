@@ -43,7 +43,10 @@ of the sheaf map is certified exactly where possible (see
 ``_certify_surjective``) and honestly marked heuristic otherwise.  Both
 constructions are certified by one check: on each chart of P^n it reads
 a triangular maximal minor off the matrix itself, so it needs no
-per-construction column rule and any row order works.
+per-construction column rule and any row order works.  Every other exact
+certificate, and the seeded line of the heuristic one, is one section-map
+rank (``_sections_onto``): a map onto at every point of P^1 has a split
+kernel whose H^1 vanishes from a degree read off the matrix's shape.
 
 Each matrix carries one integer sparse view of itself, built with it:
 per row, the nonzero forms with that row's denominators cleared.  The
@@ -316,68 +319,63 @@ def _triangular_charts(m: LinearFormMatrix) -> bool:
     return True
 
 
-def _pencil_minors_share_root(pencil) -> bool:
-    """True iff the maximal minors of a matrix of binary linear forms share
-    a root on P^1; entry (c, e) is the integer form c*v0 + e*v1, read as
-    c + e*t.  Callers clear denominators by scaling rows, which scales
-    every maximal minor by a nonzero constant.
+def _sections_onto(rows, width: int, n: int, src_deg: int) -> bool:
+    """True iff the section map of sparse integer rows {column: form}
+    (``_multiplication_rank``) from degree src_deg on P^n is onto.
 
-    The minors are forms of degree D, the minor size.  By Sylvester they
-    share no root iff their multiples by the degree-(D-1) monomials span
-    all 2D forms of degree 2D-1.  Evaluation at t = 0..2D-1 is a change of
-    basis of those forms, so each minor is taken as an exact integer
-    determinant at each t and one exact rank decides.  Zero minors and a
-    root at [0:1] (every minor missing its t^D term) lower that rank too.
+    The exact certificates below, and the sampling certificate's seeded
+    line, are each this one test.  The target
+    O(d+1)^b2 is globally generated, so a section map onto in any degree
+    >= 0 makes the sheaf map onto.  Conversely, on P^1 a map
+    O(d)^b1 -> O(d+1)^b2 onto at every point has a kernel of degree
+    (b1 - b2) d - b2 inside O(d)^b1, so every summand O(a) has
+    d - b2 <= a <= d; H^1 of the kernel then vanishes from source degree
+    b2 - 1 on, and the section map is onto there.  For a matrix of binary
+    forms, onto at every point means its maximal minors share no root.
     """
-    if len(pencil) > len(pencil[0]):
-        pencil = list(zip(*pencil))
-    size = len(pencil)
-    combos = list(itertools.combinations(range(len(pencil[0])), size))
-    span = []
-    for t in range(2 * size):
-        at_t = [[c + e * t for c, e in row] for row in pencil]
-        minors = [exactlinalg.det([[row[j] for j in combo] for row in at_t])
-                  for combo in combos]
-        span.append([t**j * v for v in minors for j in range(size)])
-    return exactlinalg.rank(span) < 2 * size
+    _, tgt, rank = _multiplication_rank(rows, width, n, src_deg)
+    return rank == tgt
 
 
 def _certify_p1(m: LinearFormMatrix) -> SurjectivityCertificate | None:
-    """On P^1 the maximal minors are binary forms of degree b2; surjective
-    iff they share no root (``_pencil_minors_share_root``)."""
+    """On P^1 the map is onto iff its section map from degree b2 - 1 is
+    (``_sections_onto``)."""
     if m.n != 1:
         return None
-    if _pencil_minors_share_root([_dense_row(row, m.b1, (0, 0)) for row in m.int_rows]):
+    if not _sections_onto(m.int_rows, m.b1, 1, m.b2 - 1):
         raise NotSurjective("maximal minors share a zero on P^1")
     return SurjectivityCertificate("binary-minor-gcd", True,
                                    "maximal minors have no common root on P^1")
 
 
 def _certify_row_span(m: LinearFormMatrix) -> SurjectivityCertificate | None:
-    """For b2 = 1 the entries are linear forms; surjective iff they span."""
+    """For b2 = 1 the entries are linear forms; surjective iff they span,
+    that is iff the section map from degree 0 is onto."""
     if m.b2 != 1:
         return None
-    coeffs = _dense_row(m.int_rows[0], m.b1, (0,) * (m.n + 1))
-    if exactlinalg.rank(coeffs) == m.n + 1:
+    if _sections_onto(m.int_rows, m.b1, m.n, 0):
         return SurjectivityCertificate(
             "linear-span", True, "entries span all linear forms")
     raise NotSurjective("row of linear forms has a common zero")
 
 
 def _certify_cokernel_line(m: LinearFormMatrix) -> SurjectivityCertificate | None:
-    """For b2 = 2: v^T alpha drops rank for some [v0:v1] iff the (n+1)-minors
-    of the v-parametrised coefficient matrix share a root; decided exactly
-    by ``_pencil_minors_share_root``."""
+    """For b2 = 2: v^T alpha vanishes at some point for some [v0:v1] iff
+    the (n+1) x b1 coefficient matrix L(v) of v^T alpha drops rank
+    somewhere on P^1; L(v) is a map of binary forms, decided in degree n
+    (``_sections_onto``)."""
     if m.b2 != 2:
         return None
     if m.b1 < m.n + 1:
         raise NotSurjective("too few columns to be pointwise surjective")
-    # column c of L(v): coefficient vector of v0*M[0][c] + v1*M[1][c]; the
-    # integer view scales v0 and v1, a change of coordinates on P^1
+    # row var of L(v), column c: the x_var coefficient of v0*M[0][c] + v1*M[1][c],
+    # kept where nonzero; the integer view scales v0 and v1, a change of
+    # coordinates on P^1
     zero = (0,) * (m.n + 1)
     top, bottom = (_dense_row(row, m.b1, zero) for row in m.int_rows)
-    lv = [[(a[var], b[var]) for a, b in zip(top, bottom)] for var in range(m.n + 1)]
-    if _pencil_minors_share_root(lv):
+    lv = [{c: (a[var], b[var]) for c, (a, b) in enumerate(zip(top, bottom))
+           if a[var] or b[var]} for var in range(m.n + 1)]
+    if not _sections_onto(lv, m.b1, 1, m.n):
         raise NotSurjective("some corank-one functional kills a fibre")
     return SurjectivityCertificate(
         "binary-form-resultant", True,
@@ -387,9 +385,9 @@ def _certify_cokernel_line(m: LinearFormMatrix) -> SurjectivityCertificate | Non
 def _certify_sampling(m: LinearFormMatrix) -> SurjectivityCertificate:
     """Heuristic certificate: full rank at all sign points, coordinate
     points and a few seeded rational points, plus the restriction to a
-    seeded line, whose maximal minors share no root
-    (``_pencil_minors_share_root``) when no codimension-one degeneracy
-    exists; a shared root there leaves the restriction inconclusive.
+    seeded line, which is onto at every point of the line
+    (``_sections_onto`` in degree b2 - 1) when no codimension-one
+    degeneracy exists; a failure there leaves the restriction inconclusive.
 
     Points and line are evaluated on the row-scaled integer view, over
     its nonzero forms only; row scaling changes neither rank nor roots."""
@@ -403,14 +401,13 @@ def _certify_sampling(m: LinearFormMatrix) -> SurjectivityCertificate:
                              m.b1, 0) for row in m.int_rows]
         if exactlinalg.rank(scalar) < m.b2:
             raise NotSurjective(f"matrix drops rank at point {pt}")
-    # restrict to the pencil x = s*p + t*q for seeded p, q; minors become
-    # binary forms, and no common root rules out a codim-1 common factor
+    # restrict to the pencil x = s*p + t*q for seeded p, q; the entries
+    # become binary forms, onto everywhere iff no codim-1 factor meets the line
     p = tuple(rng.randint(-9, 9) for _ in range(m.n + 1))
     q = tuple(rng.randint(-9, 9) for _ in range(m.n + 1))
-    restricted = [_dense_row({c: (sum(map(mul, form, p)), sum(map(mul, form, q)))
-                              for c, form in row.items()}, m.b1, (0, 0))
-                  for row in m.int_rows]
-    line_ok = not _pencil_minors_share_root(restricted)
+    restricted = [{c: (sum(map(mul, form, p)), sum(map(mul, form, q)))
+                   for c, form in row.items()} for row in m.int_rows]
+    line_ok = _sections_onto(restricted, m.b1, 1, m.b2 - 1)
     detail = ("full rank at sampled points; "
               + ("pencil-restricted minor gcd constant"
                  if line_ok else "pencil restriction inconclusive"))
@@ -563,25 +560,30 @@ def _multiplication_rank(rows, width: int, n: int, src_deg: int) -> tuple:
     """(dim source, dim target, exact rank) of the section-level map
     induced in degree src_deg by a matrix of integer linear forms, given
     as sparse rows {column: form} of ``width`` columns (rows = target
-    copies, columns = source), in monomial bases."""
+    copies, columns = source copies), in monomial bases.
+
+    The matrix is laid out monomial-major: row (target monomial, copy),
+    column (source monomial, copy).  A source monomial only reaches its
+    products with x_0..x_n, so the nonzeros keep near the diagonal of
+    monomial blocks (on P^1 the matrix is block-bidiagonal) and the
+    elimination fills in little."""
     mons_src = monomial_exponents(n, src_deg)
     mons_tgt = monomial_exponents(n, src_deg + 1)
-    src, tgt = width * len(mons_src), len(rows) * len(mons_tgt)
+    height = len(rows)
+    src, tgt = width * len(mons_src), height * len(mons_tgt)
     if not src or not tgt:
         return (src, tgt, 0)
     tgt_index = {mono: i for i, mono in enumerate(mons_tgt)}
-    # raised[mi][var] = target index of mons_src[mi] * x_var
-    raised = [[tgt_index[mono[:var] + (mono[var] + 1,) + mono[var + 1:]]
+    # raised[mi][var] = first row of the target monomial mons_src[mi] * x_var
+    raised = [[height * tgt_index[mono[:var] + (mono[var] + 1,) + mono[var + 1:]]
                for var in range(n + 1)] for mono in mons_src]
-    nsrc, ntgt = len(mons_src), len(mons_tgt)
-    out = [[0] * (width * nsrc) for _ in range(len(rows) * ntgt)]
-    for rblock, row in enumerate(rows):
-        base = rblock * ntgt
-        for cblock, form in row.items():
-            terms = [(var, c) for var, c in enumerate(form) if c]
-            for col, up in enumerate(raised, cblock * nsrc):
+    out = [[0] * src for _ in range(tgt)]
+    for r, row in enumerate(rows):
+        for c, form in row.items():
+            terms = [(var, coeff) for var, coeff in enumerate(form) if coeff]
+            for col, up in zip(range(c, src, width), raised):
                 for var, coeff in terms:
-                    out[base + up[var]][col] += coeff
+                    out[up[var] + r][col] += coeff
     return (src, tgt, exactlinalg.rank(out))
 
 

@@ -8,7 +8,7 @@ from math import isqrt
 import pytest
 
 from ulrichbundles import exactlinalg
-from ulrichbundles.exactlinalg import PRIME, det, rank, solve_square
+from ulrichbundles.exactlinalg import PRIME, rank, solve_square
 
 
 def reference_rank(rows) -> int:
@@ -213,7 +213,6 @@ class TestSolveSquare:
             copy = ([list(r) for r in matrix], list(rhs))
             expected, det_expected = reference_solve(matrix, rhs)
             assert solve_square(matrix, rhs) == expected, (matrix, rhs)
-            assert det(matrix) == det_expected, matrix
             assert (matrix, rhs) == copy
             kinds.add("singular" if det_expected == 0
                       else "negative" if det_expected < 0 else "positive")

@@ -42,7 +42,7 @@ from ulrichbundles.kernelbundle import (
     SurjectivityCertificate,
     _rank_table,
     _certify_sampling,
-    _pencil_minors_share_root,
+    _sections_onto,
     _triangular_charts,
     monomial_exponents,
     rank_route_cells,
@@ -253,7 +253,7 @@ class TestCertificates:
 
 
 def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
             for j, b in enumerate(q):
@@ -270,15 +270,16 @@ def _trim(p):
 
 def _laplace_det(entries):
     """Determinant of a matrix of forms c + e*t as a coefficient list in t,
-    lowest power first, by Laplace expansion along the first row."""
+    lowest power first, by Laplace expansion along the first row; integer
+    entries give integer coefficients."""
     if not entries:
-        return [Fraction(1)]
-    total = [Fraction(0)] * (len(entries) + 1)
+        return [1]
+    total = [0] * (len(entries) + 1)
     for j, (c, e) in enumerate(entries[0]):
         if not c and not e:
             continue
         minor = [row[:j] + row[j + 1:] for row in entries[1:]]
-        for i, v in enumerate(_poly_mul([Fraction(c), Fraction(e)], _laplace_det(minor))):
+        for i, v in enumerate(_poly_mul([c, e], _laplace_det(minor))):
             total[i] += -v if j % 2 else v
     return total
 
@@ -286,7 +287,7 @@ def _laplace_det(entries):
 def _euclid_gcd(a, b):
     while b:
         while len(a) >= len(b):
-            f = a[-1] / b[-1]
+            f = Fraction(a[-1], b[-1])
             shift = len(a) - len(b)
             a = _trim([x - f * b[i - shift] if i >= shift else x
                        for i, x in enumerate(a)])
@@ -356,22 +357,48 @@ def seeded_pencil(rng, kind):
     return rows
 
 
-class TestPencilMinors:
-    KINDS = ("random", "random", "finite", "infinity", "zero-row", "single")
+def engine_share_root(pencil) -> bool:
+    """The certificates' decision on a pencil: a tall pencil is transposed
+    (it has the same maximal minors), rows are cleared of denominators, and
+    its minors share a root iff its section map from degree rows - 1 is
+    not onto."""
+    rows = integer_pencil(pencil)
+    if len(rows) > len(rows[0]):
+        rows = [list(r) for r in zip(*rows)]
+    sparse = [{c: e for c, e in enumerate(row) if any(e)} for row in rows]
+    return not _sections_onto(sparse, len(rows[0]), 1, len(rows) - 1)
 
-    def test_agrees_with_symbolic_route(self):
-        rng = random.Random(2024)
+
+PENCIL_KINDS = ("random", "random", "finite", "infinity", "zero-row", "single")
+
+
+def pencil_sweep(seeds) -> int:
+    """1200 seeded pencils per seed, every kind in turn: the engine's
+    decision equals the symbolic route's, and every planted root is found.
+    Returns the number of pencils compared."""
+    compared = 0
+    for seed in seeds:
+        rng = random.Random(seed)
         seen = set()
         for i in range(1200):
-            kind = self.KINDS[i % len(self.KINDS)]
+            kind = PENCIL_KINDS[i % len(PENCIL_KINDS)]
             pencil = seeded_pencil(rng, kind)
             expected = reference_share_root(pencil)
-            assert _pencil_minors_share_root(integer_pencil(pencil)) == expected, \
-                (kind, pencil)
+            assert engine_share_root(pencil) == expected, (seed, kind, pencil)
             if kind != "random":
-                assert expected, (kind, pencil)
+                assert expected, (seed, kind, pencil)
             seen.add((kind, expected))
-        assert ("random", False) in seen and ("random", True) in seen
+            compared += 1
+        assert ("random", False) in seen and ("random", True) in seen, seed
+    return compared
+
+
+class TestPencilMinors:
+    """The section-map decision against the symbolic route; seeds 1-100
+    run in CI."""
+
+    def test_agrees_with_symbolic_route(self):
+        assert pencil_sweep([2024]) == 1200
 
     @pytest.mark.parametrize("pencil, shared", [
         ([[(1, 0), (0, 1)]], False),                   # v0, v1
@@ -386,12 +413,23 @@ class TestPencilMinors:
     ])
     def test_examples(self, pencil, shared):
         assert reference_share_root(pencil) == shared
-        assert _pencil_minors_share_root(pencil) == shared
+        assert engine_share_root(pencil) == shared
+
+    def test_degree_bound_is_sharp(self):
+        # the staircase [[v0, v1, 0], [0, v0, v1]] is onto everywhere; its
+        # kernel O(-2) is spanned by (v1^2, -v0 v1, v0^2), so the section map
+        # is onto from degree b2 - 1 = 1, and in degree 0 its cokernel is
+        # H^1(O(-2)), of dimension 1
+        rows = [{0: (1, 0), 1: (0, 1)}, {1: (1, 0), 2: (0, 1)}]
+        assert _sections_onto(rows, 3, 1, 1)
+        assert not _sections_onto(rows, 3, 1, 0)
 
 
 class TestPencilCertificateTime:
-    """The pencil certificates cost polynomial time: numeric minors and one
-    exact rank, where a symbolic Laplace expansion costs factorial time."""
+    """The pencil certificates cost one section-map rank of about b2^2 x b1 b2
+    entries, block-bidiagonal on P^1.  A symbolic Laplace expansion of the
+    maximal minors costs factorial time, and numeric minors C(b1, b2)
+    determinants at 2 b2 points."""
 
     @pytest.mark.parametrize("n, d, line", [
         (1, 6, "surjectivity: binary-minor-gcd (exact=True)"),
@@ -404,6 +442,14 @@ class TestPencilCertificateTime:
         elapsed = time.perf_counter() - start
         assert code == 0
         assert line in capsys.readouterr().out.splitlines()
+        assert elapsed < 1.0
+
+    def test_wide_sampling_line_within_a_second(self):
+        # the seeded line of kernel 2 20 is a 21 x 23 pencil with C(23, 21)
+        # maximal minors of size 21; the lemma's section-map cap then refuses
+        code, out, elapsed = timed_json(["kernel", "2", "20", "--random", "1", "--json"])
+        assert code == 2 and out["error"] == "box-too-large"
+        assert "section map cells" in out["detail"]
         assert elapsed < 1.0
 
 
@@ -507,8 +553,10 @@ class TestClosedFormTables:
         return calls
 
     def test_closed_routes_rank_nothing(self, rank_calls):
-        for pres in (staircase_presentation(2, 1), sym_euler_presentation(3, 2),
-                     random_presentation(2, 1, 5)):
+        built = (staircase_presentation(2, 1), sym_euler_presentation(3, 2),
+                 random_presentation(2, 1, 5))
+        rank_calls.clear()  # the random matrix's exact certificate ranks
+        for pres in built:
             assert pres.route != "ranks"
             for t in range(-8, 4):
                 kernel_cohomology(pres, t)
@@ -516,6 +564,7 @@ class TestClosedFormTables:
 
     def test_sampling_certificate_keeps_the_ranks(self, rank_calls):
         pres = random_presentation(2, 2, 1)
+        rank_calls.clear()  # the certificate's seeded line ranks
         assert not pres.surjectivity.exact and pres.route == "ranks"
         assert kernel_cohomology(pres, 0).h == (0, 0, 0)
         assert len(rank_calls) == 2
@@ -596,7 +645,8 @@ class TestBoundedRequests:
 
         def no_fill(*args):
             raise AssertionError("section map filled")
-        monkeypatch.setattr(kernelbundle, "_multiplication_rank", no_fill)
+        # the certificate ranks its seeded line; only a table may not start
+        monkeypatch.setattr(kernelbundle, "_rank_table", no_fill)
         code, out, elapsed = timed_json(
             ["kernel", "2", "2", "--random", "1", "--twist", str(twist), "--json"])
         assert code == 2 and elapsed < 0.1
@@ -611,7 +661,8 @@ class TestBoundedRequests:
 
         def no_fill(*args):
             raise AssertionError("section map filled")
-        monkeypatch.setattr(kernelbundle, "_multiplication_rank", no_fill)
+        # the certificate ranks its seeded line; only a table may not start
+        monkeypatch.setattr(kernelbundle, "_rank_table", no_fill)
         with pytest.raises(BoxTooLarge):
             lemma_conditions_check(pres, cells - 1)
         monkeypatch.setenv("ULRICH_SCAN_CAP", str(cells - 1))
@@ -874,8 +925,9 @@ class TestTriangularityAgreement:
 
 def reference_sampling(m):
     """The sampling certificate evaluated through Fraction sums on the
-    entries.  The restricted line's denominators are cleared here; the root
-    test itself is checked against the symbolic route above."""
+    entries, its seeded line cleared of denominators row by row and decided
+    by the symbolic route (``reference_share_root``; b2 <= 4 here), not by
+    the engine's."""
     points = list(itertools.product((1, -1), repeat=m.n + 1))
     points += [tuple(int(i == v) for i in range(m.n + 1)) for v in range(m.n + 1)]
     rng = random.Random(7)
@@ -890,7 +942,7 @@ def reference_sampling(m):
     restricted = [[(sum(c * x for c, x in zip(entry, p)),
                     sum(c * x for c, x in zip(entry, q)))
                    for entry in row] for row in m.entries]
-    line_ok = not _pencil_minors_share_root(integer_pencil(restricted))
+    line_ok = not reference_share_root(integer_pencil(restricted))
     detail = ("full rank at sampled points; "
               + ("pencil-restricted minor gcd constant"
                  if line_ok else "pencil restriction inconclusive"))
