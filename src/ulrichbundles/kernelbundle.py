@@ -324,9 +324,9 @@ def _sections_onto(rows, width: int, n: int, src_deg: int) -> bool:
     (``_multiplication_rank``) from degree src_deg on P^n is onto.
 
     The exact certificates below, and the sampling certificate's seeded
-    line, are each this one test.  The target
-    O(d+1)^b2 is globally generated, so a section map onto in any degree
-    >= 0 makes the sheaf map onto.  Conversely, on P^1 a map
+    line, are each this one test.  For s >= 0 the twisted target
+    O(s+1)^b2 is globally generated, so a section map onto from any degree
+    s >= 0 makes the sheaf map onto.  Conversely, on P^1 a map
     O(d)^b1 -> O(d+1)^b2 onto at every point has a kernel of degree
     (b1 - b2) d - b2 inside O(d)^b1, so every summand O(a) has
     d - b2 <= a <= d; H^1 of the kernel then vanishes from source degree
