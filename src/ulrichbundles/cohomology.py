@@ -26,9 +26,12 @@ Five ingredients:
   table vanishes exactly on one interval of a (``_zero_interval``), on
   deeper towers too: the box scans of ``search`` read their hits off it,
 * an independent combinatorial Cech oracle on P^n and every split tower
-  over it, recomputing tables from the fan run by run: along the last
-  axis of the character box each ray's sign flips at most once, so a row
-  is a few runs of one sign pattern each, weighted by their lengths.
+  over it, recomputing tables from the fan by levels: the fan complex is
+  the join of its levels' simplex boundaries, so only sign patterns that
+  are all or none negative on each level carry homology, and along the
+  last axis of the character box each ray's sign flips at most once, so
+  each plane of the box is counted per such pattern as one interval per
+  row, and a mixed pattern is never visited.
 
 chi (``euler_characteristic``) is a closed polynomial on P^n and on every
 P(E) over P^1, F_r included; on deeper towers it sums these over the
@@ -48,7 +51,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import ceil, comb, floor, inf, prod
-from operator import add, mul
+from operator import add, lt, mul
 
 from . import exactlinalg
 from .errors import (
@@ -374,10 +377,16 @@ def euler_characteristic(v: Variety, bundle) -> int:
 # (Cox-Little-Schenck, *Toric Varieties*, 9.1).  Summing the reduced Betti
 # numbers per sign pattern over a provably large enough character box gives
 # the full table.  The box comes from the arrangement's vertices, each an
-# integer Bareiss solve (``exactlinalg.solve_square``).  It is scanned in
-# runs: for a fixed prefix m[:-1], the sign of <m, u_rho> + a_rho is
-# constant along the last axis when u_rho has last coordinate 0 and flips
-# once otherwise, so a row is at most len(rays) + 1 runs of one pattern.
+# integer Bareiss solve (``exactlinalg.solve_square``).  The fan complex of
+# P^n or of a split tower over it is the join of its levels' simplex
+# boundaries, so a pattern has reduced homology only when each level's rays
+# are all negative or none is (Milnor, "Construction of universal bundles
+# II", 1956; Munkres, *Elements of Algebraic Topology*, 62).  The scan
+# counts those level-uniform patterns plane by plane: for a fixed m[:-2]
+# and each x = m[-2], a ray is negative on an interval of the last axis
+# (before or from the t where its sign flips, or always or never), so each
+# level choice cuts each row down to one interval, and a mixed pattern is
+# never visited.
 
 DEFAULT_CAP = 10 ** 6
 
@@ -391,30 +400,33 @@ def _check_cap(volume: int, cap: int | None, what: str = "box volume") -> None:
 
 
 def _toric_model(v: Variety):
-    """``(rays, cones, rows)`` of the fan of P^n or of a split tower over it:
-    the maximal cones are sets of ray indices, and coordinates c give the
-    class sum_j <rows[j], c> D_j.  P^n has the rays -(e_1 + ... + e_n),
-    e_1, ..., e_n and h = D_0.  P(O(D_0) + ... + O(D_{rho-1})) lifts each
-    base ray u to (u, a_1(u) - a_0(u), ..., a_{rho-1}(u) - a_0(u)), a_i(u)
-    the coefficient of D_i on u, and adds the rays of the fibre P^{rho-1};
-    its maximal cones are a lifted base cone plus a fibre cone, and (B, k)
-    has coeffs(B) + k coeffs(D_0) on the lifted rays and k on the first
-    fibre ray (Cox-Little-Schenck, *Toric Varieties*, 7.3).
+    """``(rays, cones, rows, levels)`` of the fan of P^n or of a split tower
+    over it: the maximal cones are sets of ray indices, coordinates c give
+    the class sum_j <rows[j], c> D_j, and each level is ``(indices, dim)``,
+    the rays of the base P^n (dim n) or of a fibre P^{rho-1} (dim rho - 1).
+    P^n has the rays -(e_1 + ... + e_n), e_1, ..., e_n and h = D_0.
+    P(O(D_0) + ... + O(D_{rho-1})) lifts each base ray u to (u, a_1(u) -
+    a_0(u), ..., a_{rho-1}(u) - a_0(u)), a_i(u) the coefficient of D_i on
+    u, and adds the rays of the fibre P^{rho-1}; its maximal cones are a
+    lifted base cone plus a fibre cone, so the fan complex is the join of
+    the levels' simplex boundaries, and (B, k) has coeffs(B) + k
+    coeffs(D_0) on the lifted rays and k on the first fibre ray
+    (Cox-Little-Schenck, *Toric Varieties*, 7.3).
 
     >>> from ulrichbundles import hirzebruch
-    >>> _toric_model(hirzebruch(2))[0]
-    ((-1, 2), (1, 0), (0, -1), (0, 1))
+    >>> _toric_model(hirzebruch(2))[::3]  # the rays and the levels
+    (((-1, 2), (1, 0), (0, -1), (0, 1)), (((0, 1), 1), ((2, 3), 1)))
     """
     if isinstance(v, ProjSpace):
         n = v.n
         rays = ((-1,) * n,) + tuple(tuple(int(i == j) for j in range(n))
                                     for i in range(n))
         cones = tuple(frozenset(c) for c in itertools.combinations(range(n + 1), n))
-        return rays, cones, ((1,),) + ((0,),) * n
+        return rays, cones, ((1,),) + ((0,),) * n, ((tuple(range(n + 1)), n),)
     if not isinstance(v, ProjBundle):
         raise UnsupportedVariety(f"no fan for {v.name}")
-    base_rays, base_cones, base_rows = _toric_model(v.base)
-    fibre_rays, fibre_cones, fibre_rows = _toric_model(ProjSpace(v.rank - 1))
+    base_rays, base_cones, base_rows, base_levels = _toric_model(v.base)
+    fibre_rays, fibre_cones, fibre_rows, _ = _toric_model(ProjSpace(v.rank - 1))
     # a[i][j]: coefficient of the i-th summand of E on base ray j
     a = [[sum(map(mul, row, s)) for row in base_rows] for s in v.summand_coords]
     rays = tuple(u + tuple(a_i[j] - a[0][j] for a_i in a[1:])
@@ -424,7 +436,8 @@ def _toric_model(v: Variety):
                   for cone in base_cones for fibre in fibre_cones)
     rows = tuple(row + (a[0][j],) for j, row in enumerate(base_rows))
     rows += tuple((0,) * v.base.picard_rank + row for row in fibre_rows)
-    return rays, cones, rows
+    fibre_indices = tuple(range(len(base_rays), len(rays)))
+    return rays, cones, rows, base_levels + ((fibre_indices, v.rank - 1),)
 
 
 def _scan_bounds(rays, coeffs, dim, cap=None):
@@ -495,52 +508,89 @@ def _reduced_betti(cones, nrays, mask, dim):
 
 def toric_cech_oracle(v: Variety, d: DivisorClass,
                       cap: int | None = None) -> CohomologyTable:
-    """Independent run-by-run recomputation of cohomology(v, O(d)).
+    """Independent recomputation of cohomology(v, O(d)) by levels.
 
     Works on P^n and every split tower over it (``_toric_model``).  For
-    each prefix of the character box, the last axis splits into at most
-    len(rays) + 1 runs of one sign pattern, and a run adds its length
-    times the pattern's reduced Betti numbers.  Each axis of the box spans
-    at least five characters, so BoxTooLarge is raised before any work
-    when 5^dim exceeds ``cap``, and while the vertices are solved as soon
-    as the box they span does.  Raises ScanBoxTooSmall if a contributing
-    run touches the boundary shell, which would mean the box bound is
-    wrong (a hard engine failure, not a fact).
+    each prefix m[:-2] of the character box it walks the levels depth
+    first, each level all negative or none negative, and keeps per x =
+    m[-2] the interval of the last axis where every choice so far holds;
+    a branch empty for every x is pruned.  A leaf is a level-uniform sign
+    pattern and adds the sum of its intervals' lengths times the pattern's
+    reduced Betti numbers; P^1 is one row.  Each axis of the box spans at
+    least five characters, so BoxTooLarge is raised before any work when
+    5^dim exceeds ``cap``, and while the vertices are solved as soon as
+    the box they span does.  Raises ScanBoxTooSmall, naming the first such
+    character in scan order, if a contributing character lies on the
+    boundary shell, which would mean the box bound is wrong (a hard engine
+    failure, not a fact).
     """
     _check_cap(5 ** v.dim, cap)
-    rays, cones, rows = _toric_model(v)
+    rays, cones, rows, levels = _toric_model(v)
     coeffs = [sum(map(mul, row, d.coords)) for row in rows]
     *lead, (lo, hi) = _scan_bounds(rays, coeffs, v.dim, cap)
+    # P^1 is one row: a one-point second-to-last axis that no ray reads
+    *outer, (x_lo, x_hi) = lead or [(0, 0)]
+    xs = range(x_lo, x_hi + 1)
+    top = hi + 1
+    # per level: its mask and its rays as (u[:-2], a, u[-2], u[-1])
+    level_rays = [(sum(1 << i for i in members),
+              [(rays[i][:-2], coeffs[i], rays[i][-2] if lead else 0, rays[i][-1])
+               for i in members])
+             for members, _ in levels]
+    inner_edge = [False] * len(xs)
+    if lead:
+        inner_edge[0] = inner_edge[-1] = True
     patterns = _PATTERN_CACHE.setdefault((rays, cones), {})
     h = [0] * (v.dim + 1)
-    for prefix in itertools.product(*(range(a, b + 1) for a, b in lead)):
-        # ray i is negative at (prefix, t) iff s + c t < 0, with s =
-        # <prefix, u[:-1]> + a and c = u[-1]: always or never when c = 0,
-        # for t < flip when c > 0, for t >= flip when c < 0
-        mask, flips = 0, {}
-        for i, (u, a) in enumerate(zip(rays, coeffs)):
-            s, c = sum(map(mul, prefix, u)) + a, u[-1]
-            if c:
-                flip = -(s // c) if c > 0 else s // -c + 1
-                if (lo < flip) == (c > 0):
-                    mask |= 1 << i
-                if lo < flip <= hi:
-                    flips[flip] = flips.get(flip, 0) | 1 << i
-            elif s < 0:
-                mask |= 1 << i
-        on_shell = any(x in bound for x, bound in zip(prefix, lead))
-        start = lo
-        for stop in sorted(flips) + [hi + 1]:
+    for prefix in itertools.product(*(range(a, b + 1) for a, b in outer)):
+        edge = ([True] * len(xs) if any(x in bound for x, bound in zip(prefix, outer))
+                else inner_edge)
+        # ray i is negative at (prefix, x, t) iff s + c t < 0, with s =
+        # <prefix, u[:-2]> + a + b x: for t < flip when c > 0 (a "down"
+        # ray), for t >= flip when c < 0 (an "up" ray), and always or never
+        # when c = 0 (a down ray flipping at top or at lo)
+        level_flips = []
+        for bits, members in level_rays:
+            down, up = [], []
+            for u, a, b, c in members:
+                s = sum(map(mul, prefix, u)) + a
+                if c > 0:
+                    down.append([-((s + b * x) // c) for x in xs])
+                elif c < 0:
+                    up.append([(s + b * x) // -c + 1 for x in xs])
+                else:
+                    down.append([top if s + b * x < 0 else lo for x in xs])
+            level_flips.append((bits, down, up))
+        first = None  # (row, t, contrib) of the first contributing shell character
+        stack = [(0, 0, [lo] * len(xs), [top] * len(xs))]
+        while stack:
+            j, mask, starts, stops = stack.pop()
+            if j < len(level_flips):
+                # all negative: from every up flip and before every down
+                # flip; none negative: the other way round
+                bits, down, up = level_flips[j]
+                for child, rise, fall in ((mask | bits, up, down), (mask, down, up)):
+                    begin, end = starts, stops
+                    for flips in rise:
+                        begin = [a if a > f else f for a, f in zip(begin, flips)]
+                    for flips in fall:
+                        end = [b if b < f else f for b, f in zip(end, flips)]
+                    if any(map(lt, begin, end)):
+                        stack.append((j + 1, child, begin, end))
+                continue
             contrib = patterns.get(mask)
             if contrib is None:
                 contrib = patterns[mask] = _reduced_betti(cones, len(rays), mask, v.dim)
-            if any(contrib):
-                edges = [t for t in (start, stop - 1) if on_shell or t in (lo, hi)]
-                if edges:
-                    raise ScanBoxTooSmall(f"character {prefix + (edges[0],)} on "
-                                          f"the scan shell contributes {contrib}")
-                for p, x in enumerate(contrib):
-                    h[p] += (stop - start) * x
-            mask ^= flips.get(stop, 0)
-            start = stop
+            count = sum([b - a for a, b in zip(starts, stops) if a < b])
+            for p, betti in enumerate(contrib):
+                h[p] += count * betti
+            hit = next(((i, a if edge[i] or a == lo else hi)
+                        for i, (a, b) in enumerate(zip(starts, stops))
+                        if a < b and (edge[i] or a == lo or b == top)), None)
+            if hit and (first is None or hit < first[:2]):
+                first = hit + (contrib,)
+        if first:
+            i, t, contrib = first
+            m = prefix + (xs[i],) * bool(lead) + (t,)
+            raise ScanBoxTooSmall(f"character {m} on the scan shell contributes {contrib}")
     return CohomologyTable.make(h)

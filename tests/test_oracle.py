@@ -1,5 +1,5 @@
-"""The toric Cech oracle against the pushforward engine and against the
-per-character scan that its run-length scan replaced."""
+"""The toric Cech oracle against the pushforward engine and against a
+per-character reference scan."""
 
 import ast
 import importlib
@@ -151,7 +151,7 @@ def test_shell_violation_detected(monkeypatch):
 def test_scan_bounds_cover_polytope():
     # every vertex of the arrangement <m, u> = -a of O(2f + 3C+) on F_2
     # lies at least two characters inside the box
-    rays, cones, rows = _toric_model(F2)
+    rays, cones, rows, _ = _toric_model(F2)
     coeffs = [sum(r * c for r, c in zip(row, (2, 3))) for row in rows]
     bounds = _scan_bounds(rays, coeffs, 2)
     assert bounds == [(-2, 10), (-3, 5)]
@@ -166,7 +166,7 @@ def test_scan_bounds_cover_polytope():
 
 def test_oversized_box_refused_before_every_vertex_is_solved(monkeypatch):
     v = parse_variety(rank2_tower(7))
-    rays, cones, rows = _toric_model(v)
+    rays, cones, rows, _ = _toric_model(v)
     coeffs = [sum(map(mul, row, [1] * v.picard_rank)) for row in rows]
     calls = []
     solve = exactlinalg.solve_square
@@ -183,7 +183,8 @@ def test_time_bounds():
     assert toric_cech_oracle(p3, DivisorClass(p3, (-40,))).h == (0, 0, 0, comb(39, 3))
     assert time.perf_counter() - start < 0.1
     # the pattern cache is warmed first, so the second call times the scan
-    # and the vertex solves: 5^5 characters, C(12, 6) = 924 solves
+    # and the vertex solves: 5^6 characters in 5^4 planes of 5 rows,
+    # C(12, 6) = 924 solves
     v = parse_variety(rank2_tower(5))
     zero = DivisorClass(v, (0,) * v.picard_rank)
     toric_cech_oracle(v, zero)
@@ -192,8 +193,19 @@ def test_time_bounds():
     assert time.perf_counter() - start < 0.15
 
 
+def test_cold_cache_time_bound():
+    # the pattern cache starts empty (tests/conftest.py), so this times the
+    # homology of the level-uniform patterns too: 5^7 characters, C(14, 7)
+    # = 3432 solves
+    v = parse_variety(rank2_tower(6))
+    start = time.perf_counter()
+    assert (toric_cech_oracle(v, DivisorClass(v, (0,) * v.picard_rank)).h
+            == (1,) + (0,) * v.dim)
+    assert time.perf_counter() - start < 2.0
+
+
 # --------------------------------------------------------------------------
-# the run-length scan against the per-character scan
+# the scan by levels against the per-character scan
 # --------------------------------------------------------------------------
 
 # fan -> {mask: reduced Betti numbers}, apart from the oracle's own cache
@@ -211,7 +223,7 @@ def reference_oracle(v, d, seen=None):
     from ``_scan_bounds`` (looked up at call time, so a patched bound
     applies to both scans).  ``seen`` collects the masks visited."""
     _check_cap(5 ** v.dim, None)
-    rays, cones, rows = _toric_model(v)
+    rays, cones, rows, _ = _toric_model(v)
     coeffs = [sum(map(mul, row, d.coords)) for row in rows]
     bounds = coh_mod._scan_bounds(rays, coeffs, v.dim, None)
     patterns = _REFERENCE_PATTERNS.setdefault((rays, cones), {})
@@ -233,37 +245,63 @@ def reference_oracle(v, d, seen=None):
 
 
 def outcome(oracle, v, d):
-    """The table, or the type of the exception raised."""
+    """The table, or the type and message of the exception raised."""
     try:
         result = oracle(v, d)
     except (BoxTooLarge, ScanBoxTooSmall) as exc:
-        return type(exc)
+        return type(exc), str(exc)
     return getattr(result, "h", result)
 
 
-# (variety, coordinate range, divisors drawn)
+# (variety, coordinate range, seeds in Tier-1)
 AGREEMENT = ([(f"P{n}", 12 - 2 * n, 6) for n in range(1, 5)]
              + [("P1xP1", 5, 6)] + [(f"F{r}", 5, 6) for r in range(1, 6)]
              + [(text, 2, 3) for text in TOWERS]
              + [(rank2_tower(depth), 1, 3) for depth in (2, 3, 4)])
 
 
+def oracle_sweep(seeds, fans=AGREEMENT) -> int:
+    """Per seed and fan, one divisor drawn from the coordinate range, scanned
+    by the oracle and by ``reference_oracle`` in its own box and in a box
+    shrunk by 0..4 characters on each side: both must give the same table
+    or the same exception with the same message.  Returns the number of
+    boxes compared."""
+    scan_bounds = coh_mod._scan_bounds
+    compared = 0
+    for seed in seeds:
+        for text, radius, _ in fans:
+            v = parse_variety(text)
+            rng = random.Random(f"{text} {seed}")
+            d = DivisorClass(v, [rng.randint(-radius, radius)
+                                 for _ in range(v.picard_rank)])
+            cuts = [(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(v.dim)]
+
+            def shrunk(rays, coeffs, dim, cap):
+                return [(lo + a, max(lo + a, hi - b)) for (lo, hi), (a, b)
+                        in zip(scan_bounds(rays, coeffs, dim, cap), cuts)]
+
+            for bounds in (scan_bounds, shrunk):
+                coh_mod._scan_bounds = bounds
+                try:
+                    assert (outcome(toric_cech_oracle, v, d)
+                            == outcome(reference_oracle, v, d)), \
+                        (text, seed, d.coords, bounds is shrunk and cuts)
+                finally:
+                    coh_mod._scan_bounds = scan_bounds
+                compared += 1
+    return compared
+
+
 @pytest.mark.parametrize("text, radius, count", AGREEMENT)
 def test_runs_agree_with_characters(text, radius, count):
-    v = parse_variety(text)
-    rng = random.Random(text)
-    for _ in range(count):
-        d = DivisorClass(v, [rng.randint(-radius, radius)
-                             for _ in range(v.picard_rank)])
-        assert (outcome(toric_cech_oracle, v, d)
-                == outcome(reference_oracle, v, d)), (text, d.coords)
+    assert oracle_sweep(range(1, count + 1), [(text, radius, count)]) == 2 * count
 
 
 def test_refusals_agree():
     p4 = ProjSpace(4)
     d = DivisorClass(p4, (30,))  # a box of at least 35^4 characters
-    assert outcome(toric_cech_oracle, p4, d) is BoxTooLarge
-    assert outcome(reference_oracle, p4, d) is BoxTooLarge
+    assert outcome(toric_cech_oracle, p4, d)[0] is BoxTooLarge
+    assert outcome(reference_oracle, p4, d) == outcome(toric_cech_oracle, p4, d)
 
 
 def test_agreement_inputs_hold_every_kind_of_ray():
@@ -278,7 +316,7 @@ def test_single_character_runs(n):
     # O on P^n: only m = 0 contributes, and its neighbours along the last
     # axis have other masks, so the run of m = 0 has length one
     v = ProjSpace(n)
-    rays, _, _ = _toric_model(v)
+    rays = _toric_model(v)[0]
     coeffs = [0] * len(rays)
     masks = [sign_mask(rays, coeffs, (0,) * (n - 1) + (t,)) for t in (-1, 0, 1)]
     assert masks[1] not in (masks[0], masks[2])
@@ -305,7 +343,45 @@ def test_shell_violations_by_runs(monkeypatch, bounds, named):
     message = str(caught.value)
     m = ast.literal_eval(message[len("character "):message.index(" on ")])
     assert m == named
-    assert outcome(reference_oracle, P2, d) is ScanBoxTooSmall
+    assert outcome(reference_oracle, P2, d) == (ScanBoxTooSmall, message)
+
+
+def uniform_degree(mask, levels):
+    """p = the sum of the dimensions of the all-negative levels when every
+    level is all or none negative under ``mask``, else None."""
+    p = 0
+    for members, dim in levels:
+        negative = [mask >> i & 1 for i in members]
+        if all(negative):
+            p += dim
+        elif any(negative):
+            return None
+    return p
+
+
+# every fan above, each once
+JOIN_FANS = list(dict.fromkeys(TOWERS + [f"P{n}" for n in range(1, 5)] + ["P1xP1"]
+                               + [f"F{r}" for r in range(1, 6)]
+                               + [rank2_tower(depth) for depth in (2, 3, 4)]))
+
+
+def test_only_level_uniform_patterns_have_homology():
+    # the fan complex is the join of the levels' simplex boundaries: a
+    # mixed pattern is acyclic, and a level-uniform one is a sphere (or
+    # empty) whose one reduced Betti number lands in h^p
+    masks = 0
+    for text in JOIN_FANS:
+        v = parse_variety(text)
+        rays, cones, _, levels = _toric_model(v)
+        for mask in range(1 << len(rays)):
+            expected = [0] * (v.dim + 1)
+            p = uniform_degree(mask, levels)
+            if p is not None:
+                expected[p] = 1
+            assert _reduced_betti(cones, len(rays), mask, v.dim) == tuple(expected), \
+                (text, mask)
+            masks += 1
+    assert masks == 2204
 
 
 @pytest.mark.parametrize("text, coords", [
@@ -322,4 +398,7 @@ def test_patterns_computed_once_per_distinct_mask(monkeypatch, text, coords):
                         lambda cones, nrays, mask, dim:
                         computed.append(mask) or _reduced_betti(cones, nrays, mask, dim))
     assert toric_cech_oracle(v, d).h == expected
-    assert sorted(computed) == sorted(seen)
+    # the level-uniform masks among those the characters show, each once
+    levels = _toric_model(v)[3]
+    assert sorted(computed) == sorted(m for m in seen
+                                      if uniform_degree(m, levels) is not None)
