@@ -346,6 +346,19 @@ def test_shell_violations_by_runs(monkeypatch, bounds, named):
     assert outcome(reference_oracle, P2, d) == (ScanBoxTooSmall, message)
 
 
+def test_first_shell_character_across_patterns(monkeypatch):
+    # O(-3f + 3C+) on F_3 has h = (12, 2, 0) in the box [(-5, 8), (-2, 5)];
+    # cut to [(-5, 4), (0, 5)], its h^0 and h^1 patterns both meet the
+    # shell in the one plane, and the h^1 one first in scan order
+    f3 = hirzebruch(3)
+    d = DivisorClass(f3, (-3, 3))
+    monkeypatch.setattr(coh_mod, "_scan_bounds",
+                        lambda rays, coeffs, dim, cap: [(-5, 4), (0, 5)])
+    named = (ScanBoxTooSmall, "character (-2, 0) on the scan shell contributes (0, 1, 0)")
+    assert outcome(toric_cech_oracle, f3, d) == named
+    assert outcome(reference_oracle, f3, d) == named
+
+
 def uniform_degree(mask, levels):
     """p = the sum of the dimensions of the all-negative levels when every
     level is all or none negative under ``mask``, else None."""
