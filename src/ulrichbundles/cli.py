@@ -10,9 +10,10 @@ mismatch, oracle mismatch, scan-shell violation).
 
 The environment variable ``ULRICH_SCAN_CAP`` overrides the default cap
 on scan-box volumes, the oracle's character box included, on the
-coefficients of a ``kernel`` or ``prop61`` presentation matrix, and on
-the section-map cells of each rank-route ``kernel`` table, whether asked
-for with ``--twist`` or by the orthogonality conditions.
+coefficients of a ``kernel`` or ``prop61`` presentation matrix, on the
+section-map cells of a ``kernel --random`` surjectivity certificate, and
+on the section-map cells of each rank-route ``kernel`` table, whether
+asked for with ``--twist`` or by the orthogonality conditions.
 
 ``run`` may be called many times in one process; the parser is built on
 the first call and shared by the later ones.
@@ -288,9 +289,10 @@ def _parse_pb(text: str) -> ProjBundle:
 def _run_kernel(args) -> tuple:
     kind = ("random" if args.random is not None
             else "sym-euler" if args.sym else "staircase")
-    kernelbundle.check_presentation_size(kind, args.n, args.d, _scan_cap())
+    cap = _scan_cap()
+    kernelbundle.check_presentation_size(kind, args.n, args.d, cap)
     if args.random is not None:
-        pres = kernelbundle.random_presentation(args.n, args.d, args.random)
+        pres = kernelbundle.random_presentation(args.n, args.d, args.random, cap)
     elif args.sym:
         pres = kernelbundle.sym_euler_presentation(args.n, args.d)
     else:
@@ -301,13 +303,13 @@ def _run_kernel(args) -> tuple:
              f"surjectivity: {pres.surjectivity.method} "
              f"(exact={pres.surjectivity.exact})"]
     if args.twist is not None:
-        kernelbundle.check_section_map_size(pres, args.twist, _scan_cap())
+        kernelbundle.check_section_map_size(pres, args.twist, cap)
         table = kernelbundle.kernel_cohomology(pres, args.twist)
         payload = {"presentation": pres.to_json(),
                    "twist": args.twist, "table": table.to_json()}
         lines.append(f"H(F({args.twist:+d})): {table}")
         return payload, lines
-    lemma = kernelbundle.lemma_conditions_check(pres, _scan_cap())
+    lemma = kernelbundle.lemma_conditions_check(pres, cap)
     payload = {"presentation": pres.to_json(), "lemma": lemma.to_json()}
     lines.append(f"orthogonality conditions: "
                  f"{'pass' if lemma.passed else 'FAIL'}")

@@ -44,9 +44,11 @@ of the sheaf map is certified exactly where possible (see
 constructions are certified by one check: on each chart of P^n it reads
 a triangular maximal minor off the matrix itself, so it needs no
 per-construction column rule and any row order works.  Every other exact
-certificate, and the seeded line of the heuristic one, is one section-map
-rank (``_sections_onto``): a map onto at every point of P^1 has a split
-kernel whose H^1 vanishes from a degree read off the matrix's shape.
+certificate (one target row, P^1, two target rows) and the seeded line of
+the heuristic one is one section-map rank (``_sections_onto``) from degree
+rows - 1, read off the rows it is given: a map onto at every point of P^1
+has a split kernel whose H^1 vanishes from there on.  Its cells are
+checked against the scan cap before the map is filled.
 
 Each matrix carries one integer sparse view of itself, built with it:
 per row, the nonzero forms with that row's denominators cleared.  The
@@ -62,7 +64,7 @@ from __future__ import annotations
 
 import itertools
 import random as _random
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm, prod
@@ -319,75 +321,33 @@ def _triangular_charts(m: LinearFormMatrix) -> bool:
     return True
 
 
-def _sections_onto(rows, width: int, n: int, src_deg: int) -> bool:
+def _sections_onto(rows, width: int, n: int, cap: int | None = None) -> bool:
     """True iff the section map of sparse integer rows {column: form}
-    (``_multiplication_rank``) from degree src_deg on P^n is onto.
+    (``_multiplication_rank``) on P^n is onto from degree s = len(rows) - 1;
+    its cells are checked against ``cap`` before the fill.
 
-    The exact certificates below, and the sampling certificate's seeded
-    line, are each this one test.  For s >= 0 the twisted target
-    O(s+1)^b2 is globally generated, so a section map onto from any degree
-    s >= 0 makes the sheaf map onto.  Conversely, on P^1 a map
+    For s >= 0 the target O(s+1)^rows is globally generated, so onto
+    sections make the sheaf map onto.  Conversely, a row of linear forms
+    onto at every point spans them all (s = 0); on P^1 a map
     O(d)^b1 -> O(d+1)^b2 onto at every point has a kernel of degree
-    (b1 - b2) d - b2 inside O(d)^b1, so every summand O(a) has
-    d - b2 <= a <= d; H^1 of the kernel then vanishes from source degree
-    b2 - 1 on, and the section map is onto there.  For a matrix of binary
-    forms, onto at every point means its maximal minors share no root.
-    """
-    _, tgt, rank = _multiplication_rank(rows, width, n, src_deg)
+    (b1 - b2) d - b2, so every summand O(a) has d - b2 <= a <= d, H^1 of
+    the kernel vanishes from source degree b2 - 1 on, and the section map
+    is onto there.  For binary forms, onto at every point means the
+    maximal minors share no root."""
+    s = len(rows) - 1
+    _check_cap(width * comb(n + s, n) * len(rows) * comb(n + s + 1, n), cap,
+               "certificate section map cells")
+    _, tgt, rank = _multiplication_rank(rows, width, n, s)
     return rank == tgt
 
 
-def _certify_p1(m: LinearFormMatrix) -> SurjectivityCertificate | None:
-    """On P^1 the map is onto iff its section map from degree b2 - 1 is
-    (``_sections_onto``)."""
-    if m.n != 1:
-        return None
-    if not _sections_onto(m.int_rows, m.b1, 1, m.b2 - 1):
-        raise NotSurjective("maximal minors share a zero on P^1")
-    return SurjectivityCertificate("binary-minor-gcd", True,
-                                   "maximal minors have no common root on P^1")
-
-
-def _certify_row_span(m: LinearFormMatrix) -> SurjectivityCertificate | None:
-    """For b2 = 1 the entries are linear forms; surjective iff they span,
-    that is iff the section map from degree 0 is onto."""
-    if m.b2 != 1:
-        return None
-    if _sections_onto(m.int_rows, m.b1, m.n, 0):
-        return SurjectivityCertificate(
-            "linear-span", True, "entries span all linear forms")
-    raise NotSurjective("row of linear forms has a common zero")
-
-
-def _certify_cokernel_line(m: LinearFormMatrix) -> SurjectivityCertificate | None:
-    """For b2 = 2: v^T alpha vanishes at some point for some [v0:v1] iff
-    the (n+1) x b1 coefficient matrix L(v) of v^T alpha drops rank
-    somewhere on P^1; L(v) is a map of binary forms, decided in degree n
-    (``_sections_onto``)."""
-    if m.b2 != 2:
-        return None
-    if m.b1 < m.n + 1:
-        raise NotSurjective("too few columns to be pointwise surjective")
-    # row var of L(v), column c: the x_var coefficient of v0*M[0][c] + v1*M[1][c],
-    # kept where nonzero; the integer view scales v0 and v1, a change of
-    # coordinates on P^1
-    zero = (0,) * (m.n + 1)
-    top, bottom = (_dense_row(row, m.b1, zero) for row in m.int_rows)
-    lv = [{c: (a[var], b[var]) for c, (a, b) in enumerate(zip(top, bottom))
-           if a[var] or b[var]} for var in range(m.n + 1)]
-    if not _sections_onto(lv, m.b1, 1, m.n):
-        raise NotSurjective("some corank-one functional kills a fibre")
-    return SurjectivityCertificate(
-        "binary-form-resultant", True,
-        "no functional v with v^T * alpha singular exists")
-
-
-def _certify_sampling(m: LinearFormMatrix) -> SurjectivityCertificate:
+def _certify_sampling(m: LinearFormMatrix,
+                      cap: int | None = None) -> SurjectivityCertificate:
     """Heuristic certificate: full rank at all sign points, coordinate
     points and a few seeded rational points, plus the restriction to a
     seeded line, which is onto at every point of the line
-    (``_sections_onto`` in degree b2 - 1) when no codimension-one
-    degeneracy exists; a failure there leaves the restriction inconclusive.
+    (``_sections_onto``) when no codimension-one degeneracy exists; a
+    failure there leaves the restriction inconclusive.
 
     Points and line are evaluated on the row-scaled integer view, over
     its nonzero forms only; row scaling changes neither rank nor roots."""
@@ -407,7 +367,7 @@ def _certify_sampling(m: LinearFormMatrix) -> SurjectivityCertificate:
     q = tuple(rng.randint(-9, 9) for _ in range(m.n + 1))
     restricted = [{c: (sum(map(mul, form, p)), sum(map(mul, form, q)))
                    for c, form in row.items()} for row in m.int_rows]
-    line_ok = _sections_onto(restricted, m.b1, 1, m.b2 - 1)
+    line_ok = _sections_onto(restricted, m.b1, 1, cap)
     detail = ("full rank at sampled points; "
               + ("pencil-restricted minor gcd constant"
                  if line_ok else "pencil restriction inconclusive"))
@@ -422,22 +382,49 @@ _TRIANGULAR_DETAIL = {
 }
 
 
-def _certify_surjective(m: LinearFormMatrix, kind: str) -> SurjectivityCertificate:
-    """The exact chart certificate for the built-in constructions (any row
-    order), then the exact narrow-target certificates, then sampling.
-
-    Only the built-in kinds run the chart certificate: each is triangular
-    on every chart, so a failure there is an engine bug."""
+def _certify_surjective(m: LinearFormMatrix, kind: str,
+                        cap: int | None) -> SurjectivityCertificate:
+    """The exact chart certificate for the built-in kinds (any row order),
+    whose failure is an engine bug; else one exact ``_sections_onto`` test
+    for a narrow shape: one row (b2 = 1), P^1, or b2 = 2 through the
+    (n+1) x b1 coefficient matrix L(v) of v^T alpha, one row per variable,
+    which drops rank somewhere on P^1 iff v^T alpha vanishes at some point
+    for some [v0:v1]; else sampling.  ``cap`` bounds the section map."""
     detail = _TRIANGULAR_DETAIL.get(kind)
     if detail is not None:
         if not _triangular_charts(m):
             raise InternalInconsistency(f"{kind} triangularity check failed")
         return SurjectivityCertificate("min-coordinate-triangular", True, detail)
-    for attempt in (_certify_row_span, _certify_p1, _certify_cokernel_line):
-        cert = attempt(m)
-        if cert is not None:
-            return cert
-    return _certify_sampling(m)
+    if m.b2 == 1:
+        rows, n, method, detail, failure = (
+            m.int_rows, m.n, "linear-span", "entries span all linear forms",
+            "row of linear forms has a common zero")
+    elif m.n == 1:
+        rows, n, method, detail, failure = (
+            m.int_rows, 1, "binary-minor-gcd",
+            "maximal minors have no common root on P^1",
+            "maximal minors share a zero on P^1")
+    elif m.b2 == 2:
+        if m.b1 < m.n + 1:
+            raise NotSurjective("too few columns to be pointwise surjective")
+        # row var of L(v), column c: the x_var coefficients (a, b) of M[0][c]
+        # and M[1][c], kept where nonzero; the integer view scales v0 and
+        # v1, a change of coordinates on P^1
+        zero = (0,) * (m.n + 1)
+        top, bottom = m.int_rows
+        pairs = {c: tuple(zip(top.get(c, zero), bottom.get(c, zero)))
+                 for c in top.keys() | bottom.keys()}
+        rows = [{c: pair[var] for c, pair in pairs.items() if any(pair[var])}
+                for var in range(m.n + 1)]
+        n, method, detail, failure = (
+            1, "binary-form-resultant",
+            "no functional v with v^T * alpha singular exists",
+            "some corank-one functional kills a fibre")
+    else:
+        return _certify_sampling(m, cap)
+    if not _sections_onto(rows, m.b1, n, cap):
+        raise NotSurjective(failure)
+    return SurjectivityCertificate(method, True, detail)
 
 
 # --------------------------------------------------------------------------
@@ -451,7 +438,8 @@ class KernelBundlePresentation:
 
     ``h0_certificates[t]`` is (dim source, dim target, rank) of
     H^0(alpha(t)): on the ``ranks`` route the rank is computed, on a
-    closed-form route it is derived as dim source - h^0(F(t)).
+    closed-form route it is derived as dim source - h^0(F(t)).  ``cap``
+    bounds the certificate's section map (``_certify_surjective``).
     """
 
     matrix: LinearFormMatrix
@@ -460,10 +448,11 @@ class KernelBundlePresentation:
     surjectivity: SurjectivityCertificate = None
     h0_certificates: dict = field(default_factory=dict)
     route: str = field(init=False, repr=False)
+    cap: InitVar[int | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, cap):
         if self.surjectivity is None:
-            self.surjectivity = _certify_surjective(self.matrix, self.kind)
+            self.surjectivity = _certify_surjective(self.matrix, self.kind, cap)
         self.route = _table_route(self.matrix, self.surjectivity)
 
     @property
@@ -521,8 +510,10 @@ def sym_euler_presentation(n: int, d: int) -> KernelBundlePresentation:
     return KernelBundlePresentation(sym_euler_matrix(n, d), "sym-euler")
 
 
-def random_presentation(n: int, d: int, seed: int) -> KernelBundlePresentation:
-    return KernelBundlePresentation(random_matrix(n, d, seed), "random", seed=seed)
+def random_presentation(n: int, d: int, seed: int,
+                        cap: int | None = None) -> KernelBundlePresentation:
+    return KernelBundlePresentation(random_matrix(n, d, seed), "random", seed=seed,
+                                    cap=cap)
 
 
 def check_presentation_size(kind: str, n: int, d: int, cap: int | None) -> None:

@@ -8,7 +8,10 @@ an ``error`` key on every nonzero exit, and no exception escaping
 
 The requests stay small: towers of depth at most 2, coordinates in
 [-3, 3], scan boxes of radius at most 2, ``kernel`` with n, d in [-1, 2]
-and ``prop61`` with n in [-1, 3], d in [-1, 2].  Run seeds by hand with
+and ``prop61`` with n in [-1, 3], d in [-1, 2].  A ``kernel --random``
+request draws its matrix seed from [0, 999], so the seeds together reach
+every surjectivity certificate: one target row (d = 0), P^1 (n = 1), two
+target rows (d = 1) and point sampling (n = d = 2).  Run seeds by hand with
 
     PYTHONPATH=src:tests python -c "from fuzz import fuzz; fuzz(1)"
 """
@@ -60,7 +63,11 @@ def request(rng):
     command = rng.choice(COMMANDS)
     if command == "kernel":
         argv = [command, str(rng.randint(-1, 2)), str(rng.randint(-1, 2))]
-        argv += rng.choice(([], ["--sym"], ["--random", "3"]))
+        flag = rng.choice(("", "--sym", "--random"))
+        if flag == "--random":
+            argv += [flag, str(rng.randint(0, 999))]
+        elif flag:
+            argv.append(flag)
     elif command == "prop61":
         argv = [command, str(rng.randint(-1, 3)), str(rng.randint(-1, 2))]
     elif command in ("criterion", "direct", "probe", "search-pb"):

@@ -44,6 +44,7 @@ from ulrichbundles.kernelbundle import (
     _certify_sampling,
     _sections_onto,
     _triangular_charts,
+    _unit,
     monomial_exponents,
     rank_route_cells,
 )
@@ -191,7 +192,7 @@ class TestCertificates:
     def test_degenerate_row_rejected(self):
         # single row (x0, x0, x0) vanishes at [0:1:0] and [0:0:1]
         entries = ((form(1, 0, 0), form(1, 0, 0), form(1, 0, 0)),)
-        with pytest.raises(NotSurjective):
+        with pytest.raises(NotSurjective, match="row of linear forms has a common zero"):
             KernelBundlePresentation(LinearFormMatrix(2, 0, entries), "custom")
 
     def test_degenerate_two_rows_rejected(self):
@@ -202,8 +203,27 @@ class TestCertificates:
         )
         m = LinearFormMatrix(2, 1, (entries[0] + (form(0, 0, 0),),
                                     entries[1] + (form(0, 0, 0),)))
-        with pytest.raises(NotSurjective):
+        with pytest.raises(NotSurjective,
+                           match="some corank-one functional kills a fibre"):
             KernelBundlePresentation(m, "custom")
+
+    def test_two_rows_missing_a_variable_rejected(self):
+        # no entry involves x_2, so alpha vanishes at [0:0:1]; L(v) keeps
+        # its empty x_2 row, and with it the degree n = 2 of its test
+        entries = ((form(1, 0, 0), form(0, 1, 0), form(0, 0, 0), form(1, 1, 0)),
+                   (form(0, 0, 0), form(1, 0, 0), form(0, 1, 0), form(2, -1, 0)))
+        with pytest.raises(NotSurjective,
+                           match="some corank-one functional kills a fibre"):
+            KernelBundlePresentation(LinearFormMatrix(2, 1, entries), "custom")
+
+    def test_two_rows_with_too_few_columns_rejected(self):
+        # two rows of three forms on P^3: each combination v^T alpha is a
+        # row of three linear forms in four variables, which share a zero
+        entries = tuple(tuple(_unit(3, (i + c) % 4) for c in range(3))
+                        for i in range(2))
+        with pytest.raises(NotSurjective,
+                           match="too few columns to be pointwise surjective"):
+            KernelBundlePresentation(LinearFormMatrix(3, 1, entries), "custom")
 
     def test_heuristic_path_for_wide_targets(self):
         p = random_presentation(2, 2, seed=11)
@@ -366,7 +386,7 @@ def engine_share_root(pencil) -> bool:
     if len(rows) > len(rows[0]):
         rows = [list(r) for r in zip(*rows)]
     sparse = [{c: e for c, e in enumerate(row) if any(e)} for row in rows]
-    return not _sections_onto(sparse, len(rows[0]), 1, len(rows) - 1)
+    return not _sections_onto(sparse, len(rows[0]), 1)
 
 
 PENCIL_KINDS = ("random", "random", "finite", "infinity", "zero-row", "single")
@@ -421,8 +441,8 @@ class TestPencilMinors:
         # is onto from degree b2 - 1 = 1, and in degree 0 its cokernel is
         # H^1(O(-2)), of dimension 1
         rows = [{0: (1, 0), 1: (0, 1)}, {1: (1, 0), 2: (0, 1)}]
-        assert _sections_onto(rows, 3, 1, 1)
-        assert not _sections_onto(rows, 3, 1, 0)
+        assert _sections_onto(rows, 3, 1)
+        assert kernelbundle._multiplication_rank(rows, 3, 1, 0) == (3, 4, 3)
 
 
 class TestPencilCertificateTime:
@@ -684,6 +704,32 @@ class TestBoundedRequests:
         monkeypatch.setenv("ULRICH_SCAN_CAP", str(cells - 1))
         code, out, _ = timed_json(argv)
         assert code == 2 and out["error"] == "box-too-large"
+
+    @pytest.mark.parametrize("n, d", [(1, 31), (31, 1)])
+    def test_oversized_certificate_refused_before_any_fill(self, n, d, monkeypatch):
+        # on P^1, and for two target rows, the certificate's section map
+        # holds ((b2 + 1) b2)^2 cells with b2 = d + 1 or n + 1: 1115136 here
+        def no_fill(*args):
+            raise AssertionError("section map filled")
+        monkeypatch.setattr(kernelbundle, "_multiplication_rank", no_fill)
+        code, out, elapsed = timed_json(
+            ["kernel", str(n), str(d), "--random", "1", "--json"])
+        assert code == 2 and elapsed < 0.1
+        assert out["error"] == "box-too-large"
+        assert "certificate section map cells 1115136" in out["detail"]
+
+    @pytest.mark.parametrize("n, d, method", [(1, 30, "binary-minor-gcd"),
+                                              (30, 1, "binary-form-resultant")])
+    def test_certificate_under_the_cap_answers(self, n, d, method):
+        # ((b2 + 1) b2)^2 = 984064 cells, under the default cap of 10^6
+        code, out, _ = timed_json(["kernel", str(n), str(d), "--random", "1", "--json"])
+        assert code == 0 and out["lemma"]["passed"]
+        assert out["presentation"]["surjectivity"]["method"] == method
+
+    def test_certificate_cap_follows_the_scan_cap(self, monkeypatch):
+        monkeypatch.setenv("ULRICH_SCAN_CAP", "1115136")
+        code, out, _ = timed_json(["kernel", "1", "31", "--random", "1", "--json"])
+        assert code == 0 and out["presentation"]["surjectivity"]["exact"]
 
     def test_prop61_line_box_costs_no_walk(self):
         # the line hits lie in the dead band -n..-1, whatever the box
