@@ -11,9 +11,10 @@ mismatch, oracle mismatch, scan-shell violation).
 The environment variable ``ULRICH_SCAN_CAP`` overrides the default cap
 on scan-box volumes, the oracle's character box included, on the
 coefficients of a ``kernel`` or ``prop61`` presentation matrix, on the
-section-map cells of a ``kernel --random`` surjectivity certificate, and
-on the section-map cells of each rank-route ``kernel`` table, whether
-asked for with ``--twist`` or by the orthogonality conditions.
+section-map cells of a ``kernel --random`` surjectivity certificate, on
+the section-map cells of each rank-route ``kernel`` table, whether asked
+for with ``--twist`` or by the orthogonality conditions, and on the
+entries (dim + 1) of a table on any variety a request names.
 
 ``run`` may be called many times in one process; the parser is built on
 the first call and shared by the later ones.
@@ -28,7 +29,7 @@ import os
 import sys
 
 from . import kernelbundle, search
-from .cohomology import cohomology, euler_characteristic, toric_cech_oracle
+from .cohomology import _check_cap, cohomology, euler_characteristic, toric_cech_oracle
 from .errors import EngineError, ParseError
 from .picard import (
     ProjBundle,
@@ -197,17 +198,17 @@ def _dispatch(args) -> tuple:
     """Returns (payload, human lines) plus an optional exit-code override."""
     minus = args.minus_basis
     if args.command == "coh":
-        v = parse_variety(args.variety)
+        v = _parse_variety(args.variety)
         bundle = parse_bundle(args.bundle, v, minus)
         table = cohomology(v, bundle)
         return table.to_json(), [str(table)]
     if args.command == "chi":
-        v = parse_variety(args.variety)
+        v = _parse_variety(args.variety)
         bundle = parse_bundle(args.bundle, v, minus)
         chi = euler_characteristic(v, bundle)
         return {"chi": chi}, [f"chi = {chi}"]
     if args.command == "ample":
-        v = parse_variety(args.variety)
+        v = _parse_variety(args.variety)
         d = parse_divisor(args.divisor, v, minus)
         verdict = is_very_ample(v, d)
         payload = {"very_ample": bool(verdict),
@@ -216,7 +217,7 @@ def _dispatch(args) -> tuple:
                          + (" (sufficient bound only)" if verdict.sufficient_only
                             else "")]
     if args.command == "ulrich":
-        v = parse_variety(args.variety)
+        v = _parse_variety(args.variety)
         bundle = parse_bundle(args.bundle, v, minus)
         pol = parse_divisor(args.pol, v, minus)
         report = is_ulrich(v, bundle, pol)
@@ -237,12 +238,12 @@ def _dispatch(args) -> tuple:
         table = semiorthogonality_probe(pb, l1, l2, args.twist)
         return table.to_json(), [str(table)]
     if args.command == "enum-zero":
-        v = parse_variety(args.variety)
+        v = _parse_variety(args.variety)
         box = SearchBox.symmetric(v, args.box)
         result = search.zero_cohomology_line_bundles(v, box, _scan_cap())
         return _scan_output(args.variety, result)
     if args.command == "enum-ulrich":
-        v = parse_variety(args.variety)
+        v = _parse_variety(args.variety)
         pol = parse_divisor(args.pol, v, minus)
         box = SearchBox.symmetric(v, args.box)
         result = search.ulrich_line_bundles(v, pol, box, _scan_cap())
@@ -265,7 +266,7 @@ def _dispatch(args) -> tuple:
             lines.append(f"presentation: {result.presentation}")
         return result.to_json(), lines
     if args.command == "oracle":
-        v = parse_variety(args.variety)
+        v = _parse_variety(args.variety)
         d = parse_divisor(args.divisor, v, minus)
         # the oracle first: a request over the cap is refused before any work
         cech = toric_cech_oracle(v, d, _scan_cap())
@@ -279,8 +280,16 @@ def _dispatch(args) -> tuple:
     raise ParseError(f"unknown command {args.command!r}")
 
 
-def _parse_pb(text: str) -> ProjBundle:
+def _parse_variety(text: str):
+    """The variety ``text`` names, refused with ``BoxTooLarge`` before any
+    table is built when a table on it (dim + 1 entries) exceeds the scan cap."""
     v = parse_variety(text)
+    _check_cap(v.dim + 1, _scan_cap(), "variety table entries")
+    return v
+
+
+def _parse_pb(text: str) -> ProjBundle:
+    v = _parse_variety(text)
     if not isinstance(v, ProjBundle):
         raise ParseError(f"expected a projective bundle PB(...), got {text!r}")
     return v

@@ -16,6 +16,15 @@ H^*(F(-d-k)) for k = 2..n are exactly the conditions for F(d+2) to be an
 Ulrich bundle on P^2 (w.r.t. O(d+2)), and feed the rank-n construction on
 P(O(1) + O^d) over P^2.
 
+Over P^n with n >= 3 that construction asks chi(F(t)) = 0 at 2n - 2
+distinct twists, while chi(F(t)) is a polynomial in t of degree n with
+leading coefficient rank/n! > 0, so it has at most n roots: by this
+Riemann-Roch root count no bundle qualifies.  ``prop61_builder`` still
+scans its search class, but from each kernel's shape (n, d, b1, b2)
+alone, through the closed tables below and Riemann-Roch chi, so it builds
+no matrix; a hit would contradict the root count and is an internal
+inconsistency.
+
 Tables of twists F(t) come from one of three routes, chosen once per
 presentation (``KernelBundlePresentation.route``):
 
@@ -69,6 +78,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm, prod
 from operator import mul
+from typing import NamedTuple
 
 from . import exactlinalg
 from .cohomology import (
@@ -300,23 +310,33 @@ def _triangular_charts(m: LinearFormMatrix) -> bool:
     which cannot vanish on the chart.  The charts are read from the
     matrix, so any row order works.
 
-    Only the integer view's support is visited, in column order, so a
-    chart costs O(nonzeros); row scaling keeps every zero pattern, so the
-    integer view decides as the entries do.
+    Only the integer view's support is visited, and each form once: its
+    last nonzero variable l decides every chart, since on chart j it is a
+    multiple of x_j alone iff l == j and survives iff l >= j.  Row scaling
+    keeps every zero pattern, so the integer view decides as the entries
+    do.
     """
+    rows = []
+    for row in m.int_rows:
+        # column -> last nonzero variable of its form, in the row's column
+        # order, and variable -> the first column whose form has it last
+        last, first = {}, {}
+        for c, f in row.items():
+            v = len(f) - 1
+            while not f[v]:
+                v -= 1
+            last[c] = v
+            first.setdefault(v, c)
+        rows.append((last, first))
     for j in range(m.n + 1):
-        diagonal = []
-        for row in m.int_rows:
-            own = next((c for c, f in row.items() if f[j] and not any(f[j + 1:])),
-                       None)
-            if own is None:
-                return False
-            diagonal.append(own)
+        diagonal = [first.get(j) for _, first in rows]
+        if None in diagonal:
+            return False
         taken = set(diagonal)
         if len(taken) < len(diagonal):
             return False
-        for row, own in zip(m.int_rows, diagonal):
-            if any(c < own and c in taken and any(f[j:]) for c, f in row.items()):
+        for (last, _), own in zip(rows, diagonal):
+            if any(c < own and v >= j and c in taken for c, v in last.items()):
                 return False
     return True
 
@@ -516,15 +536,33 @@ def random_presentation(n: int, d: int, seed: int,
                                     cap=cap)
 
 
+class _Shape(NamedTuple):
+    """(n, d, b1, b2) of a map O(d)^b1 -> O(d+1)^b2 on P^n: all that the
+    closed tables and Riemann-Roch read of a presentation.  A
+    ``LinearFormMatrix`` has the same four attributes, so they take either."""
+
+    n: int
+    d: int
+    b1: int
+    b2: int
+
+
+def _builtin_shape(kind: str, n: int, d: int) -> _Shape:
+    """The shape of the built-in presentation of ``kind``: the contraction
+    for ``sym-euler``, the staircase's (d+1) x (n+d+1) for every other."""
+    if kind == "sym-euler":
+        return _Shape(n, d, comb(n + d + 1, n), comb(n + d, n))
+    return _Shape(n, d, n + d + 1, d + 1)
+
+
 def check_presentation_size(kind: str, n: int, d: int, cap: int | None) -> None:
     """Refuse, before the build, a built-in presentation of ``kind`` whose
     b2 x b1 matrix holds more than ``cap`` coefficients (n+1 per entry)
     with ``BoxTooLarge``; invalid (n, d) are left to the constructor."""
     if n < 1 or d < 0:
         return
-    b1, b2 = ((comb(n + d + 1, n), comb(n + d, n)) if kind == "sym-euler"
-              else (n + d + 1, d + 1))
-    _check_cap(b1 * b2 * (n + 1), cap, f"{kind} presentation coefficients")
+    shape = _builtin_shape(kind, n, d)
+    _check_cap(shape.b1 * shape.b2 * (n + 1), cap, f"{kind} presentation coefficients")
 
 
 def rank_route_cells(m: LinearFormMatrix, t: int) -> int:
@@ -596,8 +634,17 @@ def _table_route(m: LinearFormMatrix, surjectivity: SurjectivityCertificate) -> 
     return "ranks"
 
 
-def _buchsbaum_rim_h(m: LinearFormMatrix, t: int) -> list:
-    """h^*(F(t)) for a presentation onto at every point with b1 = b2 + n.
+def _builtin_route(shape: _Shape) -> str:
+    """The route ``_table_route`` gives a built-in staircase or contraction
+    presentation of this shape, whose chart certificate is exact:
+    Buchsbaum-Rim when b1 = b2 + n (every staircase, the contraction with
+    d = 0), else Borel-Weil-Bott, since the matrix is the contraction."""
+    return "buchsbaum-rim" if shape.b1 == shape.b2 + shape.n else "borel-weil-bott"
+
+
+def _buchsbaum_rim_h(m: _Shape, t: int) -> list:
+    """h^*(F(t)) for a presentation of shape m onto at every point with
+    b1 = b2 + n.
 
     coker H^0(alpha(t)) is M_{d+1+t} for M = coker(S(-1)^b1 -> S^b2), which
     the Buchsbaum-Rim complex C_0 = S^b2, C_1 = S(-1)^b1 and, for
@@ -618,9 +665,9 @@ def _buchsbaum_rim_h(m: LinearFormMatrix, t: int) -> list:
     return h
 
 
-def _borel_weil_bott_h(m: LinearFormMatrix, t: int) -> list:
+def _borel_weil_bott_h(m: _Shape, t: int) -> list:
     """h^*(Sym^k(Omega(1)) (a)) with k = d+1 and a = d+t, the contraction's
-    kernel twisted by t.  The weight (a, k, 0, .., 0) plus
+    kernel twisted by t, for its shape m.  The weight (a, k, 0, .., 0) plus
     rho = (n, .., 0) either repeats an entry, and every group vanishes, or
     sorts in l transpositions to nu, and h^l is the dimension of the GL_{n+1}
     module of highest weight nu - rho: prod (nu_i - nu_j) / (j - i) over
@@ -640,30 +687,36 @@ _CLOSED_TABLES = {"buchsbaum-rim": _buchsbaum_rim_h,
                   "borel-weil-bott": _borel_weil_bott_h}
 
 
-def _kernel_chi(m: LinearFormMatrix, t: int) -> int:
+def _kernel_chi(m: _Shape, t: int) -> int:
     """b1 chi(O(d+t)) - b2 chi(O(d+1+t)), the chi of F(t), by Riemann-Roch."""
     pn = ProjSpace(m.n)
     return m.b1 * _line_chi(pn, (m.d + t,)) - m.b2 * _line_chi(pn, (m.d + 1 + t,))
 
 
-def kernel_cohomology(p: KernelBundlePresentation, t: int) -> CohomologyTable:
-    """Table of H^*(F(t)) for the kernel F on the presentation's route.
-
-    On a closed-form route (``_buchsbaum_rim_h``, ``_borel_weil_bott_h``)
-    the table must be nonnegative and its chi must equal
-    ``_kernel_chi``, else ``InternalInconsistency``; its H^0 certificate
-    is derived from h^0.  On the ``ranks`` route see ``_rank_table``.
-    """
-    closed = _CLOSED_TABLES.get(p.route)
-    if closed is None:
-        return _rank_table(p, t)
-    m = p.matrix
-    table = CohomologyTable.make(closed(m, t))
+def _closed_table(route: str, m: _Shape, t: int, label) -> CohomologyTable:
+    """The ``route`` table of F(t) for a presentation of shape m, which
+    must be nonnegative and whose chi must equal ``_kernel_chi``, else
+    ``InternalInconsistency`` naming the presentation ``label``."""
+    table = CohomologyTable.make(_CLOSED_TABLES[route](m, t))
     chi = _kernel_chi(m, t)
     if table.chi != chi:
         raise InternalInconsistency(
-            f"{p.route} table {table.h} of {p} at twist {t} has chi "
+            f"{route} table {table.h} of {label} at twist {t} has chi "
             f"{table.chi}, Riemann-Roch gives {chi}")
+    return table
+
+
+def kernel_cohomology(p: KernelBundlePresentation, t: int) -> CohomologyTable:
+    """Table of H^*(F(t)) for the kernel F on the presentation's route.
+
+    On a closed-form route the table is ``_closed_table``'s and its H^0
+    certificate is derived from h^0.  On the ``ranks`` route see
+    ``_rank_table``.
+    """
+    if p.route not in _CLOSED_TABLES:
+        return _rank_table(p, t)
+    m = p.matrix
+    table = _closed_table(p.route, m, t, p)
     s0 = m.b1 * _proj_space_line(m.n, m.d + t).h[0]
     t0 = m.b2 * _proj_space_line(m.n, m.d + 1 + t).h[0]
     p.h0_certificates[t] = (s0, t0, s0 - table.h[0])
@@ -767,15 +820,6 @@ def _pn_bundle(n: int, d: int):
     return base, e, one
 
 
-def _kernel_table_or_chi(p: KernelBundlePresentation, t: int):
-    """(is_zero, evidence) with a cheap chi rejection before the table."""
-    chi = _kernel_chi(p.matrix, t)
-    if chi != 0:
-        return False, f"chi = {chi}"
-    table = kernel_cohomology(p, t)
-    return table.is_zero(), f"h = {table.h}"
-
-
 def prop61_builder(n: int, d: int, line_box: int = 8, presentation_bound: int = 4,
                    cap: int | None = None) -> Prop61Result:
     """Search for rank-n Ulrich bundles pullback(F)(h + H) on P(O(1) + O^d).
@@ -783,11 +827,22 @@ def prop61_builder(n: int, d: int, line_box: int = 8, presentation_bound: int = 
     The exact obstruction set is H^*(F) = 0 together with
     H^*(F(-(d+2+k+j))) = 0 for 0 <= j <= k <= n-2.  For n = 2 the
     staircase kernel with parameter d satisfies it and the direct check
-    on P(E) confirms the Ulrich verdict.  For n >= 3 the condition set is
-    scanned over line bundles and staircase / symmetric-power kernels;
-    absence of a hit is reported with a discrepancy note, not an error.
-    Presentations over ``cap`` coefficients are refused before any build
-    (``check_presentation_size``).
+    on P(E) confirms the Ulrich verdict.
+
+    For n >= 3 no bundle satisfies it, by a Riemann-Roch root count: the
+    conditions ask chi(F(t)) = 0 at the 2n - 2 distinct twists t = 0 and
+    t = -(d+2), .., -(d+2n-2), but for F of rank r > 0 on P^n, chi(F(t))
+    is a polynomial in t of degree n with leading coefficient r/n!, so it
+    has at most n roots, and 2n - 2 > n.  The condition set is still
+    scanned over line bundles and staircase / symmetric-power kernels with
+    parameter <= ``presentation_bound``, and the absence of a hit is
+    reported with a discrepancy note, not an error; a hit contradicts the
+    root count and raises ``InternalInconsistency``.  The scan reads only
+    each kernel's shape (n, d, b1, b2): chi from Riemann-Roch, and the
+    zero-chi twists from the closed table of the route the built, exactly
+    certified presentation would take (``_builtin_route``), so no matrix
+    is built.  Presentations over ``cap`` coefficients are refused before
+    the scan as before a build (``check_presentation_size``).
     """
     if n < 2 or d < 1:
         raise UnsupportedVariety(f"builder needs n >= 2, d >= 1; got ({n}, {d})")
@@ -796,8 +851,6 @@ def prop61_builder(n: int, d: int, line_box: int = 8, presentation_bound: int = 
     else:
         for kind in ("staircase", "sym-euler"):
             check_presentation_size(kind, n, presentation_bound, cap)
-    base, e, one = _pn_bundle(n, d)
-    pb = ProjBundle(base, e)
     twists = _condition_twists(n, d)
     if n == 2:
         pres = staircase_presentation(2, d)
@@ -805,7 +858,8 @@ def prop61_builder(n: int, d: int, line_box: int = 8, presentation_bound: int = 
         if not lemma.passed:
             raise InternalInconsistency("staircase kernel fails its own "
                                         "orthogonality conditions")
-        report = direct_ulrich_check(pb, TwistedKernel(pres, 0), one)
+        base, e, one = _pn_bundle(n, d)
+        report = direct_ulrich_check(ProjBundle(base, e), TwistedKernel(pres, 0), one)
         report = replace(report, notes=report.notes + (
             f"kernel rank {pres.rank} from staircase parameter {d}",
             f"conditions H(F)=0 and H(F(-s))=0 for s in {list(twists)} "
@@ -813,40 +867,44 @@ def prop61_builder(n: int, d: int, line_box: int = 8, presentation_bound: int = 
         ))
         return Prop61Result(report, pres, twists)
 
-    # n >= 3: exhaustive scan of the stated search class; a line bundle O(e)
-    # with H^*(O(e)) = 0 lies in the zero interval of P^n, so only its
-    # degrees inside the box are tried
+    # n >= 3: every hit contradicts the root count of the docstring
+    def root_count_broken(candidate):
+        return InternalInconsistency(
+            f"{candidate} meets the conditions at {len(twists) + 1} twists, but "
+            f"its chi is a polynomial of degree {n} with at most {n} roots")
+
+    # a line bundle O(e) with H^*(O(e)) = 0 lies in the zero interval of
+    # P^n, so only its degrees inside the box are tried
     _, first, last = _zero_interval(ProjSpace(n), ())
-    line_hits = [deg for deg in range(max(first, -line_box), min(last, line_box) + 1)
-                 if all(first <= deg - s <= last for s in twists)]
+    for deg in range(max(first, -line_box), min(last, line_box) + 1):
+        if all(first <= deg - s <= last for s in twists):
+            raise root_count_broken(f"O({deg})")
     scanned = []
-    pres_hits = []
-    for maker, kind in ((staircase_presentation, "staircase"),
-                        (sym_euler_presentation, "sym-euler")):
+    for kind in ("staircase", "sym-euler"):
         for dp in range(0, presentation_bound + 1):
-            pres = maker(n, dp)
-            ok = True
-            evidence = []
+            shape = _builtin_shape(kind, n, dp)
+            route = _builtin_route(shape)
+            label = f"ker({kind},n={n},d={dp})"
             # cheap twists first: sort by total section dimension involved
             order = sorted([0] + [-s for s in twists],
                            key=lambda t: (_proj_space_line(n, dp + t).h[0]
                                           + _proj_space_line(n, dp + 1 + t).h[0]))
             for t in order:
-                good, why = _kernel_table_or_chi(pres, t)
-                evidence.append(f"t={t}: {why}")
-                if not good:
-                    ok = False
+                chi = _kernel_chi(shape, t)
+                if chi != 0:
+                    evidence = f"t={t}: chi = {chi}"
                     break
-            scanned.append(f"{kind}(n={n},d={dp}): "
-                           + ("hit" if ok else evidence[-1]))
-            if ok:
-                pres_hits.append(pres)
-    found = bool(line_hits or pres_hits)
+                table = _closed_table(route, shape, t, label)
+                if not table.is_zero():
+                    evidence = f"t={t}: h = {table.h}"
+                    break
+            else:
+                raise root_count_broken(label)
+            scanned.append(f"{kind}(n={n},d={dp}): {evidence}")
     notes = (
         f"exact condition set: H(F)=0 and H(F(-s))=0 for s in {list(twists)}",
-        f"line bundles O(e), |e| <= {line_box}: hits {line_hits}",
-        f"presentations scanned with parameter <= {presentation_bound}: "
-        f"hits {[str(p) for p in pres_hits]}",
+        f"line bundles O(e), |e| <= {line_box}: hits []",
+        f"presentations scanned with parameter <= {presentation_bound}: hits []",
         "discrepancy: a rank-n candidate inside <O(n), O(n+1)> would need "
         "D^b(P^n) = <O(n), O(n+1), ..., O(2n+1)>, a sequence of n+2 "
         "exceptional line bundles where only n+1 fit; the computed "
@@ -856,11 +914,10 @@ def prop61_builder(n: int, d: int, line_box: int = 8, presentation_bound: int = 
     report = UlrichReport(
         candidate="none",
         polarisation="[1]",
-        verdict=found,
+        verdict=False,
         checks=(),
         method="criterion",
         generic=False,
         notes=notes + tuple(scanned),
     )
-    pres_out = pres_hits[0] if pres_hits else None
-    return Prop61Result(report, pres_out, twists)
+    return Prop61Result(report, None, twists)

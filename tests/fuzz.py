@@ -8,7 +8,9 @@ an ``error`` key on every nonzero exit, and no exception escaping
 
 The requests stay small: towers of depth at most 2, coordinates in
 [-3, 3], scan boxes of radius at most 2, ``kernel`` with n, d in [-1, 2]
-and ``prop61`` with n in [-1, 3], d in [-1, 2].  A ``kernel --random``
+and ``prop61`` with n in [-1, 8], d in [-1, 4], now and then a ``--box``
+in [0, 50] and a ``--bound`` in [0, 8] (over the cap for the larger n,
+which must then exit 2).  A ``kernel --random``
 request draws its matrix seed from [0, 999], so the seeds together reach
 every surjectivity certificate: one target row (d = 0), P^1 (n = 1), two
 target rows (d = 1) and point sampling (n = d = 2).  Run seeds by hand with
@@ -69,7 +71,11 @@ def request(rng):
         elif flag:
             argv.append(flag)
     elif command == "prop61":
-        argv = [command, str(rng.randint(-1, 3)), str(rng.randint(-1, 2))]
+        argv = [command, str(rng.randint(-1, 8)), str(rng.randint(-1, 4))]
+        if rng.random() < 0.5:
+            argv += ["--box", str(rng.randint(0, 50))]
+        if rng.random() < 0.5:
+            argv += ["--bound", str(rng.randint(0, 8))]
     elif command in ("criterion", "direct", "probe", "search-pb"):
         pb, rank = _tower(rng)
         argv = [command, pb]

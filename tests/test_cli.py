@@ -126,7 +126,7 @@ class TestExitCodes:
 
 class TestGrammarFuzz:
     def test_seeded_requests_end_inside_the_contract(self):
-        # seed 1 holds two `kernel -1 -1 --sym` requests
+        # seed 1 holds a `kernel -1 -1 --sym` request
         assert fuzz(1) == 400
 
 
@@ -141,6 +141,32 @@ class TestScanCap:
         monkeypatch.setenv("ULRICH_SCAN_CAP", "100000")
         code, _ = run_cli(["enum-zero", "F2", "--box", "8", "--json"])
         assert code == 0
+
+
+class TestVarietySizeCap:
+    """A table on P^n has n + 1 entries; a variety whose tables exceed the
+    scan cap is refused before any table is built."""
+
+    def test_huge_projective_space_refused(self):
+        start = time.perf_counter()
+        code, out = run_cli(["coh", "P9999999", "[0]", "--json"])
+        assert code == 2 and time.perf_counter() - start < 0.1
+        assert json.loads(out) == {
+            "error": "box-too-large",
+            "detail": "variety table entries 10000000 exceeds cap 1000000"}
+
+    def test_table_at_the_cap_answers(self):
+        code, out = run_cli(["coh", "P999999", "[0]", "--json"])
+        assert code == 0
+        assert json.loads(out)["h"] == [1] + [0] * 999999
+
+    def test_cap_follows_the_scan_cap(self, monkeypatch):
+        monkeypatch.setenv("ULRICH_SCAN_CAP", "3")
+        assert run_cli(["chi", "P2", "[1]"])[0] == 0
+        for argv in (["chi", "P3", "[1]"], ["criterion", "PB(P2;[0],[1])", "[0]",
+                                             "--pol", "[1]"]):
+            code, out = run_cli(argv + ["--json"])
+            assert code == 2 and json.loads(out)["error"] == "box-too-large"
 
 
 class TestMinusBasis:

@@ -35,7 +35,9 @@ from ulrichbundles import (
 )
 from ulrichbundles.cli import run
 from ulrichbundles.exactlinalg import PRIME
+from ulrichbundles.ulrich import UlrichReport
 from ulrichbundles import exactlinalg, kernelbundle
+from ulrichbundles.cohomology import _zero_interval
 from ulrichbundles.kernelbundle import (
     KernelBundlePresentation,
     LinearFormMatrix,
@@ -45,6 +47,7 @@ from ulrichbundles.kernelbundle import (
     _sections_onto,
     _triangular_charts,
     _unit,
+    check_presentation_size,
     monomial_exponents,
     rank_route_cells,
 )
@@ -840,6 +843,131 @@ class TestProp61:
         assert any("hits []" in note for note in res.report.notes)
 
 
+def reference_prop61(n, d, line_box=8, bound=4):
+    """``prop61_builder`` for n >= 3 as it ran while it built its scan:
+    each staircase and contraction presentation with parameter <= bound is
+    built, chart-certified and given its route, and its zero-chi twists are
+    tabulated through ``kernel_cohomology``."""
+    for kind in ("staircase", "sym-euler"):
+        check_presentation_size(kind, n, bound, None)
+    twists = kernelbundle._condition_twists(n, d)
+    _, first, last = _zero_interval(ProjSpace(n), ())
+    line_hits = [deg for deg in range(max(first, -line_box), min(last, line_box) + 1)
+                 if all(first <= deg - s <= last for s in twists)]
+    scanned, pres_hits = [], []
+    for maker, kind in ((staircase_presentation, "staircase"),
+                        (sym_euler_presentation, "sym-euler")):
+        for dp in range(bound + 1):
+            pres = maker(n, dp)
+            assert pres.surjectivity.method == "min-coordinate-triangular"
+            assert pres.surjectivity.exact and reference_triangular_charts(pres.matrix)
+            assert pres.route == ("buchsbaum-rim" if kind == "staircase" or dp == 0
+                                  else "borel-weil-bott")
+            shape = kernelbundle._builtin_shape(kind, n, dp)
+            assert kernelbundle._builtin_route(shape) == pres.route
+            assert shape == (n, dp, pres.matrix.b1, pres.matrix.b2)
+            ok, evidence = True, []
+            order = sorted([0] + [-s for s in twists],
+                           key=lambda t: (comb(n + dp + t, n) if dp + t >= 0 else 0)
+                           + (comb(n + dp + 1 + t, n) if dp + 1 + t >= 0 else 0))
+            for t in order:
+                chi = kernel_chi("staircase" if kind == "staircase" else "--sym", n, dp, t)
+                if chi != 0:
+                    evidence.append(f"t={t}: chi = {chi}")
+                    ok = False
+                    break
+                table = kernel_cohomology(pres, t)
+                evidence.append(f"t={t}: h = {table.h}")
+                if not table.is_zero():
+                    ok = False
+                    break
+            scanned.append(f"{kind}(n={n},d={dp}): " + ("hit" if ok else evidence[-1]))
+            if ok:
+                pres_hits.append(pres)
+    notes = (
+        f"exact condition set: H(F)=0 and H(F(-s))=0 for s in {list(twists)}",
+        f"line bundles O(e), |e| <= {line_box}: hits {line_hits}",
+        f"presentations scanned with parameter <= {bound}: "
+        f"hits {[str(p) for p in pres_hits]}",
+        "discrepancy: a rank-n candidate inside <O(n), O(n+1)> would need "
+        "D^b(P^n) = <O(n), O(n+1), ..., O(2n+1)>, a sequence of n+2 "
+        "exceptional line bundles where only n+1 fit; the computed "
+        "condition set above is what the twist family actually forces, "
+        "and no object in the searched class satisfies it",
+    )
+    report = UlrichReport(candidate="none", polarisation="[1]",
+                          verdict=bool(line_hits or pres_hits), checks=(),
+                          method="criterion", generic=False,
+                          notes=notes + tuple(scanned))
+    return kernelbundle.Prop61Result(report, pres_hits[0] if pres_hits else None,
+                                     twists)
+
+
+def _prop61_outcome(build, *args):
+    """The JSON of a result, or the type and detail of the error raised."""
+    try:
+        return json.dumps(build(*args).to_json())
+    except BoxTooLarge as err:
+        return type(err).__name__, str(err)
+
+
+def prop61_sweep(ns=range(3, 9), ds=range(1, 5), bounds=range(0, 7)) -> int:
+    """The build-free ``prop61_builder`` equals ``reference_prop61`` on every
+    (n, d, bound), refusals under the default cap included.  Returns the
+    number of inputs compared."""
+    compared = 0
+    for n, d, bound in itertools.product(ns, ds, bounds):
+        expected = _prop61_outcome(reference_prop61, n, d, 8, bound)
+        got = _prop61_outcome(prop61_builder, n, d, 8, bound)
+        assert got == expected, (n, d, bound)
+        compared += 1
+    return compared
+
+
+class TestProp61Scan:
+    """For n >= 3 the scan reads shapes alone and contradicts no root count;
+    the full ``prop61_sweep`` runs in CI."""
+
+    def test_sweep_slice(self):
+        assert prop61_sweep(range(3, 5), range(1, 3), range(0, 5)) == 20
+
+    def test_sweep_refusals(self):
+        # sym-euler(8, 6) holds 6435 x 3003 x 9 coefficients, over the cap
+        assert prop61_sweep([8], [1], [2, 6]) == 2
+        assert isinstance(_prop61_outcome(prop61_builder, 8, 1, 8, 6), tuple)
+
+    def test_no_matrix_is_built(self, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("matrix built")
+        for name in ("staircase_matrix", "sym_euler_matrix", "_triangular_charts"):
+            monkeypatch.setattr(kernelbundle, name, no_build)
+        for request_line in ("prop61 3 1 --json", "prop61 4 1 --json",
+                             "prop61 4 3 --json"):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert run(request_line.split()) == 0
+            digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+            assert digest == STDOUT_SHA256[request_line]
+
+    def _assert_internal_inconsistency(self, match):
+        code, out, _ = timed_json(["prop61", "3", "1", "--json"])
+        assert code == 3 and out["error"] == "internal-inconsistency"
+        assert match in out["detail"]
+
+    def test_presentation_hit_contradicts_the_root_count(self, monkeypatch):
+        monkeypatch.setattr(kernelbundle, "_kernel_chi", lambda m, t: 0)
+        for route in ("buchsbaum-rim", "borel-weil-bott"):
+            monkeypatch.setitem(kernelbundle._CLOSED_TABLES, route,
+                                lambda m, t: [0] * (m.n + 1))
+        self._assert_internal_inconsistency(
+            "ker(staircase,n=3,d=0) meets the conditions at 4 twists")
+
+    def test_line_hit_contradicts_the_root_count(self, monkeypatch):
+        monkeypatch.setattr(kernelbundle, "_zero_interval",
+                            lambda v, rest: (False, -100, 100))
+        self._assert_internal_inconsistency("O(-8) meets the conditions")
+
+
 class TestSerialization:
     def test_matrix_round_trip_strings(self):
         m = staircase_matrix(2, 1)
@@ -967,6 +1095,80 @@ class TestTriangularityAgreement:
         m = LinearFormMatrix(3, 2, tuple(map(tuple, rows)))
         assert dense_triangular(m, staircase_rule(m)) is expected
         assert _triangular_charts(m) is expected
+
+
+def reference_triangular_charts(m):
+    """The chart certificate as it read each form on every chart, through
+    ``any()`` over tuple slices; the engine reads each form's last nonzero
+    variable once."""
+    for j in range(m.n + 1):
+        diagonal = []
+        for row in m.int_rows:
+            own = next((c for c, f in row.items() if f[j] and not any(f[j + 1:])),
+                       None)
+            if own is None:
+                return False
+            diagonal.append(own)
+        taken = set(diagonal)
+        if len(taken) < len(diagonal):
+            return False
+        for row, own in zip(m.int_rows, diagonal):
+            if any(c < own and c in taken and any(f[j:]) for c, f in row.items()):
+                return False
+    return True
+
+
+def _sparse_form(rng, n):
+    """Mostly a multiple of one variable, now and then a wider form."""
+    if rng.random() < 0.7:
+        return _unit(n, rng.randrange(n + 1)) if rng.random() < 0.5 else tuple(
+            rng.choice((-2, 1, 3)) * x for x in _unit(n, rng.randrange(n + 1)))
+    return tuple(rng.choice((0, 0, 1, -1, 2)) for _ in range(n + 1))
+
+
+class TestTriangularChartsAgainstTheSliceScan:
+    """The last-variable chart certificate decides as the slice scan on
+    seeded random, row-permuted and planted non-triangular matrices."""
+
+    def test_seeded_random(self):
+        rng = random.Random(2601)
+        verdicts = set()
+        for _ in range(600):
+            n, b2 = rng.randint(1, 4), rng.randint(1, 4)
+            b1 = b2 + rng.randint(1, n + 1)
+            entries = tuple(tuple(_sparse_form(rng, n) if rng.random() < 0.6
+                                  else (0,) * (n + 1) for _ in range(b1))
+                            for _ in range(b2))
+            m = LinearFormMatrix(n, b2 - 1, entries)
+            verdict = reference_triangular_charts(m)
+            assert _triangular_charts(m) is verdict, entries
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("build", [staircase_matrix, sym_euler_matrix])
+    def test_row_permuted(self, build):
+        rng = random.Random(2602)
+        for n, d in itertools.product(range(1, 5), range(0, 4)):
+            rows = list(build(n, d).entries)
+            rng.shuffle(rows)
+            m = LinearFormMatrix(n, d, tuple(rows))
+            assert _triangular_charts(m) is reference_triangular_charts(m) is True
+
+    @pytest.mark.parametrize("build", [staircase_matrix, sym_euler_matrix])
+    def test_planted_faults(self, build):
+        rng = random.Random(2603)
+        verdicts = set()
+        for _ in range(300):
+            n, d = rng.randint(1, 4), rng.randint(0, 3)
+            rows = [list(row) for row in build(n, d).entries]
+            for _ in range(rng.randint(1, 2)):
+                row = rng.choice(rows)
+                row[rng.randrange(len(row))] = _sparse_form(rng, n)
+            m = LinearFormMatrix(n, d, tuple(map(tuple, rows)))
+            verdict = reference_triangular_charts(m)
+            assert _triangular_charts(m) is verdict, m.entries
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 def reference_sampling(m):
