@@ -194,21 +194,22 @@ def _scan_output(variety_text: str, result) -> tuple:
     return result.to_json(), _scan_lines(result)
 
 
-def _dispatch(args) -> tuple:
-    """Returns (payload, human lines) plus an optional exit-code override."""
+def _dispatch(args, cap: int | None) -> tuple:
+    """Returns (payload, human lines) plus an optional exit-code override;
+    ``cap`` is the scan cap of this request (``_scan_cap``)."""
     minus = args.minus_basis
     if args.command == "coh":
-        v = _parse_variety(args.variety)
+        v = _parse_variety(args.variety, cap)
         bundle = parse_bundle(args.bundle, v, minus)
         table = cohomology(v, bundle)
         return table.to_json(), [str(table)]
     if args.command == "chi":
-        v = _parse_variety(args.variety)
+        v = _parse_variety(args.variety, cap)
         bundle = parse_bundle(args.bundle, v, minus)
         chi = euler_characteristic(v, bundle)
         return {"chi": chi}, [f"chi = {chi}"]
     if args.command == "ample":
-        v = _parse_variety(args.variety)
+        v = _parse_variety(args.variety, cap)
         d = parse_divisor(args.divisor, v, minus)
         verdict = is_very_ample(v, d)
         payload = {"very_ample": bool(verdict),
@@ -217,13 +218,13 @@ def _dispatch(args) -> tuple:
                          + (" (sufficient bound only)" if verdict.sufficient_only
                             else "")]
     if args.command == "ulrich":
-        v = _parse_variety(args.variety)
+        v = _parse_variety(args.variety, cap)
         bundle = parse_bundle(args.bundle, v, minus)
         pol = parse_divisor(args.pol, v, minus)
         report = is_ulrich(v, bundle, pol)
         return report.to_json(), _report_lines(report)
     if args.command in ("criterion", "direct"):
-        pb = _parse_pb(args.pb)
+        pb = _parse_pb(args.pb, cap)
         bundle = parse_bundle(args.bundle, pb.base, minus)
         pol = parse_divisor(args.pol, pb.base, minus)
         if args.command == "criterion":
@@ -232,44 +233,44 @@ def _dispatch(args) -> tuple:
             report = direct_ulrich_check(pb, bundle, pol)
         return report.to_json(), _report_lines(report)
     if args.command == "probe":
-        pb = _parse_pb(args.pb)
+        pb = _parse_pb(args.pb, cap)
         l1 = parse_divisor(args.l1, pb.base, minus)
         l2 = parse_divisor(args.l2, pb.base, minus)
         table = semiorthogonality_probe(pb, l1, l2, args.twist)
         return table.to_json(), [str(table)]
     if args.command == "enum-zero":
-        v = _parse_variety(args.variety)
+        v = _parse_variety(args.variety, cap)
         box = SearchBox.symmetric(v, args.box)
-        result = search.zero_cohomology_line_bundles(v, box, _scan_cap())
+        result = search.zero_cohomology_line_bundles(v, box, cap)
         return _scan_output(args.variety, result)
     if args.command == "enum-ulrich":
-        v = _parse_variety(args.variety)
+        v = _parse_variety(args.variety, cap)
         pol = parse_divisor(args.pol, v, minus)
         box = SearchBox.symmetric(v, args.box)
-        result = search.ulrich_line_bundles(v, pol, box, _scan_cap())
+        result = search.ulrich_line_bundles(v, pol, box, cap)
         return _scan_output(args.variety, result)
     if args.command == "search-pb":
-        pb = _parse_pb(args.pb)
+        pb = _parse_pb(args.pb, cap)
         pol = parse_divisor(args.pol, pb.base, minus)
         box = SearchBox.symmetric(pb.base, args.box)
-        result = search.pullback_ulrich_line_search(pb, pol, box, _scan_cap())
+        result = search.pullback_ulrich_line_search(pb, pol, box, cap)
         return result.to_json(), _scan_lines(result)
     if args.command == "kernel":
-        return _run_kernel(args)
+        return _run_kernel(args, cap)
     if args.command == "prop61":
         result = kernelbundle.prop61_builder(args.n, args.d,
                                              line_box=args.box,
                                              presentation_bound=args.bound,
-                                             cap=_scan_cap())
+                                             cap=cap)
         lines = _report_lines(result.report)
         if result.presentation is not None:
             lines.append(f"presentation: {result.presentation}")
         return result.to_json(), lines
     if args.command == "oracle":
-        v = _parse_variety(args.variety)
+        v = _parse_variety(args.variety, cap)
         d = parse_divisor(args.divisor, v, minus)
         # the oracle first: a request over the cap is refused before any work
-        cech = toric_cech_oracle(v, d, _scan_cap())
+        cech = toric_cech_oracle(v, d, cap)
         engine = cohomology(v, d)
         agree = engine.h == cech.h
         payload = {"engine": engine.to_json(), "oracle": cech.to_json(),
@@ -280,25 +281,24 @@ def _dispatch(args) -> tuple:
     raise ParseError(f"unknown command {args.command!r}")
 
 
-def _parse_variety(text: str):
+def _parse_variety(text: str, cap: int | None):
     """The variety ``text`` names, refused with ``BoxTooLarge`` before any
-    table is built when a table on it (dim + 1 entries) exceeds the scan cap."""
+    table is built when a table on it (dim + 1 entries) exceeds ``cap``."""
     v = parse_variety(text)
-    _check_cap(v.dim + 1, _scan_cap(), "variety table entries")
+    _check_cap(v.dim + 1, cap, "variety table entries")
     return v
 
 
-def _parse_pb(text: str) -> ProjBundle:
-    v = _parse_variety(text)
+def _parse_pb(text: str, cap: int | None) -> ProjBundle:
+    v = _parse_variety(text, cap)
     if not isinstance(v, ProjBundle):
         raise ParseError(f"expected a projective bundle PB(...), got {text!r}")
     return v
 
 
-def _run_kernel(args) -> tuple:
+def _run_kernel(args, cap: int | None) -> tuple:
     kind = ("random" if args.random is not None
             else "sym-euler" if args.sym else "staircase")
-    cap = _scan_cap()
     kernelbundle.check_presentation_size(kind, args.n, args.d, cap)
     if args.random is not None:
         pres = kernelbundle.random_presentation(args.n, args.d, args.random, cap)
@@ -331,7 +331,7 @@ def run(argv) -> int:
     """Execute one CLI request; returns the process exit code."""
     try:
         args = _build_parser().parse_args(argv)
-        out = _dispatch(args)
+        out = _dispatch(args, _scan_cap())
     except EngineError as err:
         print(json.dumps({"error": err.code, "detail": str(err)}))
         return err.exit_code
