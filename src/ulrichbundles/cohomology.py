@@ -24,7 +24,9 @@ Five ingredients:
   C(x + n, n) for x >= -n and h^n(O(x)) = (-1)^n C(x + n, n) below
   (x - g in place of x on a curve of genus g).  As every m_e > 0, the
   table vanishes exactly on one interval of a (``_zero_interval``), on
-  deeper towers too: the box scans of ``search`` read their hits off it,
+  deeper towers too: the box scans of ``search`` read their hits off it
+  and re-check them with one table of their direct sum, exact because
+  ``pushforward_table`` refuses a part that could cancel another,
 * an independent combinatorial Cech oracle on P^n and every split tower
   over it, recomputing tables from the fan by levels: the fan complex is
   the join of its levels' simplex boundaries, so only sign patterns that
@@ -277,11 +279,24 @@ def _tower_terms(v: Variety, terms: dict, closed=_closed_level):
 
 
 def pushforward_table(dim: int, terms: dict, base_table) -> CohomologyTable:
-    """Sum over ``push_down`` terms of mult * ``base_table(twist)``, shifted."""
+    """Sum over ``push_down`` terms of mult * ``base_table(twist)``, shifted.
+
+    Each part is checked as it is summed: a multiplicity < 1 or a negative
+    entry of ``base_table(twist)`` raises InternalInconsistency.  So no
+    term can cancel another, and the sum vanishes iff every part does; a
+    direct sum of line bundles then has no cohomology iff each summand has
+    none, which lets a box scan re-check all its hits with one table
+    (``search._scan``).
+    """
     h = [0] * (dim + 1)
     generic = False
     for (shift, twist), mult in terms.items():
+        if mult < 1:
+            raise InternalInconsistency(
+                f"non-positive multiplicity {mult} of O{twist} in degree {shift}")
         part = base_table(twist)
+        if min(part.h) < 0:
+            raise InternalInconsistency(f"negative cohomology dimension in {part.h}")
         generic = generic or part.generic
         for i, x in enumerate(part.h, shift):
             h[i] += mult * x
@@ -399,6 +414,7 @@ def _check_cap(volume: int, cap: int | None, what: str = "box volume") -> None:
         raise BoxTooLarge(f"{what} {volume} exceeds cap {limit}")
 
 
+@lru_cache(maxsize=64)
 def _toric_model(v: Variety):
     """``(rays, cones, rows, levels)`` of the fan of P^n or of a split tower
     over it: the maximal cones are sets of ray indices, coordinates c give
@@ -411,7 +427,8 @@ def _toric_model(v: Variety):
     lifted base cone plus a fibre cone, so the fan complex is the join of
     the levels' simplex boundaries, and (B, k) has coeffs(B) + k
     coeffs(D_0) on the lifted rays and k on the first fibre ray
-    (Cox-Little-Schenck, *Toric Varieties*, 7.3).
+    (Cox-Little-Schenck, *Toric Varieties*, 7.3).  Memoised per variety:
+    the fan is built once, not on every oracle call.
 
     >>> from ulrichbundles import hirzebruch
     >>> _toric_model(hirzebruch(2))[::3]  # the rays and the levels

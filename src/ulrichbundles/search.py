@@ -11,10 +11,13 @@ bundle O(c + t) has no cohomology, t running over the offsets of its
 checks: 0 for ``enum-zero``, -iA (i = 1..dim) for ``enum-ulrich``, 0 and
 the Sym^k terms of the criterion for ``search-pb``.  On every variety
 ``_scan`` meets each row with one zero interval per offset
-(``cohomology._zero_interval``) and tabulates only the hits, each
-re-checked through the public route (``cohomology``, ``is_ulrich``,
-``pullback_ulrich_criterion``).  Scans whose tables are generic (over a
-curve) say so in a note.
+(``cohomology._zero_interval``) and re-checks the hits through the public
+route (``cohomology``, ``is_ulrich``, ``pullback_ulrich_criterion``) once,
+on the direct sum of O(c) over the hits: vanishing and the Ulrich
+property are additive, and no part of a table can cancel another
+(``cohomology.pushforward_table``), so that one verdict is exactly the
+per-hit verdicts.  Scans whose tables are generic (over a curve) say so
+in a note.
 
 Closed forms used (polarisation A = a*f + b*C+ very ample):
 
@@ -40,6 +43,7 @@ from .picard import (
     DivisorClass,
     GenericCurve,
     ProjBundle,
+    SplitBundle,
     Variety,
     hirzebruch_parameter,
     line_bundle,
@@ -98,13 +102,17 @@ class ScanResult:
 def _scan(v: Variety, box: SearchBox, offsets, check) -> tuple:
     """``(hits, generic)``: the sorted points c of the box at which every
     O(c + t), t in ``offsets``, has no cohomology, and whether any of those
-    tables is generic.  A sum of tables with positive multiplicities
-    vanishes iff each one does, so this is the verdict of ``check(c)``,
-    the per-point public route, which returns ``(verdict, generic)``.
+    tables is generic.
 
     Each row of the box meets the zero intervals of its offsets
-    (``_zero_interval``) in its hits, and only they are re-checked by
-    ``check``; a disagreement raises InternalInconsistency.
+    (``_zero_interval``) in its hits.  They are re-checked by one call of
+    ``check``, the public route's verdict on a split bundle, on the direct
+    sum of O(c) over the hits.  Each of its tables sums closed parts with
+    multiplicities >= 1 and no negative entry (``pushforward_table``
+    refuses anything else), so it vanishes iff each hit's table does: the
+    verdict is that of every per-hit check.  If it fails, the hits are
+    checked one by one, in order, to name the first failing one; either
+    way the scan raises InternalInconsistency.
     """
     (lo, hi), *rest = box.bounds
     hits, generic = [], False
@@ -115,10 +123,13 @@ def _scan(v: Variety, box: SearchBox, offsets, check) -> tuple:
             generic = generic or flag
             first, last = max(first, zero_lo - t), min(last, zero_hi - t)
         hits += [(a, *tail) for a in range(first, last + 1)]
-    for c in hits:
-        if not check(c)[0]:
-            raise InternalInconsistency(
-                f"row scan hit {list(c)} on {v.name} fails its per-point check")
+    if hits and not check(SplitBundle(v, tuple(DivisorClass(v, c) for c in hits))):
+        for c in hits:
+            if not check(line_bundle(v, c)):
+                raise InternalInconsistency(
+                    f"row scan hit {list(c)} on {v.name} fails its per-point check")
+        raise InternalInconsistency(
+            f"row scan hits on {v.name} fail their summed check but pass one by one")
     return tuple(sorted(hits)), generic
 
 
@@ -147,9 +158,8 @@ def zero_cohomology_line_bundles(v: Variety, box: SearchBox,
             "generic_curve_ulrich_degree for the curve rule")
     _check_cap(box.volume, cap)
 
-    def check(coords):
-        table = cohomology(v, DivisorClass(v, coords))
-        return table.is_zero(), table.generic
+    def check(bundle):
+        return cohomology(v, bundle).is_zero()
 
     hits, generic = _scan(v, box, ((0,) * v.picard_rank,), check)
     if (r := hirzebruch_parameter(v)) is None:
@@ -171,9 +181,8 @@ def ulrich_line_bundles(v: Variety, a, box: SearchBox,
     pol = Polarisation.check(v, a)
     _check_cap(box.volume, cap)
 
-    def check(coords):
-        report = is_ulrich(v, line_bundle(v, coords), pol)
-        return report.verdict, report.generic
+    def check(bundle):
+        return is_ulrich(v, bundle, pol).verdict
 
     offsets = [(-i * pol.divisor).coords for i in range(1, v.dim + 1)]
     hits, generic = _scan(v, box, offsets, check)
@@ -198,9 +207,8 @@ def pullback_ulrich_line_search(pb: ProjBundle, a, box: SearchBox,
     x = pb.base
     setup = _criterion_setup(x, pb.summands, a)
 
-    def check(coords):
-        report = pullback_ulrich_criterion(x, pb.summands, line_bundle(x, coords), setup)
-        return report.verdict, report.generic
+    def check(bundle):
+        return pullback_ulrich_criterion(x, pb.summands, bundle, setup).verdict
 
     # H^*(F) and every term of the criterion's Sym^k twists (all in degree 0)
     offsets = dict.fromkeys([(0,) * x.picard_rank]

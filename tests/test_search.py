@@ -28,6 +28,7 @@ from ulrichbundles import (
     is_ulrich,
     is_very_ample,
     line_bundle,
+    parse_divisor,
     parse_variety,
     pullback_ulrich_criterion,
     pullback_ulrich_line_search,
@@ -228,8 +229,8 @@ def fresh_twist_sums():
 
 
 class TestRowScan:
-    """Zero intervals on every variety, towers included; per-point checks
-    of every hit."""
+    """Zero intervals on every variety, towers included; one re-check of
+    the direct sum of the hits, each part of its tables checked."""
 
     def test_row_fault_caught_by_the_per_hit_recheck(self, monkeypatch):
         # no closed form on a rank-3 bundle: only the re-check can tell
@@ -306,21 +307,90 @@ class TestRowScan:
         assert out.getvalue().splitlines()[-1] == f"note: {GENERIC_NOTE}"
 
     def test_towers_tabulated_only_at_the_hits(self, monkeypatch):
+        # one public-route call per scan, on the direct sum of its hits;
+        # none when the box holds no hit
         search = importlib.import_module("ulrichbundles.search")
         calls = []
 
-        def spy(v, d):
-            calls.append(d.coords)
-            return cohomology(v, d)
+        def spy(v, bundle):
+            calls.append(sorted(s.coords for s in bundle.summands))
+            return cohomology(v, bundle)
 
         monkeypatch.setattr(search, "cohomology", spy)
         v = parse_variety("PB(F1;[0,0],[1,1])")
         result = zero_cohomology_line_bundles(v, SearchBox.symmetric(v, 2))
         assert result.results
-        assert sorted(calls) == list(result.results)
+        assert calls == [list(result.results)]
+        calls.clear()
+        assert zero_cohomology_line_bundles(v, SearchBox(((5, 6),) * 3)).results == ()
+        assert calls == []
+
+    def test_sum_fault_without_a_failing_hit_is_three(self, monkeypatch):
+        # a summed re-check that fails while every hit passes alone is an
+        # engine fault too
+        search = importlib.import_module("ulrichbundles.search")
+
+        def faulty(v, bundle):
+            return cohomology(v, line_bundle(v, (0, 0)) if len(bundle.summands) > 1
+                              else bundle)
+
+        monkeypatch.setattr(search, "cohomology", faulty)
+        with pytest.raises(InternalInconsistency, match="pass one by one"):
+            zero_cohomology_line_bundles(F3, SearchBox.symmetric(F3, 2))
+
+    def test_cancelling_hits_are_three(self, monkeypatch):
+        # h^0 = 1 at one hit and -1 at another sum to a zero table: only
+        # the check of each part as it is summed can tell
+        coh = importlib.import_module("ulrichbundles.cohomology")
+        real = coh._line_table
+        planted = {(-1, 0): (1, 0, 0), (0, -1): (-1, 0, 0)}
+
+        def cancelling(v, coords):
+            if coords in planted:
+                h = planted[coords]
+                return coh.CohomologyTable(h, h[0])
+            return real(v, coords)
+
+        monkeypatch.setattr(coh, "_line_table", cancelling)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = run(["enum-zero", "F3", "--box", "2", "--json"])
+        assert code == 3
+        error = json.loads(out.getvalue())
+        assert error["error"] == "internal-inconsistency"
+        assert "negative cohomology dimension" in error["detail"]
+
+    @pytest.mark.parametrize("mult", [0, -1])
+    def test_non_positive_walk_multiplicity_is_three(self, monkeypatch, mult):
+        # the intervals of a tower read no multiplicity and every part at a
+        # hit is zero: the check of each multiplicity as it is summed
+        # refuses the planted one
+        coh = importlib.import_module("ulrichbundles.cohomology")
+        real = coh.push_down
+
+        def planted(*args):
+            terms = real(*args)
+            if terms:
+                terms[next(iter(terms))] = mult
+            return terms
+
+        monkeypatch.setattr(coh, "push_down", planted)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = run(["enum-zero", "PB(F1;[0,0],[1,1])", "--box", "2", "--json"])
+        assert code == 3
+        error = json.loads(out.getvalue())
+        assert error["error"] == "internal-inconsistency"
+        assert "non-positive multiplicity" in error["detail"]
 
     def test_sweep_slice(self):
         assert scan_sweep(range(1, 6)) >= 13000
+
+    def test_pooled_sweep_slice(self):
+        # the benchmark's F_r boxes, past scan_sweep's radius 6
+        assert pooled_scan_sweep([
+            ("enum-zero", "F3", "--box", "12", "--json"),
+            ("enum-ulrich", "F2", "--pol", "[1,1]", "--box", "10", "--json"),
+            ("search-pb", "PB(C2;[0],[1],[0])", "--pol", "[6]", "--box", "60", "--json"),
+        ]) == 625 + 441 + 121
 
 
 def _summands(rng, rank, width):
@@ -416,6 +486,31 @@ def scan_sweep(seeds) -> int:
                 assert result.results == hits, (seed, kind, w.name, radius)
                 assert (GENERIC_NOTE in result.erratum_notes) == generic, (seed, kind, w.name)
                 compared += box.volume
+    return compared
+
+
+def pooled_scan_sweep(argvs) -> int:
+    """Hits and the generic note of ``enum-zero``, ``enum-ulrich`` and
+    ``search-pb`` CLI requests (``--box`` and ``--json`` given) against
+    the per-point route (``_per_point``) at every point of their boxes;
+    returns the number of points compared.  CI runs the distinct requests
+    of the benchmark's ``scan`` pool, whose boxes reach past
+    ``scan_sweep``'s: radius 12 on F_r, 60 on curves, 300 on P^1."""
+    compared = 0
+    for argv in dict.fromkeys(map(tuple, argvs)):
+        kind, v = argv[0], parse_variety(argv[1])
+        radius = int(argv[argv.index("--box") + 1])
+        base = v.base if kind == "search-pb" else v
+        a = (parse_divisor(argv[argv.index("--pol") + 1], base)
+             if "--pol" in argv else None)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert run(list(argv)) == 0, argv
+        result = json.loads(out.getvalue())
+        box = SearchBox.symmetric(base, radius)
+        hits, generic = _per_point(kind, v, box, a)
+        assert result["results"] == [list(c) for c in hits], argv
+        assert (GENERIC_NOTE in result["erratum_notes"]) == generic, argv
+        compared += box.volume
     return compared
 
 
