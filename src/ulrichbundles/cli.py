@@ -16,8 +16,11 @@ the section-map cells of each rank-route ``kernel`` table, whether asked
 for with ``--twist`` or by the orthogonality conditions, and on the
 entries (dim + 1) of a table on any variety a request names.
 
-``run`` may be called many times in one process; the parser is built on
-the first call and shared by the later ones.
+``run`` may be called many times in one process; the parsers are built on
+the first call and shared by the later ones.  A request that starts with
+a command's name is parsed once, by that command's own parser; any other
+argv (empty, an unknown name, a leading option) goes to the top-level
+parser, whose messages, exit codes and help text are the same.
 """
 
 from __future__ import annotations
@@ -53,9 +56,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The one parser of this process, built on the first ``run``: every
-    ``parse_args`` returns a fresh namespace and leaves the parser as it was."""
+def _build_parser() -> tuple[_Parser, dict]:
+    """The one top-level parser of this process and its commands' parsers
+    by name, built on the first ``run``: every ``parse_args`` returns a
+    fresh namespace and leaves the parser as it was."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON")
     common.add_argument("--minus-basis", action="store_true",
@@ -145,7 +149,7 @@ def _build_parser() -> _Parser:
     p.add_argument("variety")
     p.add_argument("divisor")
 
-    return parser
+    return parser, sub.choices
 
 
 def _scan_cap() -> int | None:
@@ -327,11 +331,24 @@ def _run_kernel(args, cap: int | None) -> tuple:
     return payload, lines
 
 
+def _parse(argv) -> argparse.Namespace:
+    """The namespace of ``argv``, parsed once: by its command's parser when
+    ``argv[0]`` names one, else by the top-level parser."""
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
 def run(argv) -> int:
-    """Execute one CLI request; returns the process exit code."""
+    """Execute one CLI request; returns the process exit code, 0 after a
+    help request."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(argv)
         out = _dispatch(args, _scan_cap())
+    except SystemExit as done:  # only argparse exits: after printing help
+        return done.code
     except EngineError as err:
         print(json.dumps({"error": err.code, "detail": str(err)}))
         return err.exit_code

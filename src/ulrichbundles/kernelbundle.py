@@ -370,8 +370,11 @@ def _certify_sampling(m: LinearFormMatrix,
     failure there leaves the restriction inconclusive.
 
     Points and line are evaluated on the row-scaled integer view, over
-    its nonzero forms only; row scaling changes neither rank nor roots."""
-    points = [pt for pt in itertools.product((1, -1), repeat=m.n + 1)]
+    its nonzero forms only; row scaling changes neither rank nor roots.
+    Of the sign points only those led by +1 are ranked: -pt is the same
+    projective point, and in ``product`` order every +1-led point comes
+    before any -1-led one, so this names the same first failure."""
+    points = [(1,) + pt for pt in itertools.product((1, -1), repeat=m.n)]
     points += [_unit(m.n, v) for v in range(m.n + 1)]
     rng = _random.Random(7)
     points += [tuple(rng.randint(-17, 17) for _ in range(m.n + 1))

@@ -4,7 +4,14 @@
 runs them through ``cli.run``.  Every request must end inside the
 exit-code contract: exit 0, 1 or 2, a last stdout line that is JSON with
 an ``error`` key on every nonzero exit, and no exception escaping
-``run``.  Exit 3 (an internal inconsistency) fails the fuzz too.
+``run`` (``SystemExit`` included: a help request returns 0).  Exit 3 (an
+internal inconsistency) fails the fuzz too.
+
+About one request in eight is then mutated at the argv level, to reach
+the argument parsers rather than the engine: a token dropped, a flag
+repeated, an unknown ``--flag`` appended, ``--json`` moved before the
+command, or ``-h`` inserted.  The mutations draw from their own seeded
+stream, so the requests before mutation are the same as without it.
 
 The requests stay small: towers of depth at most 2, coordinates in
 [-3, 3], scan boxes of radius at most 2, ``kernel`` with n, d in [-1, 2]
@@ -102,13 +109,40 @@ def request(rng):
     return argv
 
 
+MUTATE = 1 / 8
+FLAGS = ("--json", "--minus-basis", "--sym", "--random", "--twist", "--pol",
+         "--box", "--bound", "-p")
+VALUE_FLAGS = ("--random", "--twist", "--pol", "--box", "--bound", "-p")
+
+
+def mutate(rng, argv):
+    """argv with one argv-level change drawn by ``rng``."""
+    argv = list(argv)
+    kind = rng.choice(("drop", "repeat", "unknown", "json-first", "help"))
+    flags = [i for i, token in enumerate(argv) if token in FLAGS]
+    if kind == "drop":
+        del argv[rng.randrange(len(argv))]
+    elif kind == "repeat" and flags:
+        i = rng.choice(flags)
+        argv += argv[i:i + 1 + (argv[i] in VALUE_FLAGS)]
+    elif kind == "json-first":
+        if "--json" in argv:
+            argv.remove("--json")
+        argv.insert(0, "--json")
+    elif kind == "help":
+        argv.insert(rng.randint(0, len(argv)), "-h")
+    else:
+        argv.append("--frobnicate")
+    return argv
+
+
 def _violation(argv):
     """None when the request ends inside the contract, else what broke it."""
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
             code = run(argv)
-    except Exception as err:  # an escaping exception is the finding
+    except (Exception, SystemExit) as err:  # an escaping exception is the finding
         return f"{type(err).__name__}: {err}"
     if code not in (0, 1, 2):
         return f"exit {code}"
@@ -126,9 +160,12 @@ def fuzz(seed):
     """Run the seed's requests; raise AssertionError naming every one that
     left the contract, else return the number of requests run."""
     rng = random.Random(seed)
+    front = random.Random(f"argv {seed}")
     bad = []
     for _ in range(REQUESTS):
         argv = request(rng)
+        if front.random() < MUTATE:
+            argv = mutate(front, argv)
         problem = _violation(argv)
         if problem is not None:
             bad.append(f"{argv}: {problem}")

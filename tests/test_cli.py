@@ -273,6 +273,115 @@ class TestRepeatedCalls:
         assert (info.misses, info.hits) == (1, len(self.SEQUENCE) - 1)
 
 
+# one small valid request per command
+VALID_REQUESTS = {
+    "coh": ["coh", "P2", "[-3]"],
+    "chi": ["chi", "F1", "[1,2]"],
+    "ample": ["ample", "F1", "[1,1]"],
+    "ulrich": ["ulrich", "F1", "[0,1]", "--pol", "[1,1]"],
+    "criterion": ["criterion", "PB(P2;[1],[0])", "[-1]", "--pol", "[1]"],
+    "direct": ["direct", "PB(P2;[1],[0])", "[-1]", "--pol", "[1]"],
+    "probe": ["probe", "PB(P1;[0],[3])", "[0]", "[1]", "-p", "1"],
+    "enum-zero": ["enum-zero", "F2", "--box", "2"],
+    "enum-ulrich": ["enum-ulrich", "F2", "--pol", "[1,2]", "--box", "2"],
+    "search-pb": ["search-pb", "PB(P1;[0],[1])", "--pol", "[1]", "--box", "2"],
+    "kernel": ["kernel", "2", "1", "--twist", "1"],
+    "prop61": ["prop61", "2", "1", "--box", "3"],
+    "oracle": ["oracle", "F2", "[0,-2]"],
+}
+# each request without one thing it requires: an option where it has one
+MISSING = {
+    "coh": ["coh", "P2"],
+    "chi": ["chi", "F1"],
+    "ample": ["ample", "F1"],
+    "ulrich": ["ulrich", "F1", "[0,1]"],
+    "criterion": ["criterion", "PB(P2;[1],[0])", "[-1]"],
+    "direct": ["direct", "PB(P2;[1],[0])", "[-1]"],
+    "probe": ["probe", "PB(P1;[0],[3])", "[0]", "[1]"],
+    "enum-zero": ["enum-zero", "F2"],
+    "enum-ulrich": ["enum-ulrich", "F2", "--box", "2"],
+    "search-pb": ["search-pb", "PB(P1;[0],[1])", "--box", "2"],
+    "kernel": ["kernel", "2", "--twist", "1"],
+    "prop61": ["prop61", "2", "--box", "3"],
+    "oracle": ["oracle", "F2"],
+}
+# the integer argument each request takes, and a prefix of each long
+# option (``--bo`` is ambiguous on prop61, which has --box and --bound)
+INTEGER = {"probe": "-p", "enum-zero": "--box", "enum-ulrich": "--box",
+           "search-pb": "--box", "kernel": "n", "prop61": "n"}
+ABBREVIATED = {"--pol": "--po", "--box": "--bo", "--twist": "--tw"}
+
+
+def parser_shapes():
+    """(label, argv) for every shape of request the parsers tell apart."""
+    for command, argv in VALID_REQUESTS.items():
+        yield f"{command}-valid", argv
+        yield f"{command}-json", argv + ["--json"]
+        yield f"{command}-help", argv + ["-h"]
+        yield f"{command}-missing", MISSING[command]
+        yield f"{command}-unknown-flag", argv + ["--frobnicate"]
+        yield f"{command}-extra-positional", argv + ["extra"]
+        integer = INTEGER.get(command)
+        if integer is not None:
+            i = 1 if integer == "n" else argv.index(integer) + 1
+            yield f"{command}-non-integer", argv[:i] + ["x"] + argv[i + 1:]
+        yield (f"{command}-abbreviated",
+               [ABBREVIATED.get(t, t) for t in argv] + ["--js", "--min"])
+    yield "prop61-ambiguous", ["prop61", "2", "1", "--b", "3"]
+    yield "kernel-exclusive", ["kernel", "2", "1", "--sym", "--random", "1"]
+    yield "empty", []
+    yield "help", ["-h"]
+    yield "unknown-command", ["frobnicate", "P2", "[0]"]
+    yield "abbreviated-command", ["co", "P2", "[0]"]
+    yield "json-first", ["--json", "coh", "P2", "[-3]"]
+    yield "dashdash-first", ["--", "coh", "P2", "[-3]"]
+
+
+def top_level_run(argv, monkeypatch):
+    """(exit code, stdout) of ``run`` with every argv parsed by the
+    top-level parser's own ``parse_args``: no command is found by name."""
+    parser, _ = cli._build_parser()
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_build_parser", lambda: (parser, {}))
+        return run_cli(argv)
+
+
+class TestParseOnce:
+    """A request that names a command is parsed once, by that command's
+    parser; every outcome is the top-level parser's."""
+
+    @pytest.mark.parametrize("label,argv", list(parser_shapes()),
+                             ids=[label for label, _ in parser_shapes()])
+    def test_same_outcome_as_the_top_level_parser(self, label, argv, monkeypatch):
+        assert run_cli(argv) == top_level_run(argv, monkeypatch)
+
+    @pytest.mark.parametrize("command", sorted(VALID_REQUESTS))
+    def test_same_namespace(self, command):
+        argv = VALID_REQUESTS[command] + ["--json"]
+        parser, _ = cli._build_parser()
+        assert vars(cli._parse(argv)) == vars(parser.parse_args(argv))
+
+    def test_command_request_skips_the_top_level_parser(self, monkeypatch):
+        parser, _ = cli._build_parser()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("top-level parse of a command request")
+
+        monkeypatch.setattr(parser, "parse_args", refuse)
+        code, out = run_cli(["coh", "P2", "[-3]"])
+        assert code == 0 and out.startswith("h = (0, 0, 1)")
+
+    @pytest.mark.parametrize("argv,usage", [
+        (["coh", "-h"], "usage: ulrich coh "),
+        (["-h"], "usage: ulrich "),
+        (["kernel", "2", "1", "--help"], "usage: ulrich kernel "),
+    ])
+    def test_help_returns_zero(self, argv, usage):
+        code, out = run_cli(argv)
+        assert code == 0 and out.startswith(usage)
+        assert "options:" in out or "optional arguments:" in out
+
+
 class TestHumanOutput:
     def test_table_line(self):
         code, out = run_cli(["coh", "P2", "[-3]"])

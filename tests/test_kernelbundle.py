@@ -1204,14 +1204,16 @@ def _coefficient(rng):
 
 def seeded_sampling_matrix(rng, kind):
     """A matrix of a shape that reaches sampling (n >= 2, 3 <= b2 <= 4)
-    with Fraction coefficients.  Kind "point" drops rank at a sign point.
-    Kind "factor" makes row 0 a multiple of x_0 + 3 x_1 + 9 x_2 (+ 27 x_3),
-    which vanishes at no sign or coordinate point, so that every maximal
-    minor has that factor."""
+    with Fraction coefficients, and the sign point it was made to drop rank
+    at, or None.  Kind "point" drops rank at a sign point.  Kind "factor"
+    makes row 0 a multiple of x_0 + 3 x_1 + 9 x_2 (+ 27 x_3), which
+    vanishes at no sign or coordinate point, so that every maximal minor
+    has that factor."""
     n, b2 = rng.randint(2, 3), rng.randint(3, 4)
     b1 = b2 + rng.randint(1, 2)
     rows = [[tuple(_coefficient(rng) for _ in range(n + 1)) for _ in range(b1)]
             for _ in range(b2)]
+    pt = None
     if kind == "point":
         pt = rng.choice(list(itertools.product((1, -1), repeat=n + 1)))
         lam = [rng.randint(-3, 3) for _ in rows[:-1]]
@@ -1224,7 +1226,7 @@ def seeded_sampling_matrix(rng, kind):
         line = (1, 3, 9, 27)[:n + 1]
         rows[0] = [tuple(k * x for x in line)
                    for k in (rng.choice((1, -2, Fraction(1, 2))) for _ in range(b1))]
-    return LinearFormMatrix(n, b2 - 1, tuple(map(tuple, rows)))
+    return LinearFormMatrix(n, b2 - 1, tuple(map(tuple, rows))), pt
 
 
 def _outcome(certify, m):
@@ -1242,9 +1244,13 @@ class TestSamplingAgreement:
         seen = set()
         for i in range(300):
             kind = self.KINDS[i % len(self.KINDS)]
-            m = seeded_sampling_matrix(rng, kind)
+            m, planted = seeded_sampling_matrix(rng, kind)
             expected = _outcome(reference_sampling, m)
             assert _outcome(_certify_sampling, m) == expected, (kind, m.entries)
+            if planted is not None and planted[0] == -1:
+                # the engine ranks only +1-led sign points; the reference
+                # finds this one at its +1-led negation first
+                seen.add("planted -1-led")
             if isinstance(expected, str):
                 assert expected.startswith("matrix drops rank at point ")
                 seen.add("drops")
@@ -1252,6 +1258,7 @@ class TestSamplingAgreement:
                 seen.add(expected["detail"])
         assert seen == {
             "drops",
+            "planted -1-led",
             "full rank at sampled points; pencil-restricted minor gcd constant",
             "full rank at sampled points; pencil restriction inconclusive",
         }
