@@ -110,9 +110,9 @@ def request(rng):
 
 
 MUTATE = 1 / 8
-FLAGS = ("--json", "--minus-basis", "--sym", "--random", "--twist", "--pol",
-         "--box", "--bound", "-p")
-VALUE_FLAGS = ("--random", "--twist", "--pol", "--box", "--bound", "-p")
+# the flags ``request`` writes, and those of them that take a value
+FLAGS = ("--json", "--sym", "--random", "--pol", "--box", "--bound", "-p")
+VALUE_FLAGS = ("--random", "--pol", "--box", "--bound", "-p")
 
 
 def mutate(rng, argv):
@@ -131,7 +131,7 @@ def mutate(rng, argv):
         argv.insert(0, "--json")
     elif kind == "help":
         argv.insert(rng.randint(0, len(argv)), "-h")
-    else:
+    else:  # "unknown", or "repeat" with no flag to repeat
         argv.append("--frobnicate")
     return argv
 

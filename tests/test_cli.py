@@ -350,9 +350,9 @@ class TestParseOnce:
     """A request that names a command is parsed once, by that command's
     parser; every outcome is the top-level parser's."""
 
-    @pytest.mark.parametrize("label,argv", list(parser_shapes()),
-                             ids=[label for label, _ in parser_shapes()])
-    def test_same_outcome_as_the_top_level_parser(self, label, argv, monkeypatch):
+    @pytest.mark.parametrize("argv", [pytest.param(argv, id=label)
+                                      for label, argv in parser_shapes()])
+    def test_same_outcome_as_the_top_level_parser(self, argv, monkeypatch):
         assert run_cli(argv) == top_level_run(argv, monkeypatch)
 
     @pytest.mark.parametrize("command", sorted(VALID_REQUESTS))
@@ -372,9 +372,10 @@ class TestParseOnce:
         assert code == 0 and out.startswith("h = (0, 0, 1)")
 
     @pytest.mark.parametrize("argv,usage", [
-        (["coh", "-h"], "usage: ulrich coh "),
-        (["-h"], "usage: ulrich "),
-        (["kernel", "2", "1", "--help"], "usage: ulrich kernel "),
+        pytest.param(["coh", "-h"], "usage: ulrich coh ", id="coh"),
+        pytest.param(["-h"], "usage: ulrich ", id="top-level"),
+        pytest.param(["kernel", "2", "1", "--help"], "usage: ulrich kernel ",
+                     id="kernel"),
     ])
     def test_help_returns_zero(self, argv, usage):
         code, out = run_cli(argv)
