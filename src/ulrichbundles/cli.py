@@ -157,11 +157,13 @@ def _scan_cap() -> int | None:
     return int(raw) if raw else None
 
 
-def _emit(payload: dict, as_json: bool, human_lines) -> None:
+def _emit(payload: dict, as_json: bool, render) -> None:
+    """Prints the JSON payload, or the human lines that ``render()``
+    returns: they are built only when they are printed."""
     if as_json:
         print(json.dumps(payload))
     else:
-        for line in human_lines:
+        for line in render():
             print(line)
 
 
@@ -189,44 +191,52 @@ def _scan_lines(result) -> list:
     return lines
 
 
+def _prop61_lines(result) -> list:
+    lines = _report_lines(result.report)
+    if result.presentation is not None:
+        lines.append(f"presentation: {result.presentation}")
+    return lines
+
+
 def _scan_output(variety_text: str, result) -> tuple:
     """Scan output; the F_r closed form and its notes are shown for the
     names F<r>/P1xP1 only, PB(P1;[0],[r]) prints bare results as pinned in
     bench/references.  No generic-curve note comes with a closed form."""
     if "PB" in variety_text and result.closed_form is not None:
         result = search.ScanResult(result.results)
-    return result.to_json(), _scan_lines(result)
+    return result.to_json(), functools.partial(_scan_lines, result)
 
 
 def _dispatch(args, cap: int | None) -> tuple:
-    """Returns (payload, human lines) plus an optional exit-code override;
-    ``cap`` is the scan cap of this request (``_scan_cap``)."""
+    """Returns (payload, renderer of the human lines) plus an optional
+    exit-code override; ``cap`` is the scan cap of this request
+    (``_scan_cap``)."""
     minus = args.minus_basis
     if args.command == "coh":
         v = _parse_variety(args.variety, cap)
         bundle = parse_bundle(args.bundle, v, minus)
         table = cohomology(v, bundle)
-        return table.to_json(), [str(table)]
+        return table.to_json(), lambda: [str(table)]
     if args.command == "chi":
         v = _parse_variety(args.variety, cap)
         bundle = parse_bundle(args.bundle, v, minus)
         chi = euler_characteristic(v, bundle)
-        return {"chi": chi}, [f"chi = {chi}"]
+        return {"chi": chi}, lambda: [f"chi = {chi}"]
     if args.command == "ample":
         v = _parse_variety(args.variety, cap)
         d = parse_divisor(args.divisor, v, minus)
         verdict = is_very_ample(v, d)
         payload = {"very_ample": bool(verdict),
                    "sufficient_only": verdict.sufficient_only}
-        return payload, [f"very ample: {bool(verdict)}"
-                         + (" (sufficient bound only)" if verdict.sufficient_only
-                            else "")]
+        return payload, lambda: [f"very ample: {bool(verdict)}"
+                                 + (" (sufficient bound only)" if verdict.sufficient_only
+                                    else "")]
     if args.command == "ulrich":
         v = _parse_variety(args.variety, cap)
         bundle = parse_bundle(args.bundle, v, minus)
         pol = parse_divisor(args.pol, v, minus)
         report = is_ulrich(v, bundle, pol)
-        return report.to_json(), _report_lines(report)
+        return report.to_json(), functools.partial(_report_lines, report)
     if args.command in ("criterion", "direct"):
         pb = _parse_pb(args.pb, cap)
         bundle = parse_bundle(args.bundle, pb.base, minus)
@@ -235,13 +245,13 @@ def _dispatch(args, cap: int | None) -> tuple:
             report = pullback_ulrich_criterion(pb.base, pb.summands, bundle, pol)
         else:
             report = direct_ulrich_check(pb, bundle, pol)
-        return report.to_json(), _report_lines(report)
+        return report.to_json(), functools.partial(_report_lines, report)
     if args.command == "probe":
         pb = _parse_pb(args.pb, cap)
         l1 = parse_divisor(args.l1, pb.base, minus)
         l2 = parse_divisor(args.l2, pb.base, minus)
         table = semiorthogonality_probe(pb, l1, l2, args.twist)
-        return table.to_json(), [str(table)]
+        return table.to_json(), lambda: [str(table)]
     if args.command == "enum-zero":
         v = _parse_variety(args.variety, cap)
         box = SearchBox.symmetric(v, args.box)
@@ -258,7 +268,7 @@ def _dispatch(args, cap: int | None) -> tuple:
         pol = parse_divisor(args.pol, pb.base, minus)
         box = SearchBox.symmetric(pb.base, args.box)
         result = search.pullback_ulrich_line_search(pb, pol, box, cap)
-        return result.to_json(), _scan_lines(result)
+        return result.to_json(), functools.partial(_scan_lines, result)
     if args.command == "kernel":
         return _run_kernel(args, cap)
     if args.command == "prop61":
@@ -266,10 +276,7 @@ def _dispatch(args, cap: int | None) -> tuple:
                                              line_box=args.box,
                                              presentation_bound=args.bound,
                                              cap=cap)
-        lines = _report_lines(result.report)
-        if result.presentation is not None:
-            lines.append(f"presentation: {result.presentation}")
-        return result.to_json(), lines
+        return result.to_json(), functools.partial(_prop61_lines, result)
     if args.command == "oracle":
         v = _parse_variety(args.variety, cap)
         d = parse_divisor(args.divisor, v, minus)
@@ -279,9 +286,9 @@ def _dispatch(args, cap: int | None) -> tuple:
         agree = engine.h == cech.h
         payload = {"engine": engine.to_json(), "oracle": cech.to_json(),
                    "agree": agree}
-        lines = [f"engine: {engine}", f"oracle: {cech}", f"agree: {agree}"]
         # a disagreement is an engine bug: report it, but exit 3
-        return payload, lines, (0 if agree else 3)
+        return (payload, lambda: [f"engine: {engine}", f"oracle: {cech}", f"agree: {agree}"],
+                0 if agree else 3)
     raise ParseError(f"unknown command {args.command!r}")
 
 
@@ -310,25 +317,27 @@ def _run_kernel(args, cap: int | None) -> tuple:
         pres = kernelbundle.sym_euler_presentation(args.n, args.d)
     else:
         pres = kernelbundle.staircase_presentation(args.n, args.d)
-    lines = [f"presentation: {pres}",
-             f"map: O({pres.matrix.d})^{pres.matrix.b1} -> "
-             f"O({pres.matrix.d + 1})^{pres.matrix.b2}, kernel rank {pres.rank}",
-             f"surjectivity: {pres.surjectivity.method} "
-             f"(exact={pres.surjectivity.exact})"]
     if args.twist is not None:
         kernelbundle.check_section_map_size(pres, args.twist, cap)
         table = kernelbundle.kernel_cohomology(pres, args.twist)
         payload = {"presentation": pres.to_json(),
                    "twist": args.twist, "table": table.to_json()}
-        lines.append(f"H(F({args.twist:+d})): {table}")
-        return payload, lines
+        return payload, lambda: (_presentation_lines(pres)
+                                 + [f"H(F({args.twist:+d})): {table}"])
     lemma = kernelbundle.lemma_conditions_check(pres, cap)
     payload = {"presentation": pres.to_json(), "lemma": lemma.to_json()}
-    lines.append(f"orthogonality conditions: "
-                 f"{'pass' if lemma.passed else 'FAIL'}")
-    for check in lemma.checks:
-        lines.append(f"  {check.label}: h = {check.table.h}")
-    return payload, lines
+    return payload, lambda: (
+        _presentation_lines(pres)
+        + [f"orthogonality conditions: {'pass' if lemma.passed else 'FAIL'}"]
+        + [f"  {check.label}: h = {check.table.h}" for check in lemma.checks])
+
+
+def _presentation_lines(pres) -> list:
+    return [f"presentation: {pres}",
+            f"map: O({pres.matrix.d})^{pres.matrix.b1} -> "
+            f"O({pres.matrix.d + 1})^{pres.matrix.b2}, kernel rank {pres.rank}",
+            f"surjectivity: {pres.surjectivity.method} "
+            f"(exact={pres.surjectivity.exact})"]
 
 
 def _parse(argv) -> argparse.Namespace:
@@ -352,9 +361,9 @@ def run(argv) -> int:
     except EngineError as err:
         print(json.dumps({"error": err.code, "detail": str(err)}))
         return err.exit_code
-    payload, lines = out[0], out[1]
+    payload, render = out[0], out[1]
     code = out[2] if len(out) > 2 else 0
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, render)
     return code
 
 

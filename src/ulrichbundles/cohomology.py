@@ -14,8 +14,10 @@ Five ingredients:
   ``cohomology`` and ``euler_characteristic`` start it from the summands
   (``start_terms``), and each check of ``ulrich.is_ulrich``, of the
   criterion (all of Sym^k per k) and of the direct check (a pushed-down
-  twist) from the candidate tensored into its twists; ``push_down``
-  merges equal twists, so a level costs its distinct twists,
+  twist) from the candidate tensored into its twists (``tensor_terms``;
+  ``candidate_table`` is the one rule for what all of them accept, a box
+  scan's hits as bare coordinate tuples among it); ``push_down`` merges
+  equal twists, so a level costs its distinct twists,
 * a closed level for P(E) over P^n or over a curve (F_r and PB(P1;...)
   among them): the twists e of the pushforward of O(kH) and their
   multiplicities m_e do not depend on the base degree a, so they are
@@ -310,6 +312,18 @@ def split_table(v: Variety, terms: dict, dim: int) -> CohomologyTable:
     return pushforward_table(dim, terms, partial(_line_table, base))
 
 
+def tensor_terms(coords, twists: dict) -> dict:
+    """The walk's terms ``{(shift, coords): mult}`` of the direct sum of
+    O(c), c running over the coordinate tuples ``coords``, tensored into
+    ``twists`` (terms of the same form)."""
+    terms = {}
+    for (shift, twist), mult in twists.items():
+        for c in coords:
+            key = (shift, tuple(map(add, twist, c)))
+            terms[key] = terms.get(key, 0) + mult
+    return terms
+
+
 def start_terms(v: Variety, bundle, twists: dict | None = None) -> dict:
     """The walk's terms ``{(shift, coords): mult}``: the summands of a split
     bundle (or of one divisor class) on v, tensored into ``twists`` (terms
@@ -318,17 +332,29 @@ def start_terms(v: Variety, bundle, twists: dict | None = None) -> dict:
         raise UnsupportedVariety("bundle does not live on the given variety")
     summands = (bundle,) if isinstance(bundle, DivisorClass) else bundle.summands
     twists = {(0, (0,) * v.picard_rank): 1} if twists is None else twists
-    terms = {}
-    for (shift, twist), mult in twists.items():
-        for s in summands:
-            key = (shift, tuple(map(add, twist, s.coords)))
-            terms[key] = terms.get(key, 0) + mult
-    return terms
+    return tensor_terms([s.coords for s in summands], twists)
 
 
-def cohomology(v: Variety, bundle) -> CohomologyTable:
-    """Cohomology table of a split bundle (or single divisor class) on v."""
-    return split_table(v, start_terms(v, bundle), v.dim)
+def candidate_table(v: Variety, cand, twists: dict, dim: int) -> CohomologyTable:
+    """Table h^0..h^dim of cand(twist)^mult in degree shift, summed over
+    ``twists = {(shift, coords): mult}`` on v.  The one rule for what is a
+    candidate: a split bundle or a divisor class is tensored into the
+    twists and walked once (``split_table``); any other object tabulates
+    itself with ``cand.twisted_table(v, twists, dim)``, such as a twisted
+    kernel bundle on P^n (``kernelbundle``) or the hits of a box scan
+    (``search``); anything else is refused."""
+    if isinstance(cand, (SplitBundle, DivisorClass)):
+        return split_table(v, start_terms(v, cand, twists), dim)
+    if not hasattr(cand, "twisted_table"):
+        raise UnsupportedVariety(f"not an Ulrich candidate: {cand}")
+    return cand.twisted_table(v, twists, dim)
+
+
+def cohomology(v: Variety, cand) -> CohomologyTable:
+    """Cohomology table on v of a split bundle, a single divisor class, or
+    any other candidate that ``candidate_table`` accepts: its table
+    tensored into O in degree 0."""
+    return candidate_table(v, cand, {(0, (0,) * v.picard_rank): 1}, v.dim)
 
 
 def hom_complex_dims(v: Variety, e1: SplitBundle, e2: SplitBundle) -> CohomologyTable:

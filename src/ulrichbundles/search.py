@@ -16,8 +16,11 @@ route (``cohomology``, ``is_ulrich``, ``pullback_ulrich_criterion``) once,
 on the direct sum of O(c) over the hits: vanishing and the Ulrich
 property are additive, and no part of a table can cancel another
 (``cohomology.pushforward_table``), so that one verdict is exactly the
-per-hit verdicts.  Scans whose tables are generic (over a curve) say so
-in a note.
+per-hit verdicts.  The hits stay integer coordinate tuples throughout:
+the routes take them as one candidate (``_HitSum``) that tensors them
+into each check's twists, so no divisor class or split bundle is built
+per hit.  Scans whose tables are generic (over a curve) say so in a
+note.
 
 Closed forms used (polarisation A = a*f + b*C+ very ample):
 
@@ -37,17 +40,9 @@ import itertools
 from dataclasses import dataclass, field
 from operator import add
 
-from .cohomology import _check_cap, _zero_interval, cohomology
+from .cohomology import _check_cap, _zero_interval, cohomology, split_table, tensor_terms
 from .errors import BoxTooLarge, GenericModeUnsupported, InternalInconsistency
-from .picard import (
-    DivisorClass,
-    GenericCurve,
-    ProjBundle,
-    SplitBundle,
-    Variety,
-    hirzebruch_parameter,
-    line_bundle,
-)
+from .picard import GenericCurve, ProjBundle, Variety, hirzebruch_parameter
 from .ulrich import Polarisation, _criterion_setup, is_ulrich, pullback_ulrich_criterion
 
 GENERIC_NOTE = "verdicts use the generic-curve model"
@@ -79,9 +74,6 @@ class SearchBox:
     def points(self):
         return itertools.product(*(range(lo, hi + 1) for lo, hi in self.bounds))
 
-    def contains(self, coords) -> bool:
-        return all(lo <= c <= hi for c, (lo, hi) in zip(coords, self.bounds))
-
 
 @dataclass(frozen=True)
 class ScanResult:
@@ -99,20 +91,37 @@ class ScanResult:
         return out
 
 
+@dataclass(frozen=True)
+class _HitSum:
+    """The direct sum of O(c) over the coordinate tuples ``coords`` of a
+    scan's hits, as a candidate of the public routes
+    (``cohomology.candidate_table``): each table tensors the coordinates
+    into its twists (``tensor_terms``) and takes one ``split_table`` walk."""
+
+    coords: list
+
+    def twisted_table(self, v: Variety, twists: dict, dim: int):
+        return split_table(v, tensor_terms(self.coords, twists), dim)
+
+    def __str__(self) -> str:
+        return f"sum of {len(self.coords)} scan hits"
+
+
 def _scan(v: Variety, box: SearchBox, offsets, check) -> tuple:
     """``(hits, generic)``: the sorted points c of the box at which every
     O(c + t), t in ``offsets``, has no cohomology, and whether any of those
     tables is generic.
 
     Each row of the box meets the zero intervals of its offsets
-    (``_zero_interval``) in its hits.  They are re-checked by one call of
-    ``check``, the public route's verdict on a split bundle, on the direct
-    sum of O(c) over the hits.  Each of its tables sums closed parts with
-    multiplicities >= 1 and no negative entry (``pushforward_table``
-    refuses anything else), so it vanishes iff each hit's table does: the
-    verdict is that of every per-hit check.  If it fails, the hits are
-    checked one by one, in order, to name the first failing one; either
-    way the scan raises InternalInconsistency.
+    (``_zero_interval``) in its hits, kept as coordinate tuples.  They are
+    re-checked by one call of ``check``, the public route's verdict on a
+    candidate, on their direct sum (``_HitSum``).  Each of its tables sums
+    closed parts with multiplicities >= 1 and no negative entry
+    (``pushforward_table`` refuses anything else), so it vanishes iff each
+    hit's table does: the verdict is that of every per-hit check.  If it
+    fails, the hits are checked one by one, in order, each as a sum of one,
+    to name the first failing one; either way the scan raises
+    InternalInconsistency.
     """
     (lo, hi), *rest = box.bounds
     hits, generic = [], False
@@ -123,9 +132,9 @@ def _scan(v: Variety, box: SearchBox, offsets, check) -> tuple:
             generic = generic or flag
             first, last = max(first, zero_lo - t), min(last, zero_hi - t)
         hits += [(a, *tail) for a in range(first, last + 1)]
-    if hits and not check(SplitBundle(v, tuple(DivisorClass(v, c) for c in hits))):
+    if hits and not check(_HitSum(hits)):
         for c in hits:
-            if not check(line_bundle(v, c)):
+            if not check(_HitSum([c])):
                 raise InternalInconsistency(
                     f"row scan hit {list(c)} on {v.name} fails its per-point check")
         raise InternalInconsistency(
@@ -136,8 +145,10 @@ def _scan(v: Variety, box: SearchBox, offsets, check) -> tuple:
 def _closed_form(kind, hits, box: SearchBox, family, notes, **block) -> ScanResult:
     """The scan result with its closed-form block: ``block`` (the family's
     description), the family's members in the box, which must equal the
-    scan's hits, and ``complete_beyond_box``."""
-    expected = tuple(sorted(c for c in family if box.contains(c)))
+    scan's hits, and ``complete_beyond_box``; the families live on F_r,
+    whose boxes have two bounds."""
+    (lo, hi), (lo2, hi2) = box.bounds
+    expected = tuple(sorted((i, j) for i, j in family if lo <= i <= hi and lo2 <= j <= hi2))
     if hits != expected:
         raise InternalInconsistency(
             f"{kind}: scan {hits} disagrees with closed form {expected}")
@@ -158,8 +169,8 @@ def zero_cohomology_line_bundles(v: Variety, box: SearchBox,
             "generic_curve_ulrich_degree for the curve rule")
     _check_cap(box.volume, cap)
 
-    def check(bundle):
-        return cohomology(v, bundle).is_zero()
+    def check(hits):
+        return cohomology(v, hits).is_zero()
 
     hits, generic = _scan(v, box, ((0,) * v.picard_rank,), check)
     if (r := hirzebruch_parameter(v)) is None:
@@ -181,8 +192,8 @@ def ulrich_line_bundles(v: Variety, a, box: SearchBox,
     pol = Polarisation.check(v, a)
     _check_cap(box.volume, cap)
 
-    def check(bundle):
-        return is_ulrich(v, bundle, pol).verdict
+    def check(hits):
+        return is_ulrich(v, hits, pol).verdict
 
     offsets = [(-i * pol.divisor).coords for i in range(1, v.dim + 1)]
     hits, generic = _scan(v, box, offsets, check)
@@ -207,8 +218,8 @@ def pullback_ulrich_line_search(pb: ProjBundle, a, box: SearchBox,
     x = pb.base
     setup = _criterion_setup(x, pb.summands, a)
 
-    def check(bundle):
-        return pullback_ulrich_criterion(x, pb.summands, bundle, setup).verdict
+    def check(hits):
+        return pullback_ulrich_criterion(x, pb.summands, hits, setup).verdict
 
     # H^*(F) and every term of the criterion's Sym^k twists (all in degree 0)
     offsets = dict.fromkeys([(0,) * x.picard_rank]

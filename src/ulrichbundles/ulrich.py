@@ -12,8 +12,10 @@ H^*(X, F(-iA)) = 0 for i = 1..dim X.  This module implements
   pushforward engine, cross-asserted against the criterion,
 * the semiorthogonality probe Hom^*(pullback(L1), pullback(L2)(-pH)).
 
-Candidates are split bundles or objects with a ``twisted_table(v, twists,
-dim)`` method, such as a twisted kernel bundle on P^n (see kernelbundle).
+Candidates are split bundles, divisor classes or objects with a
+``twisted_table(v, twists, dim)`` method, such as a twisted kernel bundle
+on P^n (see kernelbundle); ``cohomology.candidate_table`` is the one rule
+for all of them, shared with ``cohomology.cohomology``.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from dataclasses import dataclass, field, replace
 
 from .cohomology import (
     CohomologyTable,
+    candidate_table,
     cohomology,
     push_down,
-    split_table,
     start_terms,
 )
 from .errors import (
@@ -104,18 +106,6 @@ def _candidate_name(cand) -> str:
     return str(cand)
 
 
-def _base_table(v: Variety, cand, twists: dict, dim: int) -> CohomologyTable:
-    """Table h^0..h^dim of cand(twist)^mult in degree shift, summed over
-    ``twists = {(shift, coords): mult}`` on v; cand is split (tensored into
-    the twists and walked once, ``split_table``) or tabulates itself with
-    ``cand.twisted_table(v, twists, dim)``; anything else is refused."""
-    if isinstance(cand, SplitBundle):
-        return split_table(v, start_terms(v, cand, twists), dim)
-    if not hasattr(cand, "twisted_table"):
-        raise UnsupportedVariety(f"not an Ulrich candidate: {cand}")
-    return cand.twisted_table(v, twists, dim)
-
-
 def _report(cand, pol, checks, method, notes=()) -> UlrichReport:
     return UlrichReport(
         candidate=_candidate_name(cand), polarisation=render_divisor(pol.divisor),
@@ -124,11 +114,11 @@ def _report(cand, pol, checks, method, notes=()) -> UlrichReport:
 
 
 def _checks(v: Variety, cand, dim: int, labelled) -> list:
-    """One TwistCheck per ``(label, twists)`` pair: the ``_base_table`` of
-    cand tensored into those twists, ok when it vanishes."""
+    """One TwistCheck per ``(label, twists)`` pair: the ``candidate_table``
+    of cand tensored into those twists, ok when it vanishes."""
     checks = []
     for label, twists in labelled:
-        table = _base_table(v, cand, twists, dim)
+        table = candidate_table(v, cand, twists, dim)
         checks.append(TwistCheck(label, table, table.is_zero()))
     return checks
 

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, golden outputs, README examples, stability."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -383,6 +384,38 @@ class TestParseOnce:
         assert "options:" in out or "optional arguments:" in out
 
 
+# sha256 of the human-mode stdout of one request per command, recorded
+# while every command still built its lines before printing them
+HUMAN_SHA256 = {
+    "coh PB(F1;[0,0],[1,1]) [1,1,-3]":
+        "63665d737efd52b68908268614e7f4f85c13e3d8c0b1ee96973330dfd5dc1f49",
+    "chi PB(P2;[0],[1]) [2,3]":
+        "d91b85ddd430ba5a388bdc3754454818df1290610871b7c99845f2a2840a3372",
+    "ample PB(P2;[0],[1]) [1,1]":
+        "cba4478cfcbf79af9aad073a24dc510d134987dfa21a9c63b907292155178167",
+    "ulrich F1 [0,1] --pol [1,1]":
+        "e1da8922ca33aa8358810be4ac66b20de4ca9654f5d201e03fb46edcd4397416",
+    "criterion PB(P2;[1],[0]) [-1] --pol [1]":
+        "4c6ffce9ca3d7aaa140c45a611858fec9c0cc3cc153acf01da70390691376453",
+    "direct PB(P1;[0],[1]) [-1] --pol [1]":
+        "d86f4e8370dc1cb5aad5df49816741dbc56233b6ffef4aa44188ea04e844280d",
+    "probe PB(P1;[0],[3]) [0] [1] -p 1":
+        "3dab37884d7b269a320acf1a0f5ede96aa245114ee8d0068d927262a85ee3cab",
+    "enum-zero F3 --box 4":
+        "c2be493aee05dad7d9e56db7c2c320effacf7b1cc31ed5266dc651fc522beb48",
+    "enum-ulrich F3 --pol [2,1] --box 8":
+        "defa4f105eb83ab028ab5085f266ac8c7c8c15c3be25497591fcceeb4a43688d",
+    "search-pb PB(C2;[0],[1],[0]) --pol [6] --box 8":
+        "8b8e0fe8e33c67feb60e4f5f44952dd75b0d2328f98086392d2b812daa7cda55",
+    "kernel 2 1 --twist 1":
+        "0ce3a9394ad16d545ebd9f794bb64e853c85b83504366622e9134129eed41be9",
+    "prop61 3 1":
+        "e2d7dd707ef6ce3a7742ae2a23a67f7079c02c33ba1f51598b3d178e093629ab",
+    "oracle F2 [0,-2]":
+        "9e85a1546bf0a6907f27968917365180f435f7cfca9df0f6915e0d22dd63b581",
+}
+
+
 class TestHumanOutput:
     def test_table_line(self):
         code, out = run_cli(["coh", "P2", "[-3]"])
@@ -396,6 +429,31 @@ class TestHumanOutput:
     def test_ample_flag(self):
         code, out = run_cli(["ample", "C2", "[5]"])
         assert code == 0 and "sufficient bound only" in out
+
+    @pytest.mark.parametrize("request_line", list(HUMAN_SHA256))
+    def test_stdout_is_byte_identical(self, request_line):
+        code, out = run_cli(request_line.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == HUMAN_SHA256[request_line]
+
+    @pytest.mark.parametrize("argv", [
+        ["enum-zero", "F3", "--box", "4"],
+        ["enum-ulrich", "F3", "--pol", "[2,1]", "--box", "8"],
+        ["search-pb", "PB(C2;[0],[1],[0])", "--pol", "[6]", "--box", "8"],
+        ["ulrich", "F1", "[0,1]", "--pol", "[1,1]"],
+        ["criterion", "PB(P2;[1],[0])", "[-1]", "--pol", "[1]"],
+        ["direct", "PB(P1;[0],[1])", "[-1]", "--pol", "[1]"],
+        ["prop61", "3", "1"],
+        ["kernel", "2", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_json_request_renders_no_lines(self, argv, monkeypatch):
+        def refused(*args):
+            raise AssertionError("human lines rendered under --json")
+        for name in ("_scan_lines", "_report_lines", "_presentation_lines"):
+            monkeypatch.setattr(cli, name, refused)
+        code, out = run_cli(argv + ["--json"])
+        assert code == 0
+        json.loads(out)
 
 
 class TestDeepTowers:

@@ -312,9 +312,9 @@ class TestRowScan:
         search = importlib.import_module("ulrichbundles.search")
         calls = []
 
-        def spy(v, bundle):
-            calls.append(sorted(s.coords for s in bundle.summands))
-            return cohomology(v, bundle)
+        def spy(v, hits):
+            calls.append(sorted(hits.coords))
+            return cohomology(v, hits)
 
         monkeypatch.setattr(search, "cohomology", spy)
         v = parse_variety("PB(F1;[0,0],[1,1])")
@@ -330,13 +330,34 @@ class TestRowScan:
         # engine fault too
         search = importlib.import_module("ulrichbundles.search")
 
-        def faulty(v, bundle):
-            return cohomology(v, line_bundle(v, (0, 0)) if len(bundle.summands) > 1
-                              else bundle)
+        def faulty(v, hits):
+            return cohomology(v, line_bundle(v, (0, 0)) if len(hits.coords) > 1
+                              else hits)
 
         monkeypatch.setattr(search, "cohomology", faulty)
         with pytest.raises(InternalInconsistency, match="pass one by one"):
             zero_cohomology_line_bundles(F3, SearchBox.symmetric(F3, 2))
+
+    def test_no_divisor_class_per_hit(self, monkeypatch):
+        # the hits stay coordinate tuples: a box with about twice the hits
+        # builds no more divisor classes
+        real = DivisorClass.__post_init__
+        built = []
+
+        def counted(self):
+            built.append(self.coords)
+            real(self)
+
+        run(["enum-zero", "F3", "--box", "12", "--json"])
+        monkeypatch.setattr(DivisorClass, "__post_init__", counted)
+        counts = []
+        for box in ("12", "24"):
+            built.clear()
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert run(["enum-zero", "F3", "--box", box, "--json"]) == 0
+            assert len(json.loads(out.getvalue())["results"]) > int(box) * 2
+            counts.append(len(built))
+        assert counts[0] == counts[1]
 
     def test_cancelling_hits_are_three(self, monkeypatch):
         # h^0 = 1 at one hit and -1 at another sum to a zero table: only
