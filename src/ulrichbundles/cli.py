@@ -20,7 +20,8 @@ entries (dim + 1) of a table on any variety a request names.
 the first call and shared by the later ones.  A request that starts with
 a command's name is parsed once, by that command's own parser; any other
 argv (empty, an unknown name, a leading option) goes to the top-level
-parser, whose messages, exit codes and help text are the same.
+parser, whose messages, exit codes and help text are the same.  A variety
+text is parsed once per process (``picard.parse_variety`` interns it).
 """
 
 from __future__ import annotations
@@ -294,7 +295,9 @@ def _dispatch(args, cap: int | None) -> tuple:
 
 def _parse_variety(text: str, cap: int | None):
     """The variety ``text`` names, refused with ``BoxTooLarge`` before any
-    table is built when a table on it (dim + 1 entries) exceeds ``cap``."""
+    table is built when a table on it (dim + 1 entries) exceeds ``cap``.
+    The variety is interned, but the cap may change between requests, so
+    the check is made on every one."""
     v = parse_variety(text)
     _check_cap(v.dim + 1, cap, "variety table entries")
     return v

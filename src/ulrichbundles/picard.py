@@ -18,14 +18,23 @@ section ``C-`` with square ``-r`` satisfies ``C+ = r*f + C-``; the minus
 basis is accepted on input only (``parse_divisor(minus_basis=True)``).
 
 Everything here is an immutable value; all operations are pure functions.
+
+``parse_variety`` interns: each distinct variety text (whitespace
+removed) is parsed once per process, and every later request naming it
+gets the same object, the base of a tower included.  Sharing is safe
+because the varieties are frozen dataclasses whose only writes after
+construction fill ``cached_property`` values (``ProjBundle.dim``,
+``picard_rank``, ``summand_coords``, ``SplitBundle.c1``), which are
+functions of the fields; so each of those is also computed once per
+variety, and no request can change what another one sees.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Union
 
@@ -88,9 +97,14 @@ class GenericCurve:
 
 @dataclass(frozen=True)
 class DivisorClass:
-    """Integer coordinate vector in the fixed Picard basis of a variety."""
+    """Integer coordinate vector in the fixed Picard basis of a variety.
 
-    variety: "Variety"
+    The variety is compared but not hashed (nor is a split bundle's): a
+    tower hashes its base once, not again through every summand, so a
+    hash takes time linear in the depth of the tower.
+    """
+
+    variety: "Variety" = field(hash=False)
     coords: tuple
 
     def __post_init__(self):
@@ -131,7 +145,7 @@ class DivisorClass:
 class SplitBundle:
     """A direct sum of line bundles, kept as an ordered tuple of classes."""
 
-    variety: "Variety"
+    variety: "Variety" = field(hash=False)
     summands: tuple
 
     def __post_init__(self):
@@ -147,7 +161,7 @@ class SplitBundle:
     def rank(self) -> int:
         return len(self.summands)
 
-    @property
+    @cached_property
     def c1(self) -> DivisorClass:
         total = zero_divisor(self.variety)
         for s in self.summands:
@@ -401,7 +415,27 @@ _DIVISOR_RE = re.compile(r"\[(-?\d+(?:,-?\d+)*)\]")
 
 
 def parse_variety(text: str) -> Variety:
-    s = "".join(text.split())
+    """The variety that ``text`` names, interned by its text without
+    whitespace: every call on the same text (``PB(P1; [0],[1])`` and
+    ``PB(P1;[0],[1])`` alike) returns the same immutable object, parsed
+    on the first call, and so does the base of a tower.  The memo keeps
+    the 256 texts used last.  Errors are not memoised: a bad text
+    raises the same ParseError, naming the text as given, on every call.
+    """
+    key = "".join(text.split())
+    try:
+        return _intern_variety(key)
+    except _Unparsable as err:
+        raise ParseError(str(err).format(text)) from None
+
+
+class _Unparsable(Exception):
+    """A variety text off the grammar at its top level; the message is a
+    template that ``parse_variety`` fills with the text as given."""
+
+
+@lru_cache(maxsize=256)
+def _intern_variety(s: str) -> Variety:
     if not s:
         raise ParseError("empty variety expression")
     if s == "P1xP1":
@@ -419,14 +453,14 @@ def parse_variety(text: str) -> Variety:
         inner = s[3:-1]
         parts = _split_top(inner, ";")
         if len(parts) < 2:
-            raise ParseError(f"PB(...) needs 'base;divisors': {text!r}")
+            raise _Unparsable("PB(...) needs 'base;divisors': {!r}")
         base = parse_variety(parts[0])
         rest = inner[len(parts[0]) + 1:]
         divisors = [parse_divisor(part, base) for part in _split_top(rest, ",")]
         if not divisors:
-            raise ParseError(f"PB(...) needs at least one divisor: {text!r}")
+            raise _Unparsable("PB(...) needs at least one divisor: {!r}")
         return ProjBundle(base, SplitBundle(base, tuple(divisors)))
-    raise ParseError(f"cannot parse variety {text!r}")
+    raise _Unparsable("cannot parse variety {!r}")
 
 
 def _split_top(text: str, sep: str):

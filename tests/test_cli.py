@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import ulrichbundles
-from ulrichbundles import cli
+from ulrichbundles import cli, picard
 from ulrichbundles.cli import run
 
 from fuzz import fuzz
@@ -162,6 +162,10 @@ class TestVarietySizeCap:
         assert json.loads(out)["h"] == [1] + [0] * 999999
 
     def test_cap_follows_the_scan_cap(self, monkeypatch):
+        # P3 answers, and is interned, before the cap is lowered: the check
+        # is made per request, not once per variety
+        monkeypatch.delenv("ULRICH_SCAN_CAP", raising=False)
+        assert run_cli(["chi", "P3", "[1]"])[0] == 0
         monkeypatch.setenv("ULRICH_SCAN_CAP", "3")
         assert run_cli(["chi", "P2", "[1]"])[0] == 0
         for argv in (["chi", "P3", "[1]"], ["criterion", "PB(P2;[0],[1])", "[0]",
@@ -264,6 +268,28 @@ class TestRepeatedCalls:
         order = self.SEQUENCE + self.SEQUENCE[::-1] + self.SEQUENCE[::2]
         for args in order:
             assert run_cli(args) == fresh[tuple(args)], args
+
+    def test_interned_varieties_answer_as_fresh_ones(self, monkeypatch):
+        # every request of the cheap half of each workload's seed-1 list
+        # gets the same exit code and stdout from a variety parsed for it
+        # alone as from one shared with every request before it
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+        import workloads
+
+        intern = picard._intern_variety
+        for name in workloads.WORKLOADS:
+            reqs = sorted(workloads.requests(name, 1), key=lambda r: r.points)
+            argvs = [list(r.argv) for r in reqs[: len(reqs) // 2]]
+            outcomes = []
+            for cold in (True, False):
+                intern.cache_clear()
+                outcomes.append([])
+                for argv in argvs:
+                    if cold:
+                        intern.cache_clear()
+                    outcomes[-1].append(run_cli(argv))
+            assert outcomes[0] == outcomes[1], name
+        assert intern.cache_info().hits > 0
 
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()

@@ -24,6 +24,7 @@ from ulrichbundles import (
     hirzebruch,
     is_ample,
     is_very_ample,
+    line_bundle,
     parse_bundle,
     parse_divisor,
     parse_variety,
@@ -33,6 +34,7 @@ from ulrichbundles import (
     sym_power,
     very_ample_threshold,
 )
+from ulrichbundles import picard
 from ulrichbundles.cli import run
 
 from towers import rank2_tower
@@ -358,3 +360,78 @@ class TestGrammar:
     def test_divisor_length_checked(self):
         with pytest.raises(UnsupportedVariety):
             parse_divisor("[1,2]", P2)
+
+
+class TestInterning:
+    """``parse_variety`` returns one shared object per text; errors are
+    raised afresh on every call."""
+
+    def test_same_text_same_object(self):
+        v = parse_variety("PB(P1;[0],[1])")
+        assert parse_variety("PB(P1;[0],[1])") is v
+        assert parse_variety(" PB( P1 ; [0], [1] )\n") is v
+        assert parse_variety("F1") is parse_variety("F1")
+
+    def test_tower_base_is_interned(self):
+        base = parse_variety("PB(P1;[0],[1])")
+        tower = parse_variety("PB(PB(P1; [0],[1]);[0,0],[1,1])")
+        assert tower.base is base
+        assert tower.summands.variety is base
+
+    @pytest.mark.parametrize("bad", ["", "Q3", " PB( P2 ) ", "PB(P2;)",
+                                     "PB(P1;[0],[x])", "PB(P2;[1])",
+                                     "PB( PB(P1;[0],[1]) ; [0])"])
+    def test_errors_are_raised_every_time(self, bad):
+        # a valid base is interned on the first call, the bad text never
+        messages, sizes = [], []
+        for _ in range(2):
+            with pytest.raises((ParseError, UnsupportedVariety)) as err:
+                parse_variety(bad)
+            messages.append(str(err.value))
+            sizes.append(picard._intern_variety.cache_info().currsize)
+        assert messages[0] == messages[1] and sizes[0] == sizes[1]
+
+    def test_error_names_the_text_as_given(self):
+        with pytest.raises(ParseError, match=r"^cannot parse variety ' Q3 '$"):
+            parse_variety(" Q3 ")
+        with pytest.raises(ParseError, match=r"needs 'base;divisors': 'PB\( P2 \)'$"):
+            parse_variety("PB( P2 )")
+
+    def test_memo_is_bounded(self):
+        size = picard._intern_variety.cache_info().maxsize
+        first = parse_variety("P1")
+        for n in range(1, size + 20):
+            assert parse_variety(f"P{n}").dim == n
+        assert picard._intern_variety.cache_info().currsize == size
+        # P1 was evicted: parsed again, to an equal new object
+        again = parse_variety("P1")
+        assert again == first and again is not first
+
+    def test_tower_hash_is_linear_in_depth(self):
+        # hashing a divisor's or a split bundle's variety again at every
+        # summand made a tower's hash about 4x dearer per level (over a
+        # second at depth 11): depth 14 would take minutes
+        for depth in (11, 14):
+            v = parse_variety(rank2_tower(depth))
+            start = time.perf_counter()
+            hash(v)
+            assert time.perf_counter() - start < 0.05, depth
+
+    def test_separately_parsed_towers_hash_equal(self):
+        text = rank2_tower(14)
+        first = parse_variety(text)
+        picard._intern_variety.cache_clear()
+        second = parse_variety(text)
+        assert second is not first and hash(second) == hash(first)
+        small = parse_variety(rank2_tower(3))
+        picard._intern_variety.cache_clear()
+        assert parse_variety(rank2_tower(3)) == small
+
+    def test_divisors_on_different_varieties_differ(self):
+        # the variety is not hashed, but it is still compared
+        f1, quadric = parse_variety("F1"), parse_variety("P1xP1")
+        on_f1, on_quadric = DivisorClass(f1, (1, 1)), DivisorClass(quadric, (1, 1))
+        assert on_f1 != on_quadric and len({on_f1, on_quadric}) == 2
+        assert line_bundle(f1, (1, 1)) != line_bundle(quadric, (1, 1))
+        with pytest.raises(UnsupportedVariety, match="across varieties"):
+            on_f1 + on_quadric
