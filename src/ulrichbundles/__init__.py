@@ -16,7 +16,6 @@ from .cohomology import (
     CohomologyTable,
     cohomology,
     euler_characteristic,
-    hom_complex_dims,
     toric_cech_oracle,
 )
 from .errors import (
@@ -74,7 +73,6 @@ from .picard import (
 from .search import (
     ScanResult,
     SearchBox,
-    generic_curve_ulrich_degree,
     pullback_ulrich_line_search,
     ulrich_line_bundles,
     zero_cohomology_line_bundles,

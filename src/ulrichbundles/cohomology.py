@@ -357,11 +357,6 @@ def cohomology(v: Variety, cand) -> CohomologyTable:
     return candidate_table(v, cand, {(0, (0,) * v.picard_rank): 1}, v.dim)
 
 
-def hom_complex_dims(v: Variety, e1: SplitBundle, e2: SplitBundle) -> CohomologyTable:
-    """Dimensions of Hom^*(E1, E2) = H^*(dual(E1) x E2) for split bundles."""
-    return cohomology(v, e1.dual().tensor(e2))
-
-
 # --------------------------------------------------------------------------
 # Euler characteristics from closed polynomials
 # --------------------------------------------------------------------------

@@ -1,15 +1,16 @@
 """Exact linear algebra helpers: exact rank, and small fraction-free
 integer solves.
 
-Rank is exact and never uses floating point.  After clearing
-denominators, the rank is first taken modulo the fixed prime ``PRIME`` by
-sparse row elimination.  Reduction mod p is a ring homomorphism, so a
-nonzero minor mod p is a nonzero integer minor: when the rank mod p
-reaches min(nonzero rows, columns), that bound is the exact rank.  Only
-when it falls short does Bareiss (fraction-free Gaussian) elimination run
-over the integers, where every intermediate value is a minor of the input
-and all divisions are exact.  That one elimination (``_bareiss``) also
-gives square solves.
+Rank is exact over the rationals and never uses floating point.  Its
+input is an integer matrix: a rational one has the same rank once each
+row is scaled by the lcm of its denominators.  The rank is first taken
+modulo the fixed prime ``PRIME`` by sparse row elimination.  Reduction
+mod p is a ring homomorphism, so a nonzero minor mod p is a nonzero
+integer minor: when the rank mod p reaches min(nonzero rows, columns),
+that bound is the exact rank.  Only when it falls short does Bareiss
+(fraction-free Gaussian) elimination run over the integers, where every
+intermediate value is a minor of the input and all divisions are exact.
+That one elimination (``_bareiss``) also gives square solves.
 
 ``PRIME`` is 32749, the largest prime below 2^15, so every residue and
 every product of two residues fits in one 30-bit CPython digit and the
@@ -21,27 +22,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
-from math import lcm
 
 PRIME = 32749
 
 
 def _sparse_integer_rows(rows) -> list:
-    """The nonzero rows as (columns, integer values) pairs.
-
-    Only the nonzero entries are type-tested; a row holding a Fraction is
-    scaled by the lcm of its denominators (row scaling preserves rank).
-    """
+    """The nonzero rows as (columns, values) pairs."""
     out = []
     for row in rows:
         cols = list(compress(range(len(row)), row))
-        if not cols:
-            continue
-        vals = [row[c] for c in cols]
-        if Fraction in set(map(type, vals)):
-            denom = lcm(*(v.denominator for v in vals))
-            vals = [v.numerator * (denom // v.denominator) for v in vals]
-        out.append((cols, vals))
+        if cols:
+            out.append((cols, [row[c] for c in cols]))
     return out
 
 
@@ -120,7 +111,7 @@ def _bareiss(m, ncols: int) -> tuple:
 
 
 def rank(rows) -> int:
-    """Exact rank of a matrix with integer or Fraction entries."""
+    """Exact rank of a matrix with integer entries."""
     m = _sparse_integer_rows(rows)
     if not m:
         return 0

@@ -59,14 +59,13 @@ rows - 1, read off the rows it is given: a map onto at every point of P^1
 has a split kernel whose H^1 vanishes from there on.  Its cells are
 checked against the scan cap before the map is filled.
 
-Each matrix carries one integer sparse view of itself, built with it:
-per row, the nonzero forms with that row's denominators cleared.  The
+Every matrix has integer coefficients and goes through one constructor,
+which derives one sparse view of it: per row, the nonzero forms.  The
 certificates and the section-map ranks read only that view, so their work
 follows the nonzeros ((n+1) per row of the contraction matrix), not the
-b2 x b1 grid; row scaling changes no rank, root or zero pattern.  The
-three built-in constructions have integer entries and build that view
-directly, the contraction's rows once per (n, d); only a hand-built
-matrix converts its entries cell by cell.
+b2 x b1 grid.  The contraction's rows are built once per (n, d).  Row
+scaling changes no rank, root or zero pattern, so a matrix with rational
+coefficients is given with each row's denominators cleared.
 """
 
 from __future__ import annotations
@@ -74,9 +73,8 @@ from __future__ import annotations
 import itertools
 import random as _random
 from dataclasses import InitVar, dataclass, field, replace
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, prod
+from math import comb, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -100,22 +98,17 @@ from .ulrich import UlrichReport, _checks, direct_ulrich_check
 
 @dataclass(frozen=True)
 class LinearFormMatrix:
-    """A b2 x b1 matrix of linear forms in x_0..x_n over exact rationals,
-    presenting a map O(d)^{b1} -> O(d+1)^{b2}.
+    """A b2 x b1 matrix of linear forms in x_0..x_n with integer
+    coefficients, presenting a map O(d)^{b1} -> O(d+1)^{b2}.
 
-    Each entry is a coefficient tuple of length n+1.  ``int_rows`` is the
-    matrix's integer sparse view, built once: per row, a dict from each
-    column whose form is nonzero to that form with the row's denominators
-    cleared.  Scaling a row by a nonzero integer keeps the map surjective
-    at every point, every maximal minor up to a nonzero constant and every
-    section-map rank, so the certificates and ranks read only this view.
-
-    ``LinearFormMatrix(n, d, entries)`` converts each distinct form of a
-    hand-built matrix to ``Fraction``s once and derives the view from them.
-    The built-in constructors have integer entries, so every row's lcm is 1:
-    they build the view itself and lay ``entries`` out from it as plain int
-    tuples (``_from_int_rows``), never visiting a cell one by one.  Both
-    paths run the same shape checks (``_check_shape``).
+    Each entry is a coefficient tuple of length n+1 whose coefficients are
+    ``int``s; anything else is refused.  ``int_rows`` is the matrix's
+    sparse view, derived once: per row, a dict from each column whose form
+    is nonzero to that form, as given.  The certificates and ranks read
+    only this view.  A matrix with rational coefficients presents the same
+    map once each row is scaled by the lcm of its denominators, which keeps
+    it surjective at every point, every maximal minor up to a nonzero
+    constant and every section-map rank.
     """
 
     n: int
@@ -124,56 +117,19 @@ class LinearFormMatrix:
     int_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # each distinct coefficient tuple -> (Fraction form, lcm of its
-        # denominators, integer numerators); the lcm is 0 for a zero form
-        forms = {}
-        rows, int_rows = [], []
-        for raw_row in self.entries:
-            row, support = [], {}
-            for col, raw in enumerate(raw_row):
-                key = tuple(raw)
-                hit = forms.get(key)
-                if hit is None:
-                    hit = forms[key] = _convert_form(key)
-                row.append(hit[0])
-                if hit[1]:
-                    support[col] = hit
-            rows.append(tuple(row))
-            denom = lcm(*(hit[1] for hit in support.values()))
-            int_rows.append({col: (numer if den == denom else
-                                   tuple(x.numerator * (denom // x.denominator)
-                                         for x in form))
-                             for col, (form, den, numer) in support.items()})
-        object.__setattr__(self, "entries", tuple(rows))
-        object.__setattr__(self, "int_rows", tuple(int_rows))
-        self._check_shape(map(len, forms))
-
-    @classmethod
-    def _from_int_rows(cls, n: int, d: int, width: int, int_rows) -> LinearFormMatrix:
-        """The matrix of ``width`` columns whose integer view is ``int_rows``:
-        rows of {column: nonzero integer form}, each row's lcm 1.  The rows
-        are kept as given, not copied."""
-        m = object.__new__(cls)
-        zero = (0,) * (n + 1)
-        int_rows = tuple(int_rows)
-        object.__setattr__(m, "n", n)
-        object.__setattr__(m, "d", d)
-        object.__setattr__(m, "entries", tuple(tuple(_dense_row(row, width, zero))
-                                               for row in int_rows))
-        object.__setattr__(m, "int_rows", int_rows)
-        forms = itertools.chain.from_iterable(map(dict.values, int_rows))
-        m._check_shape(map(len, forms))
-        return m
-
-    def _check_shape(self, form_lengths) -> None:
-        """Refuse bad degrees, an empty matrix, a form whose length in
-        ``form_lengths`` is not n+1, and b1 <= b2, in that order."""
+        rows = tuple(map(tuple, self.entries))
+        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "int_rows", tuple(
+            dict(itertools.compress(enumerate(row), map(any, row))) for row in rows))
         if self.n < 1 or self.d < 0:
             raise UnsupportedVariety(f"need n >= 1, d >= 0; got ({self.n}, {self.d})")
-        if not self.entries or not self.entries[0]:
+        if not rows or not rows[0]:
             raise UnsupportedVariety("empty matrix")
-        if set(form_lengths) - {self.n + 1}:
+        forms = set().union(*rows)
+        if set(map(len, forms)) - {self.n + 1}:
             raise UnsupportedVariety("entries must have n+1 coefficients")
+        if set(map(type, itertools.chain.from_iterable(forms))) - {int}:
+            raise UnsupportedVariety("coefficients must be integers")
         if self.b1 <= self.b2:
             raise UnsupportedVariety("need more columns than rows (b1 > b2)")
 
@@ -190,7 +146,7 @@ class LinearFormMatrix:
         return self.b1 - self.b2
 
     def int_columns(self) -> list:
-        """The integer view of the transpose: per column, row -> form."""
+        """The sparse view of the transpose: per column, row -> form."""
         columns = [{} for _ in range(self.b1)]
         for i, row in enumerate(self.int_rows):
             for col, form in row.items():
@@ -201,16 +157,8 @@ class LinearFormMatrix:
         return [[[str(c) for c in entry] for entry in row] for row in self.entries]
 
 
-def _convert_form(raw: tuple) -> tuple:
-    form = tuple(map(Fraction, raw))
-    if not any(form):
-        return form, 0, None
-    denom = lcm(*(x.denominator for x in form))
-    return form, denom, tuple(x.numerator * (denom // x.denominator) for x in form)
-
-
 def _dense_row(row: dict, width: int, zero) -> list:
-    """A sparse row of the integer view, with ``zero`` in its gaps."""
+    """A sparse row {column: value}, with ``zero`` in its gaps."""
     out = [zero] * width
     for col, value in row.items():
         out[col] = value
@@ -223,13 +171,13 @@ def _unit(n: int, v: int) -> tuple:
 
 def staircase_matrix(n: int, d: int) -> LinearFormMatrix:
     """Row i of the (d+1) x (n+d+1) matrix is x_0..x_n shifted i slots."""
-    units = [_unit(n, v) for v in range(n + 1)]
-    return LinearFormMatrix._from_int_rows(
-        n, d, n + d + 1,
-        ({i + v: unit for v, unit in enumerate(units)} for i in range(d + 1)))
+    units = tuple(_unit(n, v) for v in range(n + 1))
+    zero = (0,) * (n + 1)
+    return LinearFormMatrix(n, d, tuple((zero,) * i + units + (zero,) * (d - i)
+                                        for i in range(d + 1)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def monomial_exponents(n: int, q: int) -> tuple:
     """Exponent vectors of the degree-q monomials in x_0..x_n, in descending
     lexicographic order (x_0^q first, x_n^q last); () when q < 0."""
@@ -239,20 +187,22 @@ def monomial_exponents(n: int, q: int) -> tuple:
                  for combo in itertools.combinations_with_replacement(range(n + 1), q))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _contraction_rows(n: int, d: int) -> tuple:
-    """The integer view of ``sym_euler_matrix(n, d)``: per degree-d
-    exponent vector beta, {column of alpha = beta + e_v: alpha_v * x_v}.
-    Cached, so every contraction matrix of one (n, d) shares these rows;
-    nothing may mutate them."""
-    cols_idx = {alpha: c for c, alpha in enumerate(monomial_exponents(n, d + 1))}
+    """The rows of ``sym_euler_matrix(n, d)``: per degree-d exponent vector
+    beta, alpha_v * x_v in the column of alpha = beta + e_v and zero
+    elsewhere.  Cached, so every contraction matrix of one (n, d) shares
+    these rows."""
+    cols = monomial_exponents(n, d + 1)
+    cols_idx = {alpha: c for c, alpha in enumerate(cols)}
+    zero = (0,) * (n + 1)
     rows = []
     for beta in monomial_exponents(n, d):
-        row = {}
+        row = [zero] * len(cols)
         for v in range(n + 1):
             alpha = beta[:v] + (beta[v] + 1,) + beta[v + 1:]
             row[cols_idx[alpha]] = tuple(alpha[v] if i == v else 0 for i in range(n + 1))
-        rows.append(row)
+        rows.append(tuple(row))
     return tuple(rows)
 
 
@@ -264,8 +214,7 @@ def sym_euler_matrix(n: int, d: int) -> LinearFormMatrix:
     when alpha = beta + e_v.  The kernel is the (d+1)-st symmetric power
     of the cotangent bundle twisted by 2d+1, of rank C(n+d, n-1).
     """
-    m = LinearFormMatrix._from_int_rows(n, d, len(monomial_exponents(n, d + 1)),
-                                        _contraction_rows(n, d))
+    m = LinearFormMatrix(n, d, _contraction_rows(n, d))
     assert m.b1 == comb(n + d + 1, n) and m.b2 == comb(n + d, n)
     assert m.kernel_rank == comb(n + d, n - 1)
     return m
@@ -275,12 +224,9 @@ def random_matrix(n: int, d: int, seed: int) -> LinearFormMatrix:
     """Seeded random matrix with the staircase dimensions (d+1) x (n+d+1);
     the coefficients are drawn row by row, form by form."""
     rng = _random.Random(seed)
-    rows = []
-    for _ in range(d + 1):
-        forms = [tuple(rng.randint(-5, 5) for _ in range(n + 1))
-                 for _ in range(n + d + 1)]
-        rows.append({col: form for col, form in enumerate(forms) if any(form)})
-    return LinearFormMatrix._from_int_rows(n, d, n + d + 1, rows)
+    return LinearFormMatrix(n, d, tuple(
+        tuple(tuple(rng.randint(-5, 5) for _ in range(n + 1)) for _ in range(n + d + 1))
+        for _ in range(d + 1)))
 
 
 # --------------------------------------------------------------------------
@@ -310,11 +256,9 @@ def _triangular_charts(m: LinearFormMatrix) -> bool:
     which cannot vanish on the chart.  The charts are read from the
     matrix, so any row order works.
 
-    Only the integer view's support is visited, and each form once: its
+    Only the sparse view's support is visited, and each form once: its
     last nonzero variable l decides every chart, since on chart j it is a
-    multiple of x_j alone iff l == j and survives iff l >= j.  Row scaling
-    keeps every zero pattern, so the integer view decides as the entries
-    do.
+    multiple of x_j alone iff l == j and survives iff l >= j.
     """
     rows = []
     for row in m.int_rows:
@@ -369,8 +313,8 @@ def _certify_sampling(m: LinearFormMatrix,
     (``_sections_onto``) when no codimension-one degeneracy exists; a
     failure there leaves the restriction inconclusive.
 
-    Points and line are evaluated on the row-scaled integer view, over
-    its nonzero forms only; row scaling changes neither rank nor roots.
+    Points and line are evaluated on the sparse view, over its nonzero
+    forms only.
     Of the sign points only those led by +1 are ranked: -pt is the same
     projective point, and in ``product`` order every +1-led point comes
     before any -1-led one, so this names the same first failure."""
@@ -431,8 +375,7 @@ def _certify_surjective(m: LinearFormMatrix, kind: str,
         if m.b1 < m.n + 1:
             raise NotSurjective("too few columns to be pointwise surjective")
         # row var of L(v), column c: the x_var coefficients (a, b) of M[0][c]
-        # and M[1][c], kept where nonzero; the integer view scales v0 and
-        # v1, a change of coordinates on P^1
+        # and M[1][c], kept where nonzero
         zero = (0,) * (m.n + 1)
         top, bottom = m.int_rows
         pairs = {c: tuple(zip(top.get(c, zero), bottom.get(c, zero)))
@@ -627,12 +570,12 @@ def h0_multiplication_rank(m: LinearFormMatrix, t: int):
 def _table_route(m: LinearFormMatrix, surjectivity: SurjectivityCertificate) -> str:
     """The route of every table of this presentation (module docstring):
     Buchsbaum-Rim needs an exact certificate and b1 = b2 + n; Borel-Weil-Bott
-    needs the integer view to be the contraction's, row for row."""
+    needs the matrix to be the contraction, row for row."""
     n, d = m.n, m.d
     if surjectivity.exact and m.b1 == m.b2 + n:
         return "buchsbaum-rim"
     if ((m.b1, m.b2) == (comb(n + d + 1, n), comb(n + d, n))
-            and m.int_rows == _contraction_rows(n, d)):
+            and m.entries == _contraction_rows(n, d)):
         return "borel-weil-bott"
     return "ranks"
 

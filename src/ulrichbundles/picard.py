@@ -174,12 +174,6 @@ class SplitBundle:
     def twist(self, d: DivisorClass) -> "SplitBundle":
         return SplitBundle(self.variety, tuple(s + d for s in self.summands))
 
-    def tensor(self, other: "SplitBundle") -> "SplitBundle":
-        if other.variety != self.variety:
-            raise UnsupportedVariety("tensor across varieties")
-        return SplitBundle(self.variety, tuple(
-            a + b for a in self.summands for b in other.summands))
-
     def multiset(self) -> tuple:
         """Canonical (sorted) tuple of coordinate tuples."""
         return tuple(sorted(s.coords for s in self.summands))
@@ -374,21 +368,30 @@ def _root_twists(v: Variety, d: DivisorClass):
 
 
 def very_ample_threshold(v: ProjBundle, direction: DivisorClass) -> int:
-    """Least t >= 1 such that pullback(t * direction) + H is very ample."""
+    """Least t >= 1 such that pullback(t * direction) + H is very ample.
+
+    The direction is checked ample first, so every twist that
+    ``is_very_ample`` tests is affine in t with a slope >= 1 and the
+    verdict is monotone in t."""
     if not isinstance(v, ProjBundle):
         raise UnsupportedVariety("threshold is defined for projective bundles")
     if direction.variety != v.base:
         raise UnsupportedVariety("direction must be a base divisor")
     if not is_ample(v.base, direction):
         raise NotAmple(f"direction {direction} is not ample on {v.base.name}")
-    t = 1
-    while True:
-        cand = DivisorClass(v, tuple(t * c for c in direction.coords) + (1,))
-        if is_very_ample(v, cand):
-            return t
-        t += 1
-        if t > 10 ** 6:  # unreachable for ample directions
-            raise NotAmple("no very ample multiple found")
+
+    def very_ample(t):
+        return bool(is_very_ample(v, DivisorClass(
+            v, tuple(t * c for c in direction.coords) + (1,))))
+
+    # the least very ample t lies in (lo, hi]: double hi, then bisect
+    lo, hi = 0, 1
+    while not very_ample(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if very_ample(mid) else (mid, hi)
+    return hi
 
 
 def minimal_ample_direction(v: Variety) -> DivisorClass:
@@ -456,10 +459,8 @@ def _intern_variety(s: str) -> Variety:
             raise _Unparsable("PB(...) needs 'base;divisors': {!r}")
         base = parse_variety(parts[0])
         rest = inner[len(parts[0]) + 1:]
-        divisors = [parse_divisor(part, base) for part in _split_top(rest, ",")]
-        if not divisors:
-            raise _Unparsable("PB(...) needs at least one divisor: {!r}")
-        return ProjBundle(base, SplitBundle(base, tuple(divisors)))
+        divisors = tuple(parse_divisor(part, base) for part in _split_top(rest, ","))
+        return ProjBundle(base, SplitBundle(base, divisors))
     raise _Unparsable("cannot parse variety {!r}")
 
 

@@ -165,8 +165,8 @@ def zero_cohomology_line_bundles(v: Variety, box: SearchBox,
     """All divisor classes D in the box with H^*(v, O(D)) = 0."""
     if isinstance(v, GenericCurve):
         raise GenericModeUnsupported(
-            "zero-cohomology scans need exact tables; use "
-            "generic_curve_ulrich_degree for the curve rule")
+            "zero-cohomology scans need exact tables; on a generic curve "
+            "only a general line bundle of degree g-1 has none")
     _check_cap(box.volume, cap)
 
     def check(hits):
@@ -227,10 +227,3 @@ def pullback_ulrich_line_search(pb: ProjBundle, a, box: SearchBox,
     hits, generic = _scan(x, box, offsets, check)
     return ScanResult(hits, None, _notes(generic))
 
-
-def generic_curve_ulrich_degree(genus: int) -> int:
-    """Degree g-1: a general line bundle of that degree has no cohomology,
-    so its pullback twisted by D is Ulrich on any P(E) over the curve."""
-    if genus < 0:
-        raise ValueError("genus must be >= 0")
-    return genus - 1

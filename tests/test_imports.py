@@ -1,8 +1,11 @@
 """Every name a module imports is used in that module, the package
-imports nothing outside itself and the standard library, and its modules
-import each other at module level only, without a cycle."""
+imports nothing outside itself and the standard library, its modules
+import each other at module level only, without a cycle, and every cache
+they keep is bounded."""
 
 import ast
+import importlib
+import inspect
 import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
@@ -138,3 +141,33 @@ def test_a_planted_cycle_is_found():
     assert cycle[0] == cycle[-1] and set(cycle) == {"a", "b", "c"}
     graph["c"] = set()
     assert import_cycle(graph) is None
+
+
+def functools_caches() -> dict:
+    """``{module.qualname: maxsize}`` of every ``functools`` cache that a
+    package module defines, at module level or in one of its classes."""
+    caches = {}
+    for path in MODULES:
+        module = importlib.import_module(f"{PACKAGE.name}.{path.stem}")
+        scopes = [vars(module)] + [vars(cls) for cls in vars(module).values()
+                                   if isinstance(cls, type)
+                                   and cls.__module__ == module.__name__]
+        for scope in scopes:
+            for obj in scope.values():
+                if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
+                    caches[f"{obj.__module__}.{obj.__qualname__}"] = (
+                        obj.cache_parameters()["maxsize"])
+    return caches
+
+
+def test_every_cache_is_bounded():
+    # a long-running caller of cli.run keeps every cache; only the
+    # zero-argument parser build may stay unbounded, as it holds one entry
+    caches = functools_caches()
+    assert {"ulrichbundles.kernelbundle.monomial_exponents",
+            "ulrichbundles.kernelbundle._contraction_rows",
+            "ulrichbundles.picard._intern_variety"} <= caches.keys()
+    unbounded = sorted(name for name, size in caches.items() if size is None)
+    assert unbounded == ["ulrichbundles.cli._build_parser"]
+    cli = importlib.import_module(f"{PACKAGE.name}.cli")
+    assert not inspect.signature(cli._build_parser).parameters

@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import json
+import operator
 import random
 import time
 from fractions import Fraction
@@ -66,7 +67,11 @@ class TestMatrixShape:
         (((form(1, 0), form(0, 1), form(1, 1)),), "entries must have n+1 coefficients"),
         (((form(1, 0, 0), form(0, 1, 0)), (form(0, 0, 1), form(1, 0, 0))),
          "need more columns than rows (b1 > b2)"),
-    ], ids=["no-rows", "empty-row", "short-forms", "square"])
+        (((form(Fraction(1, 2), 0, 0), form(0, 1, 0), form(0, 0, 1)),),
+         "coefficients must be integers"),
+        (((form(1, 0, 0), form(0, 1, 0), form(0, 0, 1), form(0, 0.0, 0)),),
+         "coefficients must be integers"),
+    ], ids=["no-rows", "empty-row", "short-forms", "square", "fraction", "float-zero"])
     def test_refused(self, entries, detail):
         with pytest.raises(UnsupportedVariety) as err:
             LinearFormMatrix(2, 0, entries)
@@ -128,9 +133,9 @@ class TestSymEulerMatrix:
 
 
 class TestConstructionPaths:
-    """The built-in constructors build the integer view and lay ``entries``
-    out from it as ints; a hand-built matrix converts each cell to a
-    Fraction and derives the view.  Both must give the same matrix."""
+    """The built-in constructors pass dense integer rows through the one
+    constructor, as a hand-built matrix does: a hand-built copy of a
+    built-in matrix is the same matrix."""
 
     BUILDERS = {"staircase": staircase_presentation,
                 "sym-euler": sym_euler_presentation,
@@ -141,10 +146,9 @@ class TestConstructionPaths:
         for n, d in itertools.product(range(1, 5), range(0, 5)):
             built = self.BUILDERS[kind](n, d)
             m = built.matrix
-            copy = LinearFormMatrix(n, d, m.entries)
+            copy = LinearFormMatrix(n, d, tuple(
+                tuple(tuple(map(int, e)) for e in row) for row in m.entries))
             assert all(type(c) is int for row in m.entries for e in row for c in e)
-            assert all(type(c) is Fraction
-                       for row in copy.entries for e in row for c in e)
             assert copy == m
             assert copy.int_rows == m.int_rows
             assert copy.entries == m.entries
@@ -154,7 +158,8 @@ class TestConstructionPaths:
             assert again.to_json() == built.to_json()
 
     def test_contraction_rows_built_once(self):
-        assert sym_euler_matrix(3, 2).int_rows is sym_euler_matrix(3, 2).int_rows
+        first, again = sym_euler_matrix(3, 2), sym_euler_matrix(3, 2)
+        assert all(map(operator.is_, first.entries, again.entries))
 
     def test_sym_json_is_byte_stable(self, capsys):
         outs = []
@@ -345,14 +350,13 @@ def _entry(rng):
     return (coeff(), coeff())
 
 
-def integer_pencil(pencil):
-    """Each row times the lcm of its denominators: every maximal minor is
-    scaled by a nonzero constant, so a shared root stays or stays absent."""
-    out = []
-    for row in pencil:
-        denom = lcm(*(Fraction(x).denominator for entry in row for x in entry))
-        out.append([(int(c * denom), int(e * denom)) for c, e in row])
-    return out
+def cleared(row) -> tuple:
+    """A row of forms times the lcm of its denominators: integer forms with
+    the same zero pattern, and every maximal minor of a matrix that holds
+    the row scaled by a nonzero constant, so its rank at each point and its
+    roots stay."""
+    denom = lcm(*(Fraction(c).denominator for f in row for c in f))
+    return tuple(tuple(int(c * denom) for c in f) for f in row)
 
 
 def seeded_pencil(rng, kind):
@@ -385,7 +389,7 @@ def engine_share_root(pencil) -> bool:
     (it has the same maximal minors), rows are cleared of denominators, and
     its minors share a root iff its section map from degree rows - 1 is
     not onto."""
-    rows = integer_pencil(pencil)
+    rows = list(map(cleared, pencil))
     if len(rows) > len(rows[0]):
         rows = [list(r) for r in zip(*rows)]
     sparse = [{c: e for c, e in enumerate(row) if any(e)} for row in rows]
@@ -499,12 +503,12 @@ class TestH0Rank:
 
 
 class TestScaledCoefficients:
-    """Scaling every coefficient by a unit of Q changes no rank.  Scaling by
-    PRIME makes every rank vanish mod PRIME, so the exact fallback runs.
-    The staircase takes the Buchsbaum-Rim table, so the rank route is also
-    called directly."""
+    """Scaling every coefficient by a nonzero integer changes no rank.
+    Scaling by PRIME makes every rank vanish mod PRIME, so the exact
+    fallback runs.  The staircase takes the Buchsbaum-Rim table, so the
+    rank route is also called directly."""
 
-    @pytest.mark.parametrize("scale", [PRIME, Fraction(1, 3)])
+    @pytest.mark.parametrize("scale", [PRIME])
     @pytest.mark.parametrize("t", [0, 2, -6])
     def test_same_ranks_and_table(self, scale, t):
         base = staircase_presentation(2, 1)
@@ -973,7 +977,7 @@ class TestSerialization:
         m = staircase_matrix(2, 1)
         data = m.to_json()
         rebuilt = LinearFormMatrix(2, 1, tuple(
-            tuple(tuple(Fraction(c) for c in entry) for entry in row)
+            tuple(tuple(int(c) for c in entry) for entry in row)
             for row in data))
         assert rebuilt.entries == m.entries
 
@@ -988,7 +992,7 @@ class TestSerialization:
 
 
 # --------------------------------------------------------------------------
-# the integer view against the Fraction entries
+# the sparse view against the dense entries
 # --------------------------------------------------------------------------
 
 def _substitute_low_zero(entry, j):
@@ -1034,7 +1038,7 @@ def sym_euler_rule(m):
 
 def dense_triangular(m, column_rule):
     """The triangularity check over all b2^2 cells that a hand-written
-    column rule selects, on the Fraction entries, sharing no code with the
+    column rule selects, on the dense entries, sharing no code with the
     engine's chart certificate, which finds its columns in the matrix."""
     for j in range(m.n + 1):
         cols, row_order = column_rule(j)
@@ -1081,7 +1085,7 @@ class TestTriangularityAgreement:
     # chart j = 1 it is (i, i + 1) = x_1 with x_0 substituted by zero
     @pytest.mark.parametrize("cell, form, expected", [
         ((1, 0), (0, 0, 1, 0), False),                # nonzero below the diagonal
-        ((2, 1), (0, 0, Fraction(1, 3), 0), False),   # ... with a denominator
+        ((2, 1), (0, 0, Fraction(1, 3), 0), False),   # ... with a cleared denominator
         ((2, 0), (5, 0, 0, 0), False),                # ... a multiple of x_0
         ((1, 1), (0, 0, 0, 0), False),                # zero diagonal
         ((0, 0), (1, 1, 0, 0), False),                # foreign variable x_1
@@ -1092,7 +1096,7 @@ class TestTriangularityAgreement:
     def test_planted_faults(self, cell, form, expected):
         rows = [list(row) for row in staircase_matrix(3, 2).entries]
         rows[cell[0]][cell[1]] = form
-        m = LinearFormMatrix(3, 2, tuple(map(tuple, rows)))
+        m = LinearFormMatrix(3, 2, tuple(map(cleared, rows)))
         assert dense_triangular(m, staircase_rule(m)) is expected
         assert _triangular_charts(m) is expected
 
@@ -1172,10 +1176,9 @@ class TestTriangularChartsAgainstTheSliceScan:
 
 
 def reference_sampling(m):
-    """The sampling certificate evaluated through Fraction sums on the
-    entries, its seeded line cleared of denominators row by row and decided
-    by the symbolic route (``reference_share_root``; b2 <= 4 here), not by
-    the engine's."""
+    """The sampling certificate evaluated through dense sums on the
+    entries, its seeded line decided by the symbolic route
+    (``reference_share_root``; b2 <= 4 here), not by the engine's."""
     points = list(itertools.product((1, -1), repeat=m.n + 1))
     points += [tuple(int(i == v) for i in range(m.n + 1)) for v in range(m.n + 1)]
     rng = random.Random(7)
@@ -1190,7 +1193,7 @@ def reference_sampling(m):
     restricted = [[(sum(c * x for c, x in zip(entry, p)),
                     sum(c * x for c, x in zip(entry, q)))
                    for entry in row] for row in m.entries]
-    line_ok = not reference_share_root(integer_pencil(restricted))
+    line_ok = not reference_share_root(restricted)
     detail = ("full rank at sampled points; "
               + ("pencil-restricted minor gcd constant"
                  if line_ok else "pencil restriction inconclusive"))
@@ -1204,7 +1207,8 @@ def _coefficient(rng):
 
 def seeded_sampling_matrix(rng, kind):
     """A matrix of a shape that reaches sampling (n >= 2, 3 <= b2 <= 4)
-    with Fraction coefficients, and the sign point it was made to drop rank
+    with rational coefficients drawn and each row then cleared of its
+    denominators (``cleared``), and the sign point it was made to drop rank
     at, or None.  Kind "point" drops rank at a sign point.  Kind "factor"
     makes row 0 a multiple of x_0 + 3 x_1 + 9 x_2 (+ 27 x_3), which
     vanishes at no sign or coordinate point, so that every maximal minor
@@ -1226,7 +1230,7 @@ def seeded_sampling_matrix(rng, kind):
         line = (1, 3, 9, 27)[:n + 1]
         rows[0] = [tuple(k * x for x in line)
                    for k in (rng.choice((1, -2, Fraction(1, 2))) for _ in range(b1))]
-    return LinearFormMatrix(n, b2 - 1, tuple(map(tuple, rows))), pt
+    return LinearFormMatrix(n, b2 - 1, tuple(map(cleared, rows))), pt
 
 
 def _outcome(certify, m):

@@ -103,11 +103,6 @@ class TestBundleAlgebra:
         e = parse_bundle("{[1,-2],[0,3],[2,2]}", F2)
         assert e.dual().dual() == e
 
-    def test_tensor_is_pairwise_sums(self):
-        e1 = parse_bundle("{[1],[0]}", P2)
-        e2 = parse_bundle("{[2],[-1]}", P2)
-        assert e1.tensor(e2).multiset() == ((-1,), (0,), (2,), (3,))
-
 
 class TestVeryAmple:
     def test_hirzebruch_positive(self):
@@ -276,6 +271,18 @@ class TestThreshold:
         v = pb("PB(P2;[1],[0])")
         with pytest.raises(NotAmple):
             very_ample_threshold(v, DivisorClass(P2, (0,)))
+
+    @pytest.mark.parametrize("twist", [-100000, -1100000])
+    def test_far_threshold_by_bisection(self, twist):
+        # the verdict is monotone in t, so doubling then bisecting finds
+        # the least t without a scan and without a cap on t
+        v = pb(f"PB(P1;[0],[{twist}])")
+        start = time.perf_counter()
+        t = very_ample_threshold(v, DivisorClass(P1, (1,)))
+        assert time.perf_counter() - start < 1.0
+        assert t == 1 - twist
+        assert bool(is_very_ample(v, DivisorClass(v, (t, 1))))
+        assert not is_very_ample(v, DivisorClass(v, (t - 1, 1)))
 
 
 class TestDescriptorValidation:

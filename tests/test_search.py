@@ -23,7 +23,6 @@ from ulrichbundles import (
     SearchBox,
     cohomology,
     direct_ulrich_check,
-    generic_curve_ulrich_degree,
     hirzebruch,
     is_ulrich,
     is_very_ample,
@@ -604,15 +603,3 @@ class TestBoxLimits:
     def test_volume(self):
         assert SearchBox.symmetric(F2, 3).volume == 49
 
-
-class TestGenericCurveDegree:
-    @pytest.mark.parametrize("genus,degree", [(0, -1), (1, 0), (3, 2)])
-    def test_degree_rule(self, genus, degree):
-        assert generic_curve_ulrich_degree(genus) == degree
-
-    def test_degree_gives_vanishing_generic_table(self):
-        for g in range(0, 6):
-            c = GenericCurve(g)
-            d = DivisorClass(c, (generic_curve_ulrich_degree(g),))
-            t = cohomology(c, d)
-            assert t.is_zero() and (t.generic or g == 0)
