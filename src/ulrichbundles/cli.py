@@ -21,7 +21,9 @@ the first call and shared by the later ones.  A request that starts with
 a command's name is parsed once, by that command's own parser; any other
 argv (empty, an unknown name, a leading option) goes to the top-level
 parser, whose messages, exit codes and help text are the same.  A variety
-text is parsed once per process (``picard.parse_variety`` interns it).
+text is parsed once per process (``picard.parse_variety`` interns it), and
+the candidate-free setup of the pullback criterion is built once per
+(X, E, A) (``ulrich._criterion_setup``).
 """
 
 from __future__ import annotations

@@ -111,10 +111,17 @@ def _bareiss(m, ncols: int) -> tuple:
 
 
 def rank(rows) -> int:
-    """Exact rank of a matrix with integer entries."""
+    """Exact rank of a matrix with integer entries; a nonzero entry of any
+    other type (a Fraction, a float) raises TypeError."""
     m = _sparse_integer_rows(rows)
     if not m:
         return 0
+    kinds = set()
+    for _, vals in m:
+        kinds.update(map(type, vals))
+    other = sorted(kind.__name__ for kind in kinds if not issubclass(kind, int))
+    if other:
+        raise TypeError(f"rank takes integer entries, got {', '.join(other)}")
     ncols = len(rows[0])
     bound = min(len(m), ncols)
     if _rank_mod_prime(m, bound) == bound:

@@ -63,7 +63,7 @@ Every matrix has integer coefficients and goes through one constructor,
 which derives one sparse view of it: per row, the nonzero forms.  The
 certificates and the section-map ranks read only that view, so their work
 follows the nonzeros ((n+1) per row of the contraction matrix), not the
-b2 x b1 grid.  The contraction's rows are built once per (n, d).  Row
+b2 x b1 grid.  The contraction matrix is built once per (n, d).  Row
 scaling changes no rank, root or zero pattern, so a matrix with rational
 coefficients is given with each row's denominators cleared.
 """
@@ -76,6 +76,7 @@ from dataclasses import InitVar, dataclass, field, replace
 from functools import lru_cache
 from math import comb, prod
 from operator import mul
+from types import MappingProxyType
 from typing import NamedTuple
 
 from . import exactlinalg
@@ -103,12 +104,12 @@ class LinearFormMatrix:
 
     Each entry is a coefficient tuple of length n+1 whose coefficients are
     ``int``s; anything else is refused.  ``int_rows`` is the matrix's
-    sparse view, derived once: per row, a dict from each column whose form
-    is nonzero to that form, as given.  The certificates and ranks read
-    only this view.  A matrix with rational coefficients presents the same
-    map once each row is scaled by the lcm of its denominators, which keeps
-    it surjective at every point, every maximal minor up to a nonzero
-    constant and every section-map rank.
+    sparse view, derived once: per row, a read-only mapping from each
+    column whose form is nonzero to that form, as given.  The certificates
+    and ranks read only this view.  A matrix with rational coefficients
+    presents the same map once each row is scaled by the lcm of its
+    denominators, which keeps it surjective at every point, every maximal
+    minor up to a nonzero constant and every section-map rank.
     """
 
     n: int
@@ -120,7 +121,8 @@ class LinearFormMatrix:
         rows = tuple(map(tuple, self.entries))
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "int_rows", tuple(
-            dict(itertools.compress(enumerate(row), map(any, row))) for row in rows))
+            MappingProxyType(dict(itertools.compress(enumerate(row), map(any, row))))
+            for row in rows))
         if self.n < 1 or self.d < 0:
             raise UnsupportedVariety(f"need n >= 1, d >= 0; got ({self.n}, {self.d})")
         if not rows or not rows[0]:
@@ -191,8 +193,8 @@ def monomial_exponents(n: int, q: int) -> tuple:
 def _contraction_rows(n: int, d: int) -> tuple:
     """The rows of ``sym_euler_matrix(n, d)``: per degree-d exponent vector
     beta, alpha_v * x_v in the column of alpha = beta + e_v and zero
-    elsewhere.  Cached, so every contraction matrix of one (n, d) shares
-    these rows."""
+    elsewhere.  Cached, so ``_table_route`` compares a matrix of this shape
+    with them without building them again."""
     cols = monomial_exponents(n, d + 1)
     cols_idx = {alpha: c for c, alpha in enumerate(cols)}
     zero = (0,) * (n + 1)
@@ -206,6 +208,7 @@ def _contraction_rows(n: int, d: int) -> tuple:
     return tuple(rows)
 
 
+@lru_cache(maxsize=64)
 def sym_euler_matrix(n: int, d: int) -> LinearFormMatrix:
     """Contraction with the Euler vector field on degree-(d+1) monomials.
 
@@ -213,6 +216,10 @@ def sym_euler_matrix(n: int, d: int) -> LinearFormMatrix:
     degree-(d+1) vectors alpha; the (beta, alpha) entry is alpha_v * x_v
     when alpha = beta + e_v.  The kernel is the (d+1)-st symmetric power
     of the cotangent bundle twisted by 2d+1, of rank C(n+d, n-1).
+
+    Built once per (n, d) and shared, as the matrix is immutable: the
+    constructor's checks visit every one of its b2 x b1 cells, mostly
+    zeros, and cost more than the rest of a presentation.
     """
     m = LinearFormMatrix(n, d, _contraction_rows(n, d))
     assert m.b1 == comb(n + d + 1, n) and m.b2 == comb(n + d, n)

@@ -201,6 +201,16 @@ class ProjBundle:
         if self.summands.rank < 2:
             raise UnsupportedVariety("P(E) needs rank(E) >= 2")
 
+    def __eq__(self, other):
+        # the base once, then the summands' coordinates: the summands live
+        # on the base (``__post_init__``), and comparing their varieties
+        # again at every level would make a tower's comparison exponential
+        # in its depth.  The hash stays the fields' hash, which agrees.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.base == other.base
+                                 and self.summand_coords == other.summand_coords)
+
     @property
     def rank(self) -> int:
         return self.summands.rank

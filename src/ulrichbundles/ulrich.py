@@ -7,7 +7,10 @@ H^*(X, F(-iA)) = 0 for i = 1..dim X.  This module implements
 * the Serre partner dual(F)(K_X + (dim+1)A), Ulrich whenever F is,
 * the pullback criterion on P(E): for D = pullback(A) + H very ample,
   pullback(F)(D) is Ulrich iff H^*(X, F) = 0 and
-  Hom^*(Sym^k E, F(-c1(E) - (rank E + k)A)) = 0 for k = 0..dim(X)-2,
+  Hom^*(Sym^k E, F(-c1(E) - (rank E + k)A)) = 0 for k = 0..dim(X)-2;
+  everything in it but F (P(E), the very-ampleness of D, the Sym^k E
+  terms and the D' verdict) is built once per (X, E, A) in a process and
+  shared, read-only, by every later request of that (X, E, A),
 * the direct recomputation of the same verdict on P(E) through the
   pushforward engine, cross-asserted against the criterion,
 * the semiorthogonality probe Hom^*(pullback(L1), pullback(L2)(-pH)).
@@ -21,6 +24,8 @@ for all of them, shared with ``cohomology.cohomology``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from types import MappingProxyType
 
 from .cohomology import (
     CohomologyTable,
@@ -148,25 +153,36 @@ def serre_partner(v: Variety, f: SplitBundle, a):
 class _CriterionSetup:
     """The half of the criterion that does not depend on the candidate:
     the polarisation, the labelled twist terms of the k = 0..dim(X)-2
-    checks, the notes, and the (X, E) they were built for."""
+    checks, the notes, and the (X, E) they were built for.  One setup is
+    shared by every request of its (X, E, A), so the terms are read-only
+    mappings."""
 
     pol: Polarisation
-    twists: tuple  # ("k=<k>", terms) pairs
+    twists: tuple  # ("k=<k>", read-only terms) pairs
     notes: tuple
     base: Variety
     bundle: SplitBundle
 
 
 def _criterion_setup(x: Variety, e: SplitBundle, a) -> _CriterionSetup:
+    """The setup of the criterion for (X, E, A), built once per process for
+    each (X, E, A's divisor class) by ``_setup_for``; a ``Polarisation``
+    keys by its divisor.  A scan over many candidates, or the direct check,
+    passes that setup as ``a``, and it is returned as is."""
+    if isinstance(a, _CriterionSetup):
+        return a
+    return _setup_for(x, e, a.divisor if isinstance(a, Polarisation) else a)
+
+
+@lru_cache(maxsize=256)
+def _setup_for(x: Variety, e: SplitBundle, a_div: DivisorClass) -> _CriterionSetup:
     """Checks D = pullback(A) + H very ample on P(E) and builds the terms of
     Hom^*(Sym^k E, F(-c1(E) - (rank+k)A)), k = 0..dim(X)-2, and the notes.
     On a surface the k = 0 twist is -D', D' = rank(E)*A + c1(E), as
     Sym^0 E = O; D' very ample is reported, never assumed (``undecided``
-    where no test applies).  A setup passed as ``a`` is returned as is."""
-    if isinstance(a, _CriterionSetup):
-        return a
+    where no test applies).  The memo keeps the 256 setups used last; a
+    refusal is not memoised, and raises the same NotVeryAmple every time."""
     pb = ProjBundle(x, e)
-    a_div = a.divisor if isinstance(a, Polarisation) else a
     d = DivisorClass(pb, a_div.coords + (1,))
     verdict = is_very_ample(pb, d)
     if not verdict:
@@ -175,8 +191,9 @@ def _criterion_setup(x: Variety, e: SplitBundle, a) -> _CriterionSetup:
     pol = Polarisation(a_div, verdict.sufficient_only)
     # Hom^*(Sym^k E, F(twist)) = H^*(F x dual(Sym^k E)(twist))
     twists = tuple(
-        (f"k={k}", start_terms(x, sym_power(e, k).dual(),
-                               {(0, (-1 * e.c1 - (e.rank + k) * a_div).coords): 1}))
+        (f"k={k}", MappingProxyType(start_terms(
+            x, sym_power(e, k).dual(),
+            {(0, (-1 * e.c1 - (e.rank + k) * a_div).coords): 1})))
         for k in range(x.dim - 1))
     notes = []
     if x.dim == 1:
@@ -201,10 +218,10 @@ def pullback_ulrich_criterion(x: Variety, e: SplitBundle, cand, a) -> UlrichRepo
     Hom^*(Sym^k E, F(-c1(E) - (rank+k)A)) = 0.  On curves the first check
     alone decides; on surfaces the single extra check equals
     H^*(X, F(-D')) with D' = rank(E)*A + c1(E), whose very-ampleness is
-    reported.  Everything but F comes from ``_criterion_setup(x, e, A)``;
-    a scan over many candidates passes that setup as ``a``, so it is built
-    once, and a setup built for another (X, E) raises
-    InternalInconsistency.
+    reported.  Everything but F comes from ``_criterion_setup(x, e, A)``,
+    which is built once per (X, E, A) in a process; a scan over many
+    candidates passes that setup as ``a``, and a setup built for another
+    (X, E) raises InternalInconsistency.
     """
     setup = _criterion_setup(x, e, a)
     if (setup.base, setup.bundle) != (x, e):

@@ -17,6 +17,7 @@ import pytest
 import ulrichbundles
 from ulrichbundles import cli, picard
 from ulrichbundles.cli import run
+from ulrichbundles.ulrich import _setup_for
 
 from fuzz import fuzz
 from towers import rank2_tower
@@ -271,25 +272,53 @@ class TestRepeatedCalls:
 
     def test_interned_varieties_answer_as_fresh_ones(self, monkeypatch):
         # every request of the cheap half of each workload's seed-1 list
-        # gets the same exit code and stdout from a variety parsed for it
-        # alone as from one shared with every request before it
+        # gets the same exit code and stdout from a variety parsed, and a
+        # criterion setup built, for it alone as from ones shared with
+        # every request before it
         monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
         import workloads
 
-        intern = picard._intern_variety
+        memos = (picard._intern_variety, _setup_for)
+        hit = set()
         for name in workloads.WORKLOADS:
             reqs = sorted(workloads.requests(name, 1), key=lambda r: r.points)
             argvs = [list(r.argv) for r in reqs[: len(reqs) // 2]]
             outcomes = []
             for cold in (True, False):
-                intern.cache_clear()
+                for memo in memos:
+                    memo.cache_clear()
                 outcomes.append([])
                 for argv in argvs:
                     if cold:
-                        intern.cache_clear()
+                        for memo in memos:
+                            memo.cache_clear()
                     outcomes[-1].append(run_cli(argv))
             assert outcomes[0] == outcomes[1], name
-        assert intern.cache_info().hits > 0
+            hit.update(memo for memo in memos if memo.cache_info().hits)
+        assert hit == set(memos)
+
+    def test_warm_pass_builds_no_projective_bundle(self, monkeypatch):
+        # after one pass of the seed-1 pushforward list, its criterion and
+        # direct requests find their P(E), D's very-ampleness and Sym^k
+        # terms in the setup memo, and its varieties interned
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+        import workloads
+
+        argvs = [list(r.argv) for r in workloads.requests("pushforward", 1)]
+        assert {"criterion", "direct"} <= {argv[0] for argv in argvs}
+        for argv in argvs:
+            run_cli(argv)
+        built = []
+        original = picard.ProjBundle.__post_init__
+
+        def spy(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(picard.ProjBundle, "__post_init__", spy)
+        for argv in argvs:
+            run_cli(argv)
+        assert built == []
 
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()

@@ -173,6 +173,19 @@ class TestDegenerate:
         assert rank([[0, 0, 0], [0, 5, 0], [0, 0, 0]]) == 1
         assert bareiss_calls == []
 
+    @pytest.mark.parametrize("rows, kind", [
+        ([[Fraction(1, 2), 1]], "Fraction"),
+        ([[0.5, 1]], "float"),
+        # 0 mod PRIME, so the modular route would drop it: Bareiss must
+        # not take it either
+        ([[float(PRIME)]], "float"),
+        ([[Fraction(PRIME), 0], [0, 1]], "Fraction"),
+    ])
+    def test_non_integer_entries_refused_by_name(self, bareiss_calls, rows, kind):
+        with pytest.raises(TypeError, match=f"^rank takes integer entries, got {kind}$"):
+            rank(rows)
+        assert bareiss_calls == []
+
 
 def reference_solve(matrix, rhs):
     """``(solution or None, determinant)`` by Gauss-Jordan over the

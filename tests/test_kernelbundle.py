@@ -161,6 +161,15 @@ class TestConstructionPaths:
         first, again = sym_euler_matrix(3, 2), sym_euler_matrix(3, 2)
         assert all(map(operator.is_, first.entries, again.entries))
 
+    def test_contraction_matrix_built_once_and_read_only(self):
+        # the constructor's checks visit every cell, so a wide contraction
+        # is built whole once per (n, d) and shared, sparse view included
+        m = sym_euler_matrix(4, 6)
+        assert sym_euler_matrix(4, 6) is m
+        assert sym_euler_presentation(4, 6).matrix is m
+        with pytest.raises(TypeError):
+            m.int_rows[0][0] = form(1, 0, 0, 0, 0)
+
     def test_sym_json_is_byte_stable(self, capsys):
         outs = []
         for _ in range(2):

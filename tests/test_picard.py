@@ -434,6 +434,30 @@ class TestInterning:
         picard._intern_variety.cache_clear()
         assert parse_variety(rank2_tower(3)) == small
 
+    def test_separately_built_towers_compare_in_linear_time(self):
+        # each level compared its base again through its split bundle and
+        # every summand, about 4x dearer per level: depth 14 would take
+        # minutes
+        def built(depth, bottom=1):
+            v = ProjSpace(1)
+            for j in range(depth):
+                top = (0,) * j + ((bottom if j == 0 else 1),)
+                v = ProjBundle(v, SplitBundle(v, (DivisorClass(v, (0,) * (j + 1)),
+                                                  DivisorClass(v, top))))
+            return v
+
+        parsed = parse_variety(rank2_tower(14))
+        first, second = built(14), built(14)
+        start = time.perf_counter()
+        assert first == second == parsed and first is not second
+        assert time.perf_counter() - start < 0.05
+        assert hash(first) == hash(second) == hash(parsed)
+        # one summand differs, at the top level or only at the bottom one
+        low, high = first.summands.summands
+        top = ProjBundle(first.base, SplitBundle(first.base, (low, 2 * high)))
+        assert top != first and first != top
+        assert built(14, bottom=2) != first and first != built(14, bottom=2)
+
     def test_divisors_on_different_varieties_differ(self):
         # the variety is not hashed, but it is still compared
         f1, quadric = parse_variety("F1"), parse_variety("P1xP1")

@@ -42,6 +42,7 @@ from ulrichbundles.ulrich import _criterion_setup
 
 from towers import rank2_tower
 
+ulrich_mod = importlib.import_module("ulrichbundles.ulrich")
 P2 = ProjSpace(2)
 F0 = hirzebruch(0)
 F2 = hirzebruch(2)
@@ -148,9 +149,10 @@ class TestPullbackSearch:
 
     def test_polarisation_checked_once_per_scan(self, monkeypatch):
         # pullback(A) + H on P(E) and D' on the surface base do not depend on
-        # the candidate, so the very-ampleness tests must not grow with the box
+        # the candidate: a cold scan tests them a fixed number of times,
+        # whatever the box; a second scan of the same (X, E, A) none, and a
+        # scan with another A as many as a cold one
         picard = importlib.import_module("ulrichbundles.picard")
-        ulrich = importlib.import_module("ulrichbundles.ulrich")
         original = picard.is_very_ample
         calls = []
 
@@ -159,34 +161,45 @@ class TestPullbackSearch:
             return original(*args)
 
         monkeypatch.setattr(picard, "is_very_ample", spy)
-        monkeypatch.setattr(ulrich, "is_very_ample", spy)
+        monkeypatch.setattr(ulrich_mod, "is_very_ample", spy)
         v = parse_variety("PB(F1;[0,0],[1,1])")
-        a = DivisorClass(v.base, (1, 1))
-        counts = []
-        for radius in (1, 5):
+
+        def count(coords, radius):
             calls.clear()
-            pullback_ulrich_line_search(v, a, SearchBox.symmetric(v.base, radius))
-            counts.append(len(calls))
-        assert counts[0] == counts[1] <= 12
+            pullback_ulrich_line_search(v, DivisorClass(v.base, coords),
+                                        SearchBox.symmetric(v.base, radius))
+            return len(calls)
+
+        cold = []
+        for radius in (1, 5):
+            ulrich_mod._setup_for.cache_clear()
+            cold.append(count((1, 1), radius))
+        assert cold[0] == cold[1] == 2
+        assert count((1, 1), 3) == 0
+        assert count((2, 1), 3) == cold[0]
 
     @pytest.mark.parametrize("radius", [1, 3])
     def test_sym_power_built_once_per_scan(self, monkeypatch, radius):
-        # Sym^k E does not depend on the candidate: the criterion's setup
-        # builds it once, however many points the box holds
-        ulrich = importlib.import_module("ulrichbundles.ulrich")
-        original = ulrich.sym_power
+        # Sym^k E does not depend on the candidate: a cold scan builds it
+        # once, however many points the box holds; a second scan of the
+        # same (X, E, A) builds none, and one with another A builds it again
+        original = ulrich_mod.sym_power
         calls = []
 
         def spy(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(ulrich, "sym_power", spy)
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = run(["search-pb", "PB(F1;[0,0],[1,1])", "--pol", "[1,1]",
-                        "--box", str(radius), "--json"])
-        assert code == 0
-        assert len(calls) == 1
+        monkeypatch.setattr(ulrich_mod, "sym_power", spy)
+        counts = []
+        for pol in ("[1,1]", "[1,1]", "[2,1]"):
+            calls.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = run(["search-pb", "PB(F1;[0,0],[1,1])", "--pol", pol,
+                            "--box", str(radius), "--json"])
+            assert code == 0
+            counts.append(len(calls))
+        assert counts == [1, 0, 1]
 
 
 def plant_twists(monkeypatch, summands, k):

@@ -40,7 +40,7 @@ from ulrichbundles import (
     zero_divisor,
 )
 from ulrichbundles.cohomology import push_down, pushforward_table
-from ulrichbundles.ulrich import _criterion_setup
+from ulrichbundles.ulrich import Polarisation, _criterion_setup, _setup_for
 
 P1 = ProjSpace(1)
 P2 = ProjSpace(2)
@@ -390,6 +390,44 @@ class TestCriterionSetup:
         with pytest.raises(InternalInconsistency):
             pullback_ulrich_criterion(P1, parse_bundle("{[0],[1]}", P1),
                                       line_bundle(P1, (-1,)), setup)
+
+    def test_setup_built_once_per_base_bundle_and_divisor(self):
+        # a Polarisation keys by its divisor, and a divisor equal to an
+        # earlier one finds that one's setup
+        v = parse_variety("PB(F1;[0,0],[1,1])")
+        a = DivisorClass(v.base, (1, 1))
+        setup = _criterion_setup(v.base, v.summands, a)
+        assert _criterion_setup(v.base, v.summands, DivisorClass(v.base, (1, 1))) is setup
+        assert _criterion_setup(v.base, v.summands, Polarisation(a)) is setup
+        assert _criterion_setup(v.base, v.summands, setup) is setup
+        other = _criterion_setup(v.base, v.summands, DivisorClass(v.base, (2, 1)))
+        assert other is not setup and other.pol.divisor.coords == (2, 1)
+        info = _setup_for.cache_info()
+        assert (info.misses, info.currsize, info.maxsize) == (2, 2, 256)
+
+    def test_shared_setup_is_read_only(self):
+        v = parse_variety("PB(P3;[0],[1],[1])")
+        setup = _criterion_setup(v.base, v.summands, DivisorClass(v.base, (1,)))
+        f = line_bundle(v.base, (-1,))
+        before = pullback_ulrich_criterion(v.base, v.summands, f, setup)
+        for _, terms in setup.twists:
+            with pytest.raises(TypeError):
+                terms[(0, (0,))] = 1
+            with pytest.raises(AttributeError):
+                terms.clear()
+        assert pullback_ulrich_criterion(
+            v.base, v.summands, f, DivisorClass(v.base, (1,))) == before
+
+    def test_refused_setup_is_not_memoised(self):
+        e = parse_bundle("{[0],[1]}", P1)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(NotVeryAmple) as err:
+                _criterion_setup(P1, e, DivisorClass(P1, (0,)))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == (
+            "pullback([0]) + H is not very ample on F1")
+        assert _setup_for.cache_info().currsize == 0
 
     def test_setup_gives_the_report_of_its_divisor(self):
         v = parse_variety("PB(P3;[0],[1],[1])")
