@@ -23,7 +23,7 @@ argv (empty, an unknown name, a leading option) goes to the top-level
 parser, whose messages, exit codes and help text are the same.  A variety
 text is parsed once per process (``picard.parse_variety`` interns it), and
 the candidate-free setup of the pullback criterion is built once per
-(X, E, A) (``ulrich._criterion_setup``).
+(X, E, A) (``ulrich._setup_for``).
 """
 
 from __future__ import annotations

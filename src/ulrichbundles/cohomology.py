@@ -560,8 +560,11 @@ def toric_cech_oracle(v: Variety, d: DivisorClass,
     the box they span does.  Raises ScanBoxTooSmall, naming the first such
     character in scan order, if a contributing character lies on the
     boundary shell, which would mean the box bound is wrong (a hard engine
-    failure, not a fact).
+    failure, not a fact).  A divisor of another variety is refused by the
+    oracle's own check, not the engine's.
     """
+    if d.variety != v:
+        raise UnsupportedVariety(f"oracle divisor is not on {v.name}")
     _check_cap(5 ** v.dim, cap)
     rays, cones, rows, levels = _toric_model(v)
     coeffs = [sum(map(mul, row, d.coords)) for row in rows]

@@ -190,25 +190,6 @@ def monomial_exponents(n: int, q: int) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _contraction_rows(n: int, d: int) -> tuple:
-    """The rows of ``sym_euler_matrix(n, d)``: per degree-d exponent vector
-    beta, alpha_v * x_v in the column of alpha = beta + e_v and zero
-    elsewhere.  Cached, so ``_table_route`` compares a matrix of this shape
-    with them without building them again."""
-    cols = monomial_exponents(n, d + 1)
-    cols_idx = {alpha: c for c, alpha in enumerate(cols)}
-    zero = (0,) * (n + 1)
-    rows = []
-    for beta in monomial_exponents(n, d):
-        row = [zero] * len(cols)
-        for v in range(n + 1):
-            alpha = beta[:v] + (beta[v] + 1,) + beta[v + 1:]
-            row[cols_idx[alpha]] = tuple(alpha[v] if i == v else 0 for i in range(n + 1))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=64)
 def sym_euler_matrix(n: int, d: int) -> LinearFormMatrix:
     """Contraction with the Euler vector field on degree-(d+1) monomials.
 
@@ -219,9 +200,20 @@ def sym_euler_matrix(n: int, d: int) -> LinearFormMatrix:
 
     Built once per (n, d) and shared, as the matrix is immutable: the
     constructor's checks visit every one of its b2 x b1 cells, mostly
-    zeros, and cost more than the rest of a presentation.
+    zeros, and cost more than the rest of a presentation.  ``_table_route``
+    compares a matrix of this shape with its entries.
     """
-    m = LinearFormMatrix(n, d, _contraction_rows(n, d))
+    cols = monomial_exponents(n, d + 1)
+    cols_idx = {alpha: c for c, alpha in enumerate(cols)}
+    zero = (0,) * (n + 1)
+    rows = []
+    for beta in monomial_exponents(n, d):
+        row = [zero] * len(cols)
+        for v in range(n + 1):
+            alpha = beta[:v] + (beta[v] + 1,) + beta[v + 1:]
+            row[cols_idx[alpha]] = tuple(alpha[v] if i == v else 0 for i in range(n + 1))
+        rows.append(tuple(row))
+    m = LinearFormMatrix(n, d, tuple(rows))
     assert m.b1 == comb(n + d + 1, n) and m.b2 == comb(n + d, n)
     assert m.kernel_rank == comb(n + d, n - 1)
     return m
@@ -409,23 +401,25 @@ class KernelBundlePresentation:
     """A certified-surjective matrix, the route its tables take, and one
     H^0 certificate per twist whose table was asked for.
 
-    ``h0_certificates[t]`` is (dim source, dim target, rank) of
-    H^0(alpha(t)): on the ``ranks`` route the rank is computed, on a
-    closed-form route it is derived as dim source - h^0(F(t)).  ``cap``
-    bounds the certificate's section map (``_certify_surjective``).
+    Every certificate is derived from the matrix and its kind, and none
+    can be passed in.  ``surjectivity`` is certified on construction
+    (``_certify_surjective``; ``cap`` bounds its section map), and it
+    chooses the route.  ``h0_certificates[t]`` is (dim source, dim
+    target, rank) of H^0(alpha(t)): on the ``ranks`` route the rank is
+    computed, on a closed-form route it is derived as dim source -
+    h^0(F(t)).
     """
 
     matrix: LinearFormMatrix
     kind: str
     seed: int | None = None
-    surjectivity: SurjectivityCertificate = None
-    h0_certificates: dict = field(default_factory=dict)
+    surjectivity: SurjectivityCertificate = field(init=False)
+    h0_certificates: dict = field(init=False, default_factory=dict)
     route: str = field(init=False, repr=False)
     cap: InitVar[int | None] = None
 
     def __post_init__(self, cap):
-        if self.surjectivity is None:
-            self.surjectivity = _certify_surjective(self.matrix, self.kind, cap)
+        self.surjectivity = _certify_surjective(self.matrix, self.kind, cap)
         self.route = _table_route(self.matrix, self.surjectivity)
 
     @property
@@ -582,7 +576,7 @@ def _table_route(m: LinearFormMatrix, surjectivity: SurjectivityCertificate) -> 
     if surjectivity.exact and m.b1 == m.b2 + n:
         return "buchsbaum-rim"
     if ((m.b1, m.b2) == (comb(n + d + 1, n), comb(n + d, n))
-            and m.entries == _contraction_rows(n, d)):
+            and m.entries == sym_euler_matrix(n, d).entries):
         return "borel-weil-bott"
     return "ranks"
 

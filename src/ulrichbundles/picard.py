@@ -362,7 +362,7 @@ def _root_twists(v: Variety, d: DivisorClass):
     Over a curve, whose very-ampleness bound does not scale with k, only
     k = 1 is supported at every level.
     """
-    if d.variety != v:
+    if not isinstance(d, DivisorClass) or d.variety != v:
         raise UnsupportedVariety("divisor not on the given variety")
     level, ks = {d.coords}, set()
     while isinstance(v, ProjBundle):

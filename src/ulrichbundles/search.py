@@ -42,8 +42,8 @@ from operator import add
 
 from .cohomology import _check_cap, _zero_interval, cohomology, split_table, tensor_terms
 from .errors import BoxTooLarge, GenericModeUnsupported, InternalInconsistency
-from .picard import GenericCurve, ProjBundle, Variety, hirzebruch_parameter
-from .ulrich import Polarisation, _criterion_setup, is_ulrich, pullback_ulrich_criterion
+from .picard import DivisorClass, GenericCurve, ProjBundle, Variety, hirzebruch_parameter
+from .ulrich import Polarisation, _setup_for, is_ulrich, pullback_ulrich_criterion
 
 GENERIC_NOTE = "verdicts use the generic-curve model"
 ERRATUM_NOTE = ("third vanishing family on F_r (r>0) is (r-1)f - 2C+; "
@@ -186,20 +186,20 @@ def zero_cohomology_line_bundles(v: Variety, box: SearchBox,
                         (), families=["(-1, j) for all j", "(i, -1) for all i"])
 
 
-def ulrich_line_bundles(v: Variety, a, box: SearchBox,
+def ulrich_line_bundles(v: Variety, a: DivisorClass, box: SearchBox,
                         cap: int | None = None) -> ScanResult:
     """All line bundles in the box that are Ulrich with respect to A."""
-    pol = Polarisation.check(v, a)
+    Polarisation.check(v, a)  # before the scan, which checks no A when nothing hits
     _check_cap(box.volume, cap)
 
     def check(hits):
-        return is_ulrich(v, hits, pol).verdict
+        return is_ulrich(v, hits, a).verdict
 
-    offsets = [(-i * pol.divisor).coords for i in range(1, v.dim + 1)]
+    offsets = [(-i * a).coords for i in range(1, v.dim + 1)]
     hits, generic = _scan(v, box, offsets, check)
     if (r := hirzebruch_parameter(v)) is None:
         return ScanResult(hits, None, _notes(generic))
-    ap, bp = pol.divisor.coords
+    ap, bp = a.coords
     if r > 0:
         members = {(ap - 1, 1), (r - 1 + 2 * ap, 0)} if bp == 1 else set()
         notes = (ERRATUM_NOTE,)
@@ -210,16 +210,16 @@ def ulrich_line_bundles(v: Variety, a, box: SearchBox,
                         members=[list(c) for c in sorted(members)])
 
 
-def pullback_ulrich_line_search(pb: ProjBundle, a, box: SearchBox,
+def pullback_ulrich_line_search(pb: ProjBundle, a: DivisorClass, box: SearchBox,
                                 cap: int | None = None) -> ScanResult:
     """Base line bundles F in the box for which pullback(F)(D) is Ulrich
     on P(E) with respect to D = pullback(A) + H."""
     _check_cap(box.volume, cap)
     x = pb.base
-    setup = _criterion_setup(x, pb.summands, a)
+    setup = _setup_for(x, pb.summands, a)
 
     def check(hits):
-        return pullback_ulrich_criterion(x, pb.summands, hits, setup).verdict
+        return pullback_ulrich_criterion(x, pb.summands, hits, a).verdict
 
     # H^*(F) and every term of the criterion's Sym^k twists (all in degree 0)
     offsets = dict.fromkeys([(0,) * x.picard_rank]

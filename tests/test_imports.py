@@ -165,7 +165,7 @@ def test_every_cache_is_bounded():
     # zero-argument parser build may stay unbounded, as it holds one entry
     caches = functools_caches()
     assert {"ulrichbundles.kernelbundle.monomial_exponents",
-            "ulrichbundles.kernelbundle._contraction_rows",
+            "ulrichbundles.kernelbundle.sym_euler_matrix",
             "ulrichbundles.picard._intern_variety"} <= caches.keys()
     unbounded = sorted(name for name, size in caches.items() if size is None)
     assert unbounded == ["ulrichbundles.cli._build_parser"]

@@ -5,7 +5,6 @@ import hashlib
 import io
 import itertools
 import json
-import operator
 import random
 import time
 from fractions import Fraction
@@ -50,6 +49,7 @@ from ulrichbundles.kernelbundle import (
     _unit,
     check_presentation_size,
     monomial_exponents,
+    random_matrix,
     rank_route_cells,
 )
 
@@ -158,8 +158,14 @@ class TestConstructionPaths:
             assert again.to_json() == built.to_json()
 
     def test_contraction_rows_built_once(self):
-        first, again = sym_euler_matrix(3, 2), sym_euler_matrix(3, 2)
-        assert all(map(operator.is_, first.entries, again.entries))
+        # the route of a matrix of the contraction's shape is read against
+        # the one shared contraction, so its rows are built once per (n, d)
+        first = sym_euler_matrix(3, 2)
+        built = sym_euler_matrix.cache_info().misses
+        copy = LinearFormMatrix(3, 2, first.entries)
+        assert KernelBundlePresentation(copy, "sym-euler").route == "borel-weil-bott"
+        assert sym_euler_matrix(3, 2) is first
+        assert sym_euler_matrix.cache_info().misses == built
 
     def test_contraction_matrix_built_once_and_read_only(self):
         # the constructor's checks visit every cell, so a wide contraction
@@ -525,13 +531,37 @@ class TestScaledCoefficients:
         scaled = LinearFormMatrix(m.n, m.d, tuple(
             tuple(tuple(scale * c for c in entry) for entry in row)
             for row in m.entries))
-        # a unit multiple of a surjective map is surjective
-        pres = KernelBundlePresentation(scaled, base.kind,
-                                        surjectivity=base.surjectivity)
+        # a unit multiple of a surjective map is surjective, and the
+        # scaled staircase certifies itself so
+        pres = KernelBundlePresentation(scaled, base.kind)
+        assert pres.surjectivity == base.surjectivity
         assert h0_multiplication_rank(scaled, t) == h0_multiplication_rank(m, t)
         assert _rank_table(pres, t).h == kernel_cohomology(base, t).h
         assert pres.h0_certificates[t] == base.h0_certificates[t]
         assert kernel_cohomology(pres, t).h == kernel_cohomology(base, t).h
+
+
+class TestCertificatesAreDerived:
+    """A presentation derives every certificate from its matrix and kind;
+    none can be passed in and trusted."""
+
+    def test_no_surjectivity_certificate_is_taken(self):
+        # the row (x0, x0, 0) vanishes where x0 does, so it is not onto
+        m = LinearFormMatrix(2, 0, (((1, 0, 0), (1, 0, 0), (0, 0, 0)),))
+        with pytest.raises(NotSurjective):
+            KernelBundlePresentation(m, "custom")
+        with pytest.raises(TypeError):
+            KernelBundlePresentation(m, "custom", surjectivity=SurjectivityCertificate(
+                "trusted", True, ""))
+
+    def test_no_h0_certificate_is_taken(self):
+        with pytest.raises(TypeError):
+            KernelBundlePresentation(random_matrix(2, 2, 1), "random", seed=1,
+                                     h0_certificates={0: (99, 99, 0)})
+        pres = KernelBundlePresentation(random_matrix(2, 2, 1), "random", seed=1)
+        assert pres.route == "ranks" and pres.h0_certificates == {}
+        assert kernel_cohomology(pres, 0).h == (0, 0, 0)
+        assert pres.h0_certificates == {0: (30, 30, 30)}
 
 
 def sweep_presentations():

@@ -38,7 +38,7 @@ from ulrichbundles import (
 from ulrichbundles.cli import run
 from ulrichbundles.cohomology import _zero_interval
 from ulrichbundles.search import GENERIC_NOTE
-from ulrichbundles.ulrich import _criterion_setup
+from ulrichbundles.ulrich import _setup_for
 
 from towers import rank2_tower
 
@@ -504,8 +504,9 @@ def scan_sweep(seeds) -> int:
             cases = [] if isinstance(v, GenericCurve) else [("enum-zero", v, None)]
             cases.append(("enum-ulrich", v, _pick(rng, lambda c: (
                 d if is_very_ample(v, d := DivisorClass(v, c)) else None), v.picard_rank)))
-            cases.append(("search-pb", pb, _pick(rng, lambda c: _criterion_setup(
-                v, pb.summands, DivisorClass(v, c)), v.picard_rank)))
+            cases.append(("search-pb", pb, _pick(rng, lambda c: (
+                d if _setup_for(v, pb.summands, d := DivisorClass(v, c)) else None),
+                v.picard_rank)))
             for kind, w, a in cases:
                 if kind != "enum-zero" and a is None:
                     continue

@@ -9,8 +9,8 @@ from ulrichbundles import (
     BadTwist,
     CohomologyTable,
     DivisorClass,
+    EngineError,
     GenericCurve,
-    InternalInconsistency,
     NotVeryAmple,
     ProjBundle,
     ProjSpace,
@@ -20,6 +20,7 @@ from ulrichbundles import (
     UnsupportedVariety,
     cohomology,
     direct_ulrich_check,
+    euler_characteristic,
     hirzebruch,
     is_ample,
     is_ulrich,
@@ -36,11 +37,13 @@ from ulrichbundles import (
     staircase_presentation,
     sym_euler_presentation,
     sym_power,
+    toric_cech_oracle,
+    ulrich_line_bundles,
     very_ample_threshold,
     zero_divisor,
 )
 from ulrichbundles.cohomology import push_down, pushforward_table
-from ulrichbundles.ulrich import Polarisation, _criterion_setup, _setup_for
+from ulrichbundles.ulrich import Polarisation, _setup_for
 
 P1 = ProjSpace(1)
 P2 = ProjSpace(2)
@@ -377,39 +380,23 @@ class TestOneWalkPerCheck:
 
 
 class TestCriterionSetup:
-    def test_setup_for_another_bundle_refused(self):
-        e1 = parse_bundle("{[0],[1]}", P1)
-        e2 = parse_bundle("{[0],[2]}", P1)
-        setup = _criterion_setup(P1, e1, DivisorClass(P1, (1,)))
-        with pytest.raises(InternalInconsistency):
-            pullback_ulrich_criterion(P1, e2, line_bundle(P1, (-1,)), setup)
-
-    def test_setup_for_another_base_refused(self):
-        e = parse_bundle("{[0],[1]}", P2)
-        setup = _criterion_setup(P2, e, DivisorClass(P2, (1,)))
-        with pytest.raises(InternalInconsistency):
-            pullback_ulrich_criterion(P1, parse_bundle("{[0],[1]}", P1),
-                                      line_bundle(P1, (-1,)), setup)
-
     def test_setup_built_once_per_base_bundle_and_divisor(self):
-        # a Polarisation keys by its divisor, and a divisor equal to an
-        # earlier one finds that one's setup
+        # a divisor equal to an earlier one finds that one's setup
         v = parse_variety("PB(F1;[0,0],[1,1])")
         a = DivisorClass(v.base, (1, 1))
-        setup = _criterion_setup(v.base, v.summands, a)
-        assert _criterion_setup(v.base, v.summands, DivisorClass(v.base, (1, 1))) is setup
-        assert _criterion_setup(v.base, v.summands, Polarisation(a)) is setup
-        assert _criterion_setup(v.base, v.summands, setup) is setup
-        other = _criterion_setup(v.base, v.summands, DivisorClass(v.base, (2, 1)))
+        setup = _setup_for(v.base, v.summands, a)
+        assert _setup_for(v.base, v.summands, DivisorClass(v.base, (1, 1))) is setup
+        other = _setup_for(v.base, v.summands, DivisorClass(v.base, (2, 1)))
         assert other is not setup and other.pol.divisor.coords == (2, 1)
         info = _setup_for.cache_info()
         assert (info.misses, info.currsize, info.maxsize) == (2, 2, 256)
 
     def test_shared_setup_is_read_only(self):
         v = parse_variety("PB(P3;[0],[1],[1])")
-        setup = _criterion_setup(v.base, v.summands, DivisorClass(v.base, (1,)))
+        a = DivisorClass(v.base, (1,))
+        setup = _setup_for(v.base, v.summands, a)
         f = line_bundle(v.base, (-1,))
-        before = pullback_ulrich_criterion(v.base, v.summands, f, setup)
+        before = pullback_ulrich_criterion(v.base, v.summands, f, a)
         for _, terms in setup.twists:
             with pytest.raises(TypeError):
                 terms[(0, (0,))] = 1
@@ -423,21 +410,11 @@ class TestCriterionSetup:
         messages = []
         for _ in range(2):
             with pytest.raises(NotVeryAmple) as err:
-                _criterion_setup(P1, e, DivisorClass(P1, (0,)))
+                _setup_for(P1, e, DivisorClass(P1, (0,)))
             messages.append(str(err.value))
         assert messages[0] == messages[1] == (
             "pullback([0]) + H is not very ample on F1")
         assert _setup_for.cache_info().currsize == 0
-
-    def test_setup_gives_the_report_of_its_divisor(self):
-        v = parse_variety("PB(P3;[0],[1],[1])")
-        a = DivisorClass(v.base, (1,))
-        setup = _criterion_setup(v.base, v.summands, a)
-        assert [label for label, _ in setup.twists] == ["k=0", "k=1"]
-        for coords in [(-1,), (0,), (-2,)]:
-            f = line_bundle(v.base, (coords[0],))
-            assert (pullback_ulrich_criterion(v.base, v.summands, f, setup)
-                    == pullback_ulrich_criterion(v.base, v.summands, f, a))
 
 
 class TestSurfaceReduction:
@@ -490,3 +467,135 @@ class TestProbe:
         with pytest.raises(BadTwist):
             semiorthogonality_probe(v, DivisorClass(P1, (0,)),
                                     DivisorClass(P1, (0,)), 2)
+
+
+class TestForeignInputs:
+    def test_seeded_sweep(self):
+        # CI runs seeds 1-100.  Per seed: 12 + 20 ordered pairs of distinct
+        # varieties of Picard rank 1 and 2, 18 calls each, and the oracle
+        # on the 2 + 4 toric ones, with 3 and 4 partners
+        assert foreign_input_sweep(range(1, 6)) == 5 * (32 * 18 + 2 * 3 + 4 * 4)
+
+    def test_polarisation_gives_no_verdict(self):
+        # A is a divisor class checked on the variety it is used on: [1, 1]
+        # is very ample on F1 but not on P(O + O(-1)), and a Polarisation
+        # built on either is no A
+        x = parse_variety("PB(P1;[0],[-1])")
+        f = line_bundle(x, (0, 1))
+        with pytest.raises(NotVeryAmple):
+            is_ulrich(x, f, DivisorClass(x, (1, 1)))
+        box = SearchBox.symmetric(x, 1)
+        pb = ProjBundle(x, parse_bundle("{[0,0],[1,0]}", x))
+        for pol in (Polarisation.check(F1, DivisorClass(F1, (1, 1))),
+                    Polarisation.check(x, DivisorClass(x, (2, 1)))):
+            with pytest.raises(UnsupportedVariety):
+                is_ulrich(x, f, pol)
+            with pytest.raises(UnsupportedVariety):
+                ulrich_line_bundles(x, pol, box)
+            with pytest.raises(UnsupportedVariety):
+                pullback_ulrich_criterion(x, pb.summands, f, pol)
+            with pytest.raises(UnsupportedVariety):
+                direct_ulrich_check(pb, f, pol)
+            with pytest.raises(UnsupportedVariety):
+                pullback_ulrich_line_search(pb, pol, box)
+            with pytest.raises(TypeError):
+                serre_partner(x, f, pol)
+
+
+# per variety: a very ample A, with which D = pullback(A) + H is very ample
+# on P(O + O(first basis class)) over it
+FOREIGN_VARIETIES = {"P1": (1,), "P2": (1,), "C0": (1,), "C2": (5,),
+                     "F0": (1, 1), "F1": (1, 1), "F3": (1, 1),
+                     "PB(P1;[0],[-1])": (2, 1), "PB(C1;[0],[1])": (3, 1)}
+
+
+def _foreign_calls(rng, v, a_coords):
+    """(entry point, call) pairs on v: ``call(w)`` puts one input of the
+    entry point (both divisors, in one probe call), with seeded
+    coordinates or A's, on the variety w and gives every other input on
+    v."""
+    a = DivisorClass(v, a_coords)
+    e = SplitBundle(v, (zero_divisor(v), DivisorClass(v, (1,) + (0,) * (v.picard_rank - 1))))
+    pb = ProjBundle(v, e)
+    assert is_very_ample(v, a) and _setup_for(v, e, a)
+    c1, c2 = (tuple(rng.randint(-3, 3) for _ in range(v.picard_rank)) for _ in range(2))
+    f = line_bundle(v, c1)
+    box = SearchBox.symmetric(v, rng.randint(0, 2))
+    p = rng.randint(0, pb.rank - 1)
+
+    def bundle(w, *coords):
+        return SplitBundle(w, tuple(DivisorClass(w, c) for c in coords))
+
+    calls = [
+        ("cohomology", lambda w: cohomology(v, bundle(w, c1, c2))),
+        ("cohomology", lambda w: cohomology(v, DivisorClass(w, c1))),
+        ("euler_characteristic", lambda w: euler_characteristic(v, bundle(w, c1, c2))),
+        ("is_very_ample", lambda w: is_very_ample(v, DivisorClass(w, c1))),
+        ("is_ulrich", lambda w: is_ulrich(v, f, DivisorClass(w, a_coords))),
+        ("is_ulrich", lambda w: is_ulrich(v, bundle(w, c1), a)),
+        ("ulrich_line_bundles", lambda w: ulrich_line_bundles(
+            v, DivisorClass(w, a_coords), box)),
+        ("serre_partner", lambda w: serre_partner(v, bundle(w, c1, c2), a)),
+        ("serre_partner", lambda w: serre_partner(v, f, DivisorClass(w, a_coords))),
+        ("pullback_ulrich_criterion", lambda w: pullback_ulrich_criterion(
+            v, e, f, DivisorClass(w, a_coords))),
+        ("pullback_ulrich_criterion", lambda w: pullback_ulrich_criterion(
+            v, bundle(w, *(s.coords for s in e.summands)), f, a)),
+        ("pullback_ulrich_criterion", lambda w: pullback_ulrich_criterion(
+            v, e, bundle(w, c1), a)),
+        ("direct_ulrich_check", lambda w: direct_ulrich_check(
+            pb, f, DivisorClass(w, a_coords))),
+        ("direct_ulrich_check", lambda w: direct_ulrich_check(pb, bundle(w, c1), a)),
+        ("pullback_ulrich_line_search", lambda w: pullback_ulrich_line_search(
+            pb, DivisorClass(w, a_coords), box)),
+        ("semiorthogonality_probe", lambda w: semiorthogonality_probe(
+            pb, DivisorClass(w, c1), DivisorClass(v, c2), p)),
+        ("semiorthogonality_probe", lambda w: semiorthogonality_probe(
+            pb, DivisorClass(v, c1), DivisorClass(w, c2), p)),
+        ("semiorthogonality_probe", lambda w: semiorthogonality_probe(
+            pb, DivisorClass(w, c1), DivisorClass(w, c2), p)),
+    ]
+    root = v
+    while isinstance(root, ProjBundle):
+        root = root.base
+    if isinstance(root, ProjSpace):  # the oracle's fans: P^n and towers over it
+        calls.append(("toric_cech_oracle", lambda w: toric_cech_oracle(
+            v, DivisorClass(w, c1))))
+    return calls
+
+
+def foreign_input_sweep(seeds) -> int:
+    """Every public entry point on a variety v refuses, with
+    UnsupportedVariety, a divisor or bundle of another variety w of the
+    same Picard rank in the place of any one of its inputs, for every such
+    ordered pair from FOREIGN_VARIETIES.  As a control, the same call with
+    that input's coordinates on v raises no UnsupportedVariety, so the
+    refusal is the foreign variety's (another EngineError, such as
+    NotVeryAmple for seeded coordinates, may stand there).  Returns the
+    number of refusals checked."""
+    varieties = {parse_variety(name): a for name, a in FOREIGN_VARIETIES.items()}
+    refused = 0
+    for seed in seeds:
+        rng = random.Random(f"foreign/{seed}")
+        for v, a_coords in varieties.items():
+            calls = _foreign_calls(rng, v, a_coords)
+            for name, call in calls:
+                try:
+                    call(v)
+                except UnsupportedVariety as err:
+                    raise AssertionError(f"{name} on {v.name} refused its own input: {err}")
+                except EngineError:
+                    pass
+            for w in varieties:
+                if w == v or w.picard_rank != v.picard_rank:
+                    continue
+                for name, call in calls:
+                    try:
+                        result = call(w)
+                    except UnsupportedVariety:
+                        refused += 1
+                    else:
+                        raise AssertionError(
+                            f"seed {seed}: {name} on {v.name} took an input on "
+                            f"{w.name} and gave {result}")
+    return refused
