@@ -54,7 +54,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from math import ceil, comb, floor, inf, prod
+from math import comb, inf, prod
 from operator import add, lt, mul
 
 from . import exactlinalg
@@ -412,8 +412,11 @@ def euler_characteristic(v: Variety, bundle) -> int:
 # spanned, inside each cone, by the rays with <m, u_rho> + a_rho < 0
 # (Cox-Little-Schenck, *Toric Varieties*, 9.1).  Summing the reduced Betti
 # numbers per sign pattern over a provably large enough character box gives
-# the full table.  The box comes from the arrangement's vertices, each an
-# integer Bareiss solve (``exactlinalg.solve_square``).  The fan complex of
+# the full table.  The box comes from the arrangement's vertices: the
+# matrix of each vertex system depends on the fan alone, so its scaled
+# integer inverse (one Bareiss elimination, ``exactlinalg.solve_square``)
+# is kept per process, and a request only multiplies it by its right-hand
+# side and floors, in integers.  The fan complex of
 # P^n or of a split tower over it is the join of its levels' simplex
 # boundaries, so a pattern has reduced homology only when each level's rays
 # are all negative or none is (Milnor, "Construction of universal bundles
@@ -478,24 +481,45 @@ def _toric_model(v: Variety):
     return rays, cones, rows, base_levels + ((fibre_indices, v.rank - 1),)
 
 
+@lru_cache(maxsize=1 << 14)
+def _vertex_system(rays, combo):
+    """``(d, rows)`` for the vertex system of the rays at ``combo``: A =
+    rays[combo], d = |det A| and ``rows`` = d * A^-1, so the vertex <m,
+    rays[i]> = b_i (i in combo) is rows * b / d; None when A is singular.
+    Memoised per system, for 2^14 of them: A depends on the fan alone, so
+    every divisor on the fan reads the same entry."""
+    n = len(combo)
+    solved = exactlinalg.solve_square(
+        [rays[i] for i in combo], [(0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n)])
+    if solved is None:
+        return None
+    d, rows = solved
+    return d, tuple(map(tuple, rows))  # shared by every caller: read-only
+
+
 def _scan_bounds(rays, coeffs, dim, cap=None):
     """Per-axis ``(lo, hi)`` bounds covering every bounded sign-pattern region.
 
     A character contributing cohomology lies in a bounded region of the
     hyperplane arrangement <m, u_rho> = -a_rho, hence inside the convex
-    hull of the arrangement vertices.  Two extra shells on each side give
-    the zero boundary that the scan asserts.  The box grows with each
-    vertex solved and is refused (BoxTooLarge) as soon as its volume
-    exceeds ``cap``; the final box contains it, so the verdict is the same
-    as after every solve, and the volume reported is a lower bound.
+    hull of the arrangement vertices.  Each vertex is num / d, num = rows *
+    rhs for its system's cached integer inverse (``_vertex_system``) and
+    the right-hand side rhs = -coeffs[combo], so its floor and ceiling are
+    integer divisions.  Two extra shells on each side give the zero
+    boundary that the scan asserts.  The box grows with each vertex and is
+    refused (BoxTooLarge) as soon as its volume exceeds ``cap``; the final
+    box contains it, so the verdict is the same as after every vertex, and
+    the volume reported is a lower bound.
     """
     lo = hi = None
     for combo in itertools.combinations(range(len(rays)), dim):
-        sol = exactlinalg.solve_square([rays[i] for i in combo],
-                                       [-coeffs[i] for i in combo])
-        if sol is None:
+        system = _vertex_system(rays, combo)
+        if system is None:
             continue
-        down, up = list(map(floor, sol)), list(map(ceil, sol))
+        d, rows = system
+        rhs = [-coeffs[i] for i in combo]
+        nums = [sum(map(mul, row, rhs)) for row in rows]
+        down, up = [x // d for x in nums], [-(-x // d) for x in nums]
         if lo is not None:
             down, up = list(map(min, lo, down)), list(map(max, hi, up))
         if (down, up) != (lo, hi):
@@ -505,8 +529,11 @@ def _scan_bounds(rays, coeffs, dim, cap=None):
     return [(a - 2, b + 2) for a, b in zip(lo, hi)]
 
 
-# fan (rays, cones) -> {sign pattern mask: reduced Betti numbers}
-_PATTERN_CACHE: dict = {}
+@lru_cache(maxsize=64)
+def _fan_patterns(rays, cones) -> dict:
+    """The fan's memo {sign pattern mask: reduced Betti numbers}, filled by
+    ``toric_cech_oracle`` as it meets each pattern; kept for 64 fans."""
+    return {}
 
 
 def _reduced_betti(cones, nrays, mask, dim):
@@ -556,7 +583,7 @@ def toric_cech_oracle(v: Variety, d: DivisorClass,
     pattern and adds the sum of its intervals' lengths times the pattern's
     reduced Betti numbers; P^1 is one row.  Each axis of the box spans at
     least five characters, so BoxTooLarge is raised before any work when
-    5^dim exceeds ``cap``, and while the vertices are solved as soon as
+    5^dim exceeds ``cap``, and while the vertices are read as soon as
     the box they span does.  Raises ScanBoxTooSmall, naming the first such
     character in scan order, if a contributing character lies on the
     boundary shell, which would mean the box bound is wrong (a hard engine
@@ -581,7 +608,7 @@ def toric_cech_oracle(v: Variety, d: DivisorClass,
     inner_edge = [False] * len(xs)
     if lead:
         inner_edge[0] = inner_edge[-1] = True
-    patterns = _PATTERN_CACHE.setdefault((rays, cones), {})
+    patterns = _fan_patterns(rays, cones)
     h = [0] * (v.dim + 1)
     for prefix in itertools.product(*(range(a, b + 1) for a, b in outer)):
         edge = ([True] * len(xs) if any(x in bound for x, bound in zip(prefix, outer))

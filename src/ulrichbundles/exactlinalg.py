@@ -1,5 +1,5 @@
 """Exact linear algebra helpers: exact rank, and small fraction-free
-integer solves.
+integer solves.  Every input and every result is an integer.
 
 Rank is exact over the rationals and never uses floating point.  Its
 input is an integer matrix: a rational one has the same rank once each
@@ -10,7 +10,8 @@ integer minor: when the rank mod p reaches min(nonzero rows, columns),
 that bound is the exact rank.  Only when it falls short does Bareiss
 (fraction-free Gaussian) elimination run over the integers, where every
 intermediate value is a minor of the input and all divisions are exact.
-That one elimination (``_bareiss``) also gives square solves.
+That one elimination (``_bareiss``) also gives square solves, scaled by
+the determinant so that they stay integers.
 
 ``PRIME`` is 32749, the largest prime below 2^15, so every residue and
 every product of two residues fits in one 30-bit CPython digit and the
@@ -20,7 +21,6 @@ nonzero minor more often; that costs only a Bareiss run, never an answer.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress
 
 PRIME = 32749
@@ -67,11 +67,12 @@ def _rank_mod_prime(rows, target: int) -> int:
     return len(pivots)
 
 
-def _bareiss(m, ncols: int) -> tuple:
+def _bareiss(m, ncols: int, full: bool = False) -> tuple:
     """Fraction-free (Bareiss) forward elimination of dense integer rows,
     in place, pivoting in the first ``ncols`` columns; any later columns
-    (a right-hand side) are carried along.  Returns the rank and the last
-    pivot.
+    (right-hand sides) are carried along.  Returns the rank and the last
+    pivot.  With ``full`` it stops at the first column without a pivot,
+    where the rank is known to fall short of ``ncols``.
 
     Every entry below the pivot rows is a minor of the row-permuted input,
     so each division by the previous pivot is exact.  At full rank of a
@@ -89,6 +90,8 @@ def _bareiss(m, ncols: int) -> tuple:
             if v and (piv_row is None or abs(v) < abs(m[piv_row][col])):
                 piv_row = i
         if piv_row is None:
+            if full:
+                break
             continue
         if piv_row != rk:
             m[rk], m[piv_row] = m[piv_row], m[rk]
@@ -136,23 +139,30 @@ def rank(rows) -> int:
 
 
 def solve_square(matrix, rhs):
-    """Solve a small square integer system exactly; None if singular.
+    """``(d, x)`` with d = |det matrix| > 0 and matrix * x = d * rhs, for an
+    n x n integer matrix and an n x k integer ``rhs`` (k right-hand sides
+    as columns); None if the matrix is singular.
 
-    One elimination of the augmented integer matrix (``_bareiss``), then
-    integer back substitution: the last pivot d is +-det, so d * x is an
-    integer vector by Cramer's rule, every division is exact and only the
-    returned entries are Fractions.  Used for hyperplane-arrangement
-    vertices, so dimensions stay tiny.  The input is not modified.
+    One elimination (``_bareiss``) of the matrix with every right-hand
+    side carried along, stopped at the first column without a pivot, then
+    integer back substitution of all k columns at once: the last pivot is
+    +-det, so d times the solution is an integer matrix by Cramer's rule
+    and every division is exact.  Used for hyperplane-arrangement
+    vertices, so dimensions stay tiny.  The inputs are not modified.
     """
     n = len(matrix)
-    m = [[*row, b] for row, b in zip(matrix, rhs)]
-    rk, d = _bareiss(m, n)
+    m = [[*row, *b] for row, b in zip(matrix, rhs)]
+    rk, det = _bareiss(m, n, full=True)
     if rk < n:
         return None
-    # scaled[i] = d * x_i, solved from the last row up
-    scaled = [0] * n
+    d = abs(det)
+    # x[i] = d * (row i of the solution), from the last row up
+    x = [None] * n
     for i in range(n - 1, -1, -1):
         row = m[i]
-        total = d * row[n] - sum(row[j] * scaled[j] for j in range(i + 1, n))
-        scaled[i] = total // row[i]
-    return [Fraction(x, d) for x in scaled]
+        acc = [d * v for v in row[n:]]
+        for j in range(i + 1, n):
+            if row[j]:
+                acc = [a - row[j] * v for a, v in zip(acc, x[j])]
+        x[i] = [a // row[i] for a in acc]
+    return d, x

@@ -63,7 +63,8 @@ Every matrix has integer coefficients and goes through one constructor,
 which derives one sparse view of it: per row, the nonzero forms.  The
 certificates and the section-map ranks read only that view, so their work
 follows the nonzeros ((n+1) per row of the contraction matrix), not the
-b2 x b1 grid.  The contraction matrix is built once per (n, d).  Row
+b2 x b1 grid.  The staircase and contraction matrices are built once
+per (n, d), and each matrix object decides its chart certificate once.  Row
 scaling changes no rank, root or zero pattern, so a matrix with rational
 coefficients is given with each row's denominators cleared.
 """
@@ -73,7 +74,7 @@ from __future__ import annotations
 import itertools
 import random as _random
 from dataclasses import InitVar, dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, prod
 from operator import mul
 from types import MappingProxyType
@@ -147,6 +148,13 @@ class LinearFormMatrix:
     def kernel_rank(self) -> int:
         return self.b1 - self.b2
 
+    @cached_property
+    def charts_triangular(self) -> bool:
+        """``_triangular_charts`` of this matrix object, decided once: a
+        built-in matrix is shared per (n, d), so its verdict is too, and
+        any other matrix is read off its own entries."""
+        return _triangular_charts(self)
+
     def int_columns(self) -> list:
         """The sparse view of the transpose: per column, row -> form."""
         columns = [{} for _ in range(self.b1)]
@@ -171,8 +179,11 @@ def _unit(n: int, v: int) -> tuple:
     return tuple(1 if i == v else 0 for i in range(n + 1))
 
 
+@lru_cache(maxsize=64)
 def staircase_matrix(n: int, d: int) -> LinearFormMatrix:
-    """Row i of the (d+1) x (n+d+1) matrix is x_0..x_n shifted i slots."""
+    """Row i of the (d+1) x (n+d+1) matrix is x_0..x_n shifted i slots.
+    Built once per (n, d) and shared, as the matrix is immutable, so its
+    chart certificate is decided once too."""
     units = tuple(_unit(n, v) for v in range(n + 1))
     zero = (0,) * (n + 1)
     return LinearFormMatrix(n, d, tuple((zero,) * i + units + (zero,) * (d - i)
@@ -351,14 +362,15 @@ _TRIANGULAR_DETAIL = {
 def _certify_surjective(m: LinearFormMatrix, kind: str,
                         cap: int | None) -> SurjectivityCertificate:
     """The exact chart certificate for the built-in kinds (any row order),
-    whose failure is an engine bug; else one exact ``_sections_onto`` test
-    for a narrow shape: one row (b2 = 1), P^1, or b2 = 2 through the
-    (n+1) x b1 coefficient matrix L(v) of v^T alpha, one row per variable,
-    which drops rank somewhere on P^1 iff v^T alpha vanishes at some point
-    for some [v0:v1]; else sampling.  ``cap`` bounds the section map."""
+    decided once per matrix object (``charts_triangular``), whose failure
+    is an engine bug; else one exact ``_sections_onto`` test for a narrow
+    shape: one row (b2 = 1), P^1, or b2 = 2 through the (n+1) x b1
+    coefficient matrix L(v) of v^T alpha, one row per variable, which
+    drops rank somewhere on P^1 iff v^T alpha vanishes at some point for
+    some [v0:v1]; else sampling.  ``cap`` bounds the section map."""
     detail = _TRIANGULAR_DETAIL.get(kind)
     if detail is not None:
-        if not _triangular_charts(m):
+        if not m.charts_triangular:
             raise InternalInconsistency(f"{kind} triangularity check failed")
         return SurjectivityCertificate("min-coordinate-triangular", True, detail)
     if m.b2 == 1:

@@ -9,11 +9,17 @@ ulrich_mod = importlib.import_module("ulrichbundles.ulrich")
 
 
 @pytest.fixture(autouse=True)
-def cold_pattern_cache(monkeypatch):
-    """Each test starts from an empty oracle pattern cache and leaves the
-    shared one as it found it, so no test warms another's, nor the cache
-    that the benchmark's traced oracle run expects to find cold."""
-    monkeypatch.setattr(coh_mod, "_PATTERN_CACHE", {})
+def cold_oracle_caches():
+    """Each test starts from empty oracle caches (the per-fan sign patterns
+    and the vertex systems' inverses) and leaves them empty, so no test
+    warms another's, nor the caches that the benchmark's traced oracle run
+    expects to find cold."""
+    oracle_caches = (coh_mod._fan_patterns, coh_mod._vertex_system)
+    for cache in oracle_caches:
+        cache.cache_clear()
+    yield
+    for cache in oracle_caches:
+        cache.cache_clear()
 
 
 @pytest.fixture(autouse=True)

@@ -222,6 +222,20 @@ def random_system(rng, n):
     return matrix, [rng.randint(-50, 50) for _ in range(n)]
 
 
+def column(rhs) -> list:
+    """A right-hand side as the n x 1 matrix that ``solve_square`` takes."""
+    return [[b] for b in rhs]
+
+
+def as_fractions(solved):
+    """The solution x / d of ``solve_square``'s ``(d, x)``, row by row,
+    after checking that d is a positive int and every entry of x an int."""
+    d, x = solved
+    assert type(d) is int and d > 0
+    assert all(type(v) is int for row in x for v in row)
+    return [[Fraction(v, d) for v in row] for row in x]
+
+
 class TestSolveSquare:
     def test_random_systems(self):
         rng = random.Random(31)
@@ -231,7 +245,12 @@ class TestSolveSquare:
             matrix, rhs = random_system(rng, n)
             copy = ([list(r) for r in matrix], list(rhs))
             expected, det_expected = reference_solve(matrix, rhs)
-            assert solve_square(matrix, rhs) == expected, (matrix, rhs)
+            solved = solve_square(matrix, column(rhs))
+            if expected is None:
+                assert solved is None, (matrix, rhs)
+            else:
+                assert solved[0] == abs(det_expected), (matrix, rhs)
+                assert as_fractions(solved) == column(expected), (matrix, rhs)
             assert (matrix, rhs) == copy
             kinds.add("singular" if det_expected == 0
                       else "negative" if det_expected < 0 else "positive")
@@ -250,9 +269,36 @@ class TestSolveSquare:
     ])
     def test_examples(self, matrix, rhs, expected):
         assert reference_solve(matrix, rhs)[0] == expected
-        assert solve_square(matrix, rhs) == expected
+        solved = solve_square(matrix, column(rhs))
+        if expected is None:
+            assert solved is None
+        else:
+            assert as_fractions(solved) == column(expected)
 
-    def test_tuples_in_fractions_out(self):
-        sol = solve_square(((2, 1), (1, 3)), (1, 2))
-        assert sol == [Fraction(1, 5), Fraction(3, 5)]
-        assert all(type(x) is Fraction for x in sol)
+    def test_several_right_hand_sides(self):
+        # each column is solved as if alone, and unit columns give d * A^-1,
+        # with A (d * A^-1) = d I
+        rng = random.Random(32)
+        solved_systems = 0
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            matrix, _ = random_system(rng, n)
+            k = rng.randint(1, 4)
+            rhs = [[rng.randint(-50, 50) for _ in range(k)] for _ in range(n)]
+            units = [[int(i == j) for j in range(n)] for i in range(n)]
+            expected = [reference_solve(matrix, col)[0] for col in zip(*rhs)]
+            solved = solve_square(matrix, [r + u for r, u in zip(rhs, units)])
+            if expected[0] is None:
+                assert solved is None
+                continue
+            d, x = solved
+            assert [list(col) for col in zip(*as_fractions(solved))][:k] == expected
+            inverse = [row[k:] for row in x]
+            assert [[sum(a * inverse[l][j] for l, a in enumerate(row)) for j in range(n)]
+                    for row in matrix] == [[d * u for u in unit] for unit in units]
+            solved_systems += 1
+        assert solved_systems > 50
+
+    def test_tuples_in_integers_out(self):
+        assert solve_square(((2, 1), (1, 3)), ((1,), (2,))) == (5, [[1], [3]])
+        assert solve_square(((0, 1), (1, 0)), ((1, 0), (0, 1))) == (1, [[0, 1], [1, 0]])

@@ -164,7 +164,10 @@ def test_every_cache_is_bounded():
     # a long-running caller of cli.run keeps every cache; only the
     # zero-argument parser build may stay unbounded, as it holds one entry
     caches = functools_caches()
-    assert {"ulrichbundles.kernelbundle.monomial_exponents",
+    assert {"ulrichbundles.cohomology._fan_patterns",
+            "ulrichbundles.cohomology._vertex_system",
+            "ulrichbundles.kernelbundle.monomial_exponents",
+            "ulrichbundles.kernelbundle.staircase_matrix",
             "ulrichbundles.kernelbundle.sym_euler_matrix",
             "ulrichbundles.picard._intern_variety"} <= caches.keys()
     unbounded = sorted(name for name, size in caches.items() if size is None)

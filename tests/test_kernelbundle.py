@@ -563,6 +563,34 @@ class TestCertificatesAreDerived:
         assert kernel_cohomology(pres, 0).h == (0, 0, 0)
         assert pres.h0_certificates == {0: (30, 30, 30)}
 
+    def test_chart_verdict_is_each_matrix_objects_own(self):
+        # the built-in staircase(3, 2) is certified and shared first; a
+        # hand-built matrix of the same (n, d) with x_2 below the diagonal
+        # is still read off its own entries, and refused
+        assert staircase_presentation(3, 2).surjectivity.exact
+        rows = [list(row) for row in staircase_matrix(3, 2).entries]
+        rows[1][0] = (0, 0, 1, 0)
+        m = LinearFormMatrix(3, 2, tuple(map(tuple, rows)))
+        with pytest.raises(InternalInconsistency, match="staircase triangularity"):
+            KernelBundlePresentation(m, "staircase")
+
+    def test_charts_decided_once_per_matrix_object(self, monkeypatch):
+        charts = kernelbundle._triangular_charts
+        calls = []
+        monkeypatch.setattr(kernelbundle, "_triangular_charts",
+                            lambda m: calls.append(m) or charts(m))
+        copy = LinearFormMatrix(2, 3, staircase_matrix(2, 3).entries)
+        for _ in range(2):
+            KernelBundlePresentation(copy, "staircase")
+        assert calls == [copy]
+        assert staircase_presentation(2, 3).matrix is staircase_matrix(2, 3)
+        # the built-ins are shared per (n, d), so a warm request reads none
+        for _ in range(2):
+            calls.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run(["kernel", "4", "3", "--sym"]) == 0
+        assert calls == []
+
 
 def sweep_presentations():
     """(route, build) of every presentation the closed forms are swept on."""

@@ -8,7 +8,7 @@ import json
 import random
 import time
 from fractions import Fraction
-from math import comb
+from math import ceil, comb, floor, prod
 from operator import mul
 
 import pytest
@@ -34,6 +34,7 @@ from ulrichbundles.cohomology import (
     _toric_model,
 )
 
+from test_exactlinalg import reference_solve
 from towers import rank2_tower
 
 coh_mod = importlib.import_module("ulrichbundles.cohomology")
@@ -164,17 +165,35 @@ def test_scan_bounds_cover_polytope():
             assert all(lo + 2 <= x <= hi - 2 for x, (lo, hi) in zip(vertex, bounds))
 
 
-def test_oversized_box_refused_before_every_vertex_is_solved(monkeypatch):
-    v = parse_variety(rank2_tower(7))
-    rays, cones, rows, _ = _toric_model(v)
-    coeffs = [sum(map(mul, row, [1] * v.picard_rank)) for row in rows]
+def counted_solves(monkeypatch) -> list:
+    """A list that ``exactlinalg.solve_square`` appends to on each call."""
     calls = []
     solve = exactlinalg.solve_square
     monkeypatch.setattr(exactlinalg, "solve_square",
                         lambda matrix, rhs: calls.append(1) or solve(matrix, rhs))
+    return calls
+
+
+def test_oversized_box_refused_before_every_vertex_is_solved(monkeypatch):
+    v = parse_variety(rank2_tower(7))
+    rays, cones, rows, _ = _toric_model(v)
+    coeffs = [sum(map(mul, row, [1] * v.picard_rank)) for row in rows]
+    calls = counted_solves(monkeypatch)
     with pytest.raises(BoxTooLarge, match="at least"):
         _scan_bounds(rays, coeffs, v.dim, None)
     assert 0 < len(calls) < comb(len(rays), v.dim)
+
+
+def test_vertex_systems_solved_once_per_process(monkeypatch):
+    # the caches start cold (tests/conftest.py): the first P^3 request
+    # solves its C(4, 3) = 4 systems, and later ones, for any divisor, none
+    p3 = ProjSpace(3)
+    calls = counted_solves(monkeypatch)
+    assert toric_cech_oracle(p3, DivisorClass(p3, (-5,))).h == (0, 0, 0, 4)
+    assert len(calls) == comb(4, 3)
+    for coords in [(-5,), (2,), (0,), (-40,)]:
+        toric_cech_oracle(p3, DivisorClass(p3, coords))
+    assert len(calls) == comb(4, 3)
 
 
 def test_time_bounds():
@@ -182,9 +201,9 @@ def test_time_bounds():
     start = time.perf_counter()
     assert toric_cech_oracle(p3, DivisorClass(p3, (-40,))).h == (0, 0, 0, comb(39, 3))
     assert time.perf_counter() - start < 0.1
-    # the pattern cache is warmed first, so the second call times the scan
-    # and the vertex solves: 5^6 characters in 5^4 planes of 5 rows,
-    # C(12, 6) = 924 solves
+    # the pattern and vertex-system caches are warmed first, so the second
+    # call times the scan and the box's integer products: 5^6 characters
+    # in 5^4 planes of 5 rows, and C(12, 6) = 924 cached vertex systems
     v = parse_variety(rank2_tower(5))
     zero = DivisorClass(v, (0,) * v.picard_rank)
     toric_cech_oracle(v, zero)
@@ -194,9 +213,9 @@ def test_time_bounds():
 
 
 def test_cold_cache_time_bound():
-    # the pattern cache starts empty (tests/conftest.py), so this times the
-    # homology of the level-uniform patterns too: 5^7 characters, C(14, 7)
-    # = 3432 solves
+    # the oracle's caches start empty (tests/conftest.py), so this times
+    # the homology of the level-uniform patterns too: 5^7 characters,
+    # C(14, 7) = 3432 solves
     v = parse_variety(rank2_tower(6))
     start = time.perf_counter()
     assert (toric_cech_oracle(v, DivisorClass(v, (0,) * v.picard_rank)).h
@@ -244,13 +263,32 @@ def reference_oracle(v, d, seen=None):
     return tuple(h)
 
 
-def outcome(oracle, v, d):
-    """The table, or the type and message of the exception raised."""
+def outcome(fn, *args):
+    """The table (or box), or the type and message of the exception raised."""
     try:
-        result = oracle(v, d)
+        result = fn(*args)
     except (BoxTooLarge, ScanBoxTooSmall) as exc:
         return type(exc), str(exc)
     return getattr(result, "h", result)
+
+
+def reference_scan_bounds(rays, coeffs, dim, cap=None):
+    """The box solved per request: every vertex a rational Gauss-Jordan
+    solve (``reference_solve``), its floor and ceiling taken on Fractions,
+    with the same incremental cap check in the same combo order."""
+    lo = hi = None
+    for combo in itertools.combinations(range(len(rays)), dim):
+        sol = reference_solve([rays[i] for i in combo], [-coeffs[i] for i in combo])[0]
+        if sol is None:
+            continue
+        down, up = list(map(floor, sol)), list(map(ceil, sol))
+        if lo is not None:
+            down, up = list(map(min, lo, down)), list(map(max, hi, up))
+        if (down, up) != (lo, hi):
+            lo, hi = down, up
+            _check_cap(prod(b - a + 5 for a, b in zip(lo, hi)), cap,
+                       "box volume at least")
+    return [(a - 2, b + 2) for a, b in zip(lo, hi)]
 
 
 # (variety, coordinate range, seeds in Tier-1)
@@ -264,8 +302,10 @@ def oracle_sweep(seeds, fans=AGREEMENT) -> int:
     """Per seed and fan, one divisor drawn from the coordinate range, scanned
     by the oracle and by ``reference_oracle`` in its own box and in a box
     shrunk by 0..4 characters on each side: both must give the same table
-    or the same exception with the same message.  Returns the number of
-    boxes compared."""
+    or the same exception with the same message.  Its box must equal
+    ``reference_scan_bounds``, uncapped and under a cap drawn from 1 to the
+    box's volume: the same box or the same BoxTooLarge message.  Returns
+    the number of boxes the oracles compared."""
     scan_bounds = coh_mod._scan_bounds
     compared = 0
     for seed in seeds:
@@ -275,6 +315,13 @@ def oracle_sweep(seeds, fans=AGREEMENT) -> int:
             d = DivisorClass(v, [rng.randint(-radius, radius)
                                  for _ in range(v.picard_rank)])
             cuts = [(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(v.dim)]
+            rays, _, rows, _ = _toric_model(v)
+            coeffs = [sum(map(mul, row, d.coords)) for row in rows]
+            box = reference_scan_bounds(rays, coeffs, v.dim)
+            for cap in (None, rng.randint(1, prod(hi - lo + 1 for lo, hi in box))):
+                assert (outcome(scan_bounds, rays, coeffs, v.dim, cap)
+                        == outcome(reference_scan_bounds, rays, coeffs, v.dim, cap)), \
+                    (text, seed, d.coords, cap)
 
             def shrunk(rays, coeffs, dim, cap):
                 return [(lo + a, max(lo + a, hi - b)) for (lo, hi), (a, b)
