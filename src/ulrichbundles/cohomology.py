@@ -18,17 +18,19 @@ Five ingredients:
   ``candidate_table`` is the one rule for what all of them accept, a box
   scan's hits as bare coordinate tuples among it); ``push_down`` merges
   equal twists, so a level costs its distinct twists,
-* a closed level for P(E) over P^n or over a curve (F_r and PB(P1;...)
-  among them): the twists e of the pushforward of O(kH) and their
-  multiplicities m_e do not depend on the base degree a, so they are
-  kept sorted with prefix sums of m_e * C(e, i), i = 0..n; the table of
-  O(a + kH) is then one ``bisect`` and O(n) sums, since h^0(O(x)) =
-  C(x + n, n) for x >= -n and h^n(O(x)) = (-1)^n C(x + n, n) below
-  (x - g in place of x on a curve of genus g).  As every m_e > 0, the
-  table vanishes exactly on one interval of a (``_zero_interval``), on
-  deeper towers too: the box scans of ``search`` read their hits off it
-  and re-check them with one table of their direct sum, exact because
-  ``pushforward_table`` refuses a part that could cancel another,
+* a closed level where the walk stops, P^n, a curve, or P(E) over
+  either (F_r and PB(P1;...) among them), tabulated in one pass over its
+  terms (``_closed_level_table``): on P(E) the twists e of the
+  pushforward of O(kH) and their multiplicities m_e do not depend on the
+  base degree a, so they are kept sorted with prefix sums of m_e *
+  C(e, i), i = 0..n, once per H-degree; the table of O(a + kH) is then
+  one ``bisect`` and O(n) sums, since h^0(O(x)) = C(x + n, n) for x >= -n
+  and h^n(O(x)) = (-1)^n C(x + n, n) below (x - g in place of x on a
+  curve of genus g).  As every m_e > 0, the table vanishes exactly on one
+  interval of a (``_zero_interval``), on deeper towers too: the box scans
+  of ``search`` read their hits off it and re-check them with one table
+  of their direct sum, exact because the one pass refuses a term that
+  could cancel another,
 * an independent combinatorial Cech oracle on P^n and every split tower
   over it, recomputing tables from the fan by levels: the fan complex is
   the join of its levels' simplex boundaries, so only sign patterns that
@@ -53,7 +55,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb, inf, prod
 from operator import add, lt, mul
 
@@ -116,22 +118,10 @@ def _proj_space_line(n: int, d: int) -> CohomologyTable:
     return CohomologyTable((0,) * (n + 1), 0)
 
 
-def _curve_line(g: int, d: int) -> CohomologyTable:
-    # Brill-Noether-general table: h^0 = max(0, chi) with chi = d - g + 1
-    chi = d - g + 1
-    h0 = max(0, chi)
-    return CohomologyTable.make((h0, h0 - chi), generic=True)
-
-
 def _line_table(v: Variety, coords: tuple) -> CohomologyTable:
-    """Closed table of O(coords) on a variety where ``_tower_terms`` stops."""
-    if isinstance(v, ProjSpace):
-        return _proj_space_line(v.n, coords[0])
-    if isinstance(v, GenericCurve):
-        return _curve_line(v.genus, coords[0])
-    if isinstance(v, ProjBundle):
-        return _bundle_line(v, *coords)
-    raise UnsupportedVariety(f"no cohomology rule for {v!r}")
+    """Closed table of O(coords) on a level where ``_tower_terms`` stops:
+    the one-term ``_closed_level_table``."""
+    return _closed_level_table(v, {(0, coords): 1}, v.dim)
 
 
 @lru_cache(maxsize=1024)
@@ -154,35 +144,88 @@ def _twist_sums(summands: tuple, k: int, n: int):
     return shift, [e for e, _ in items], sums
 
 
-def _bundle_line(v: ProjBundle, a: int, k: int) -> CohomologyTable:
-    """O(a + kH) on P(E) over P^n or a curve.
+def _non_positive(mult: int, twist: tuple, shift: int) -> InternalInconsistency:
+    return InternalInconsistency(
+        f"non-positive multiplicity {mult} of O{twist} in degree {shift}")
 
-    On P^n, h^0(O(x)) = C(x + n, n) for x >= -n (zero on -n..-1) and
-    h^n(O(x)) = (-1)^n C(x + n, n) for x <= -n - 1; a curve of genus g is
-    the case n = 1 at x - g.  So the twists e >= -n - a give h^shift, the
-    ones below h^(shift + n), and by Vandermonde each is a sum over j of
-    C(a + n, j) times the power sums of C(e, n - j) (``_twist_sums``):
-    one ``bisect`` and O(n) integer work whatever the twists are.  The
-    callers' ``CohomologyTable.make`` checks the result.
+
+def _closed_level_table(v: Variety, terms: dict, dim: int) -> CohomologyTable:
+    """h^0..h^dim of the sum of O(coords)^mult in degree shift over ``terms
+    = {(shift, coords): mult}`` on a level where the walk stops, in one pass
+    over the terms in their order.  On P^n, h^0(O(d)) = C(d + n, n) for d
+    >= 0 and h^n(O(d)) = C(-d - 1, n) for d <= -n - 1; on a curve of genus
+    g the Brill-Noether-general table, flagged generic: h^0 = max(0, chi),
+    chi = d - g + 1.  On P(E) over either, with x = a + n (a - g + 1 over
+    a curve, the case n = 1), the twists e >= -x of ``_twist_sums``
+    (looked up once per H-degree k) give h^shift of O(a + kH), the ones
+    below h^(shift + n), and by Vandermonde each is a sum over j of C(x, j)
+    times the power sums of C(e, n - j): one ``bisect`` and O(n) integer
+    work whatever the twists are; generic over a curve when a twist is.
+
+    Each term is checked as it is summed: a multiplicity < 1, or on P(E) a
+    negative entry of the term's table (on P^n and curves no entry can be
+    negative), raises InternalInconsistency naming it.  So no term can
+    cancel another, and the sum vanishes iff every term's table does,
+    which lets a box scan re-check all its hits with one table
+    (``search._scan``).
     """
-    base = v.base
-    if isinstance(base, GenericCurve):
-        n, x, curve = 1, a - base.genus + 1, True
+    h = [0] * (dim + 1)
+    generic = False
+    if isinstance(v, ProjBundle):
+        base = v.base
+        if isinstance(base, GenericCurve):
+            n, lift, curve = 1, 1 - base.genus, True
+        else:
+            n, lift, curve = base.n, base.n, False
+        sign, summands, by_degree = (-1) ** n, v.summand_coords, {}
+        for (shift, (a, k)), mult in terms.items():
+            if mult < 1:
+                raise _non_positive(mult, (a, k), shift)
+            found = by_degree.get(k)
+            if found is None:
+                found = by_degree[k] = _twist_sums(summands, k, n)
+            s, twists, sums = found
+            x = a + lift
+            cut = bisect_left(twists, -x)
+            low = high = 0
+            c = 1  # C(x, j)
+            for j, col in enumerate(sums):
+                low += c * col[cut]
+                high += c * col[-1]
+                c = c * (x - j) // (j + 1)
+            high -= low
+            low *= sign
+            if high < 0 or low < 0:
+                part = [0] * (v.dim + 1)
+                part[s], part[s + n] = high, low
+                raise InternalInconsistency(
+                    f"negative cohomology dimension in {tuple(part)}")
+            if curve and twists:
+                generic = True
+            h[shift + s] += mult * high
+            h[shift + s + n] += mult * low
+    elif isinstance(v, ProjSpace):
+        n = v.n
+        for (shift, (d,)), mult in terms.items():
+            if mult < 1:
+                raise _non_positive(mult, (d,), shift)
+            if d >= 0:
+                h[shift] += mult * comb(d + n, n)
+            elif d < -n:
+                h[shift + n] += mult * comb(-d - 1, n)
+    elif isinstance(v, GenericCurve):
+        g = v.genus
+        for (shift, (d,)), mult in terms.items():
+            if mult < 1:
+                raise _non_positive(mult, (d,), shift)
+            chi = d - g + 1
+            h0 = max(0, chi)
+            h[shift] += mult * h0
+            h[shift + 1] += mult * (h0 - chi)
+            generic = True
     else:
-        n, x, curve = base.n, a + base.n, False
-    shift, twists, sums = _twist_sums(v.summand_coords, k, n)
-    cut = bisect_left(twists, -x)
-    low = high = 0
-    c = 1  # C(x, j)
-    for j, s in enumerate(sums):
-        low += c * s[cut]
-        high += c * s[-1]
-        c = c * (x - j) // (j + 1)
-    high -= low
-    h = [0] * (v.dim + 1)
-    h[shift], h[shift + n] = high, (-1) ** n * low
-    return CohomologyTable(tuple(h), (-1) ** shift * (high + low),
-                           curve and bool(twists))
+        raise UnsupportedVariety(f"no cohomology rule for {v!r}")
+    return CohomologyTable.make(h, generic)
 
 
 def _zero_interval(v: Variety, rest: tuple) -> tuple:
@@ -195,22 +238,37 @@ def _zero_interval(v: Variety, rest: tuple) -> tuple:
     down to that level, where a adds to each term's first coordinate e:
     the intersection of their intervals shifted by -e (every a if none).
     """
+    return _zero_rows(v)(rest)
+
+
+def _zero_rows(v: Variety):
+    """``_zero_interval`` on v as a function of ``rest``, with what depends
+    on v alone worked out once, so that a box scan builds it once and calls
+    it per row: on P(E) over P^n or a curve the base's interval, on a
+    deeper tower the walk of each row and then the closed level's rows."""
     if isinstance(v, ProjSpace):
-        return False, -v.n, -1
+        return lambda rest: (False, -v.n, -1)
     if isinstance(v, GenericCurve):
-        return True, v.genus - 1, v.genus - 1
+        return lambda rest: (True, v.genus - 1, v.genus - 1)
     if not _closed_level(v):
-        level, terms = _tower_terms(v, {(0, (0, *rest)): 1})
-        generic, first, last = False, -inf, inf
-        for _, (e, *e_rest) in terms:
-            flag, lo, hi = _zero_interval(level, tuple(e_rest))
-            generic, first, last = generic or flag, max(first, lo - e), min(last, hi - e)
-        return generic, first, last
+        def tower_row(rest):
+            level, terms = _tower_terms(v, {(0, (0, *rest)): 1})
+            row = _zero_rows(level)
+            generic, first, last = False, -inf, inf
+            for _, (e, *e_rest) in terms:
+                flag, lo, hi = row(tuple(e_rest))
+                generic, first, last = generic or flag, max(first, lo - e), min(last, hi - e)
+            return generic, first, last
+        return tower_row
     generic, first, last = _zero_interval(v.base, ())
-    twists = _twist_sums(v.summand_coords, *rest, v.base.dim)[1]
-    if not twists:
-        return False, -inf, inf
-    return generic, first - twists[0], last - twists[-1]
+    summands, n = v.summand_coords, v.base.dim
+
+    def closed_row(rest):
+        twists = _twist_sums(summands, *rest, n)[1]
+        if not twists:
+            return False, -inf, inf
+        return generic, first - twists[0], last - twists[-1]
+    return closed_row
 
 
 def pushforward_terms(summands: tuple, b_coords: tuple, k: int):
@@ -281,21 +339,21 @@ def _tower_terms(v: Variety, terms: dict, closed=_closed_level):
 
 
 def pushforward_table(dim: int, terms: dict, base_table) -> CohomologyTable:
-    """Sum over ``push_down`` terms of mult * ``base_table(twist)``, shifted.
+    """Sum over ``terms = {(shift, twist): mult}`` of mult *
+    ``base_table(twist)``, shifted: the route of the tables that come one
+    per twist from a callback, such as those of a twisted kernel bundle
+    (``kernelbundle.TwistedKernel``); split tables take the one pass of
+    ``_closed_level_table`` instead.
 
-    Each part is checked as it is summed: a multiplicity < 1 or a negative
-    entry of ``base_table(twist)`` raises InternalInconsistency.  So no
-    term can cancel another, and the sum vanishes iff every part does; a
-    direct sum of line bundles then has no cohomology iff each summand has
-    none, which lets a box scan re-check all its hits with one table
-    (``search._scan``).
+    Each part is checked as it is summed, as there: a multiplicity < 1 or
+    a negative entry of ``base_table(twist)`` raises InternalInconsistency,
+    so no term can cancel another.
     """
     h = [0] * (dim + 1)
     generic = False
     for (shift, twist), mult in terms.items():
         if mult < 1:
-            raise InternalInconsistency(
-                f"non-positive multiplicity {mult} of O{twist} in degree {shift}")
+            raise _non_positive(mult, twist, shift)
         part = base_table(twist)
         if min(part.h) < 0:
             raise InternalInconsistency(f"negative cohomology dimension in {part.h}")
@@ -307,9 +365,10 @@ def pushforward_table(dim: int, terms: dict, base_table) -> CohomologyTable:
 
 def split_table(v: Variety, terms: dict, dim: int) -> CohomologyTable:
     """h^0..h^dim of the sum of O(coords)^mult in degree shift over ``terms
-    = {(shift, coords): mult}`` on v: one merged walk, then closed tables."""
+    = {(shift, coords): mult}`` on v: one merged walk, then one pass over
+    the closed level it stops at (``_closed_level_table``)."""
     base, terms = _tower_terms(v, terms)
-    return pushforward_table(dim, terms, partial(_line_table, base))
+    return _closed_level_table(base, terms, dim)
 
 
 def tensor_terms(coords, twists: dict) -> dict:
@@ -438,6 +497,19 @@ def _check_cap(volume: int, cap: int | None, what: str = "box volume") -> None:
         raise BoxTooLarge(f"{what} {volume} exceeds cap {limit}")
 
 
+class _Rays(tuple):
+    """A fan's rays, hashed once: each ``_vertex_system`` lookup of a box
+    keys on them, and a tuple would hash all its rays every time."""
+
+    def __new__(cls, rays):
+        self = super().__new__(cls, rays)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+
 @lru_cache(maxsize=64)
 def _toric_model(v: Variety):
     """``(rays, cones, rows, levels)`` of the fan of P^n or of a split tower
@@ -463,7 +535,7 @@ def _toric_model(v: Variety):
         rays = ((-1,) * n,) + tuple(tuple(int(i == j) for j in range(n))
                                     for i in range(n))
         cones = tuple(frozenset(c) for c in itertools.combinations(range(n + 1), n))
-        return rays, cones, ((1,),) + ((0,),) * n, ((tuple(range(n + 1)), n),)
+        return _Rays(rays), cones, ((1,),) + ((0,),) * n, ((tuple(range(n + 1)), n),)
     if not isinstance(v, ProjBundle):
         raise UnsupportedVariety(f"no fan for {v.name}")
     base_rays, base_cones, base_rows, base_levels = _toric_model(v.base)
@@ -478,7 +550,7 @@ def _toric_model(v: Variety):
     rows = tuple(row + (a[0][j],) for j, row in enumerate(base_rows))
     rows += tuple((0,) * v.base.picard_rank + row for row in fibre_rows)
     fibre_indices = tuple(range(len(base_rays), len(rays)))
-    return rays, cones, rows, base_levels + ((fibre_indices, v.rank - 1),)
+    return _Rays(rays), cones, rows, base_levels + ((fibre_indices, v.rank - 1),)
 
 
 @lru_cache(maxsize=1 << 14)

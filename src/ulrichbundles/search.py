@@ -10,13 +10,14 @@ share one helper for each half: ``_scan`` (the hits) and ``_closed_form``
 bundle O(c + t) has no cohomology, t running over the offsets of its
 checks: 0 for ``enum-zero``, -iA (i = 1..dim) for ``enum-ulrich``, 0 and
 the Sym^k terms of the criterion for ``search-pb``.  On every variety
-``_scan`` meets each row with one zero interval per offset
-(``cohomology._zero_interval``) and re-checks the hits through the public
-route (``cohomology``, ``is_ulrich``, ``pullback_ulrich_criterion``) once,
-on the direct sum of O(c) over the hits: vanishing and the Ulrich
-property are additive, and no part of a table can cancel another
-(``cohomology.pushforward_table``), so that one verdict is exactly the
-per-hit verdicts.  The hits stay integer coordinate tuples throughout:
+``_scan`` meets each row with one zero interval per offset (the row
+function of ``cohomology._zero_interval``, built once per scan) and
+re-checks the hits through the public route (``cohomology``,
+``is_ulrich``, ``pullback_ulrich_criterion``) once, on the direct sum of
+O(c) over the hits: vanishing and the Ulrich property are additive, and
+no term of a table can cancel another (``cohomology._closed_level_table``
+refuses one that could), so that one verdict is exactly the per-hit
+verdicts.  The hits stay integer coordinate tuples throughout:
 the routes take them as one candidate (``_HitSum``) that tensors them
 into each check's twists, so no divisor class or split bundle is built
 per hit.  Scans whose tables are generic (over a curve) say so in a
@@ -40,7 +41,7 @@ import itertools
 from dataclasses import dataclass, field
 from operator import add
 
-from .cohomology import _check_cap, _zero_interval, cohomology, split_table, tensor_terms
+from .cohomology import _check_cap, _zero_rows, cohomology, split_table, tensor_terms
 from .errors import BoxTooLarge, GenericModeUnsupported, InternalInconsistency
 from .picard import DivisorClass, GenericCurve, ProjBundle, Variety, hirzebruch_parameter
 from .ulrich import Polarisation, _setup_for, is_ulrich, pullback_ulrich_criterion
@@ -112,23 +113,25 @@ def _scan(v: Variety, box: SearchBox, offsets, check) -> tuple:
     O(c + t), t in ``offsets``, has no cohomology, and whether any of those
     tables is generic.
 
-    Each row of the box meets the zero intervals of its offsets
-    (``_zero_interval``) in its hits, kept as coordinate tuples.  They are
-    re-checked by one call of ``check``, the public route's verdict on a
-    candidate, on their direct sum (``_HitSum``).  Each of its tables sums
-    closed parts with multiplicities >= 1 and no negative entry
-    (``pushforward_table`` refuses anything else), so it vanishes iff each
-    hit's table does: the verdict is that of every per-hit check.  If it
-    fails, the hits are checked one by one, in order, each as a sum of one,
-    to name the first failing one; either way the scan raises
+    Each row of the box meets the zero intervals of its offsets in its
+    hits, kept as coordinate tuples: the row function of ``_zero_interval``
+    (``_zero_rows``) is built once and called per row and offset.  The
+    hits are re-checked by one call of ``check``, the public route's
+    verdict on a candidate, on their direct sum (``_HitSum``).  Each of
+    its tables sums closed terms with multiplicities >= 1 and no negative
+    entry (``_closed_level_table`` refuses anything else), so it vanishes
+    iff each hit's table does: the verdict is that of every per-hit check.
+    If it fails, the hits are checked one by one, in order, each as a sum
+    of one, to name the first failing one; either way the scan raises
     InternalInconsistency.
     """
     (lo, hi), *rest = box.bounds
     hits, generic = [], False
+    zero_interval = _zero_rows(v)
     for tail in itertools.product(*(range(a, b + 1) for a, b in rest)):
         first, last = lo, hi
         for t, *t_rest in offsets:
-            flag, zero_lo, zero_hi = _zero_interval(v, tuple(map(add, tail, t_rest)))
+            flag, zero_lo, zero_hi = zero_interval(tuple(map(add, tail, t_rest)))
             generic = generic or flag
             first, last = max(first, zero_lo - t), min(last, zero_hi - t)
         hits += [(a, *tail) for a in range(first, last + 1)]

@@ -101,15 +101,16 @@ class TestExitCodes:
         assert json.loads(out)["agree"] is False
 
     def test_negative_table_is_three(self, monkeypatch):
-        # a negative dimension is an engine bug; the module comes from
-        # sys.modules, as the attribute ulrichbundles.cohomology is the function
-        from ulrichbundles import CohomologyTable
-
-        monkeypatch.setattr(sys.modules["ulrichbundles.cohomology"], "_line_table",
-                            lambda v, coords: CohomologyTable((-1, 0, 0), -1))
+        # a negative dimension is an engine bug: here the binomial of the
+        # closed P^n table; the module comes from sys.modules, as the
+        # attribute ulrichbundles.cohomology is the function
+        monkeypatch.setattr(sys.modules["ulrichbundles.cohomology"], "comb",
+                            lambda n, k: -1)
         code, out = run_cli(["coh", "P2", "[1]", "--json"])
         assert code == 3
-        assert json.loads(out.splitlines()[-1])["error"] == "internal-inconsistency"
+        assert json.loads(out.splitlines()[-1]) == {
+            "error": "internal-inconsistency",
+            "detail": "negative cohomology dimension in (-1, 0, 0)"}
 
     def test_probe_bad_twist_is_two(self):
         code, out = run_cli(["probe", "PB(P1;[0],[3])", "[0]", "[0]",

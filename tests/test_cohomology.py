@@ -256,17 +256,20 @@ class TestSuffixSumTablesOverP1:
     def test_the_walk_stops_above_p2(self, monkeypatch):
         # a table on P(E) over P^2 never tabulates a line bundle on P^2
         coh_mod = importlib.import_module("ulrichbundles.cohomology")
-        real = coh_mod._line_table
+        real = coh_mod._closed_level_table
+        levels = []
 
-        def no_base(v, coords):
+        def no_base(v, terms, dim):
             assert isinstance(v, ProjBundle), v.name
-            return real(v, coords)
+            levels.append(v)
+            return real(v, terms, dim)
 
-        monkeypatch.setattr(coh_mod, "_line_table", no_base)
+        monkeypatch.setattr(coh_mod, "_closed_level_table", no_base)
         v = parse_variety("PB(P2;[0],[1],[3])")
         sym = itertools.combinations_with_replacement((0, 1, 3), 20)
         assert cohomology(v, DivisorClass(v, (1, 20))).h[0] == sum(
             comb(1 + sum(e) + 2, 2) for e in sym)
+        assert levels == [v]
 
     def test_one_expansion_per_h_degree(self, monkeypatch):
         coh_mod = importlib.import_module("ulrichbundles.cohomology")
@@ -427,6 +430,117 @@ def serre_sweep(seeds) -> int:
                 assert left == right[::-1], (seed, v.name, d.coords, left, right)
                 checked += 1
     return checked
+
+
+def _seeded_bundle(rng, base, ranks):
+    """P(E) over base with seeded summands in [-3, 3] drawn from a pool of
+    two, so negative and repeated summands occur."""
+    pool = [tuple(rng.randint(-3, 3) for _ in range(base.picard_rank)) for _ in range(2)]
+    summands = tuple(DivisorClass(base, rng.choice(pool))
+                     for _ in range(rng.randint(*ranks)))
+    return ProjBundle(base, SplitBundle(base, summands))
+
+
+def closed_level_varieties(rng) -> list:
+    """P^1..P^4 and C0..C3, a seeded P(E) of rank 2-5 over each, and
+    seeded depth-2 towers: P(E) of rank 2-3 over F_r, over a P(E) over
+    P^2 and over a P(E) over a curve."""
+    bottoms = [ProjSpace(n) for n in range(1, 5)] + [GenericCurve(g) for g in range(4)]
+    towers = [_seeded_bundle(rng, base, (2, 3)) for base in (
+        hirzebruch(rng.randint(0, 4)), _seeded_bundle(rng, P2, (2, 2)),
+        _seeded_bundle(rng, GenericCurve(rng.randint(0, 3)), (2, 2)))]
+    return bottoms + [_seeded_bundle(rng, v, (2, 5)) for v in bottoms] + towers
+
+
+def _negated_at(twist_sums, k):
+    """``twist_sums`` with the power sums of H-degree k negated."""
+    def negated(summands, degree, n):
+        shift, twists, sums = twist_sums(summands, degree, n)
+        if degree == k:
+            sums = [[-x for x in col] for col in sums]
+        return shift, twists, sums
+    return negated
+
+
+def closed_level_sweep(seeds) -> int:
+    """``split_table`` of seeded term dicts against the per-term sum of
+    ``reference_table``, and its refusals.  Per seed and
+    ``closed_level_varieties`` entry, four dicts of 1-6 terms with shifts
+    0-2, multiplicities 1-3 and coordinates in [-12, 12]: the table and
+    its generic flag must equal those of the sum, and so must those of
+    each term alone.  Then, at the closed
+    level the walk stops at, a multiplicity planted as 0 or -1 on a seeded
+    term must be refused naming that term, and where that level is a
+    P(E), power sums planted negated for the H-degree of a term must
+    refuse the first term of that degree whose table is nonzero, naming
+    its negated table (on P^n and curves no table entry can be negative).
+    Asserts that each planted kind occurred, and a negation that left
+    every table of its degree zero.  Returns the number of terms compared."""
+    coh_mod = importlib.import_module("ulrichbundles.cohomology")
+    real_sums = coh_mod._twist_sums
+    compared, planted_kinds = 0, Counter()
+    for seed in seeds:
+        rng = random.Random(f"closed-level/{seed}")
+        for v in closed_level_varieties(rng):
+            dim = v.dim + 2
+            for _ in range(4):
+                terms = {(rng.randint(0, 2), tuple(rng.randint(-12, 12)
+                                                   for _ in range(v.picard_rank))):
+                         rng.randint(1, 3) for _ in range(rng.randint(1, 6))}
+                h, generic = [0] * (dim + 1), False
+                for (shift, coords), mult in terms.items():
+                    part = reference_table(v, coords)
+                    term = [0] * (dim + 1)
+                    for i, x in enumerate(part.h, shift):
+                        h[i] += mult * x
+                        term[i] = mult * x
+                    alone = coh_mod.split_table(v, {(shift, coords): mult}, dim)
+                    assert (alone.h, alone.generic) == (tuple(term), part.generic), (
+                        seed, v.name, shift, coords)
+                    generic = generic or part.generic
+                table = coh_mod.split_table(v, terms, dim)
+                assert (table.h, table.generic) == (tuple(h), generic), (seed, v.name, terms)
+                compared += len(terms)
+
+                level, pushed = coh_mod._tower_terms(v, terms)
+                if not pushed:
+                    continue
+                keys = list(pushed)
+                shift, coords = key = rng.choice(keys)
+                planted = dict(pushed)
+                planted[key] = mult = rng.choice([0, -1])
+                with pytest.raises(InternalInconsistency) as refused:
+                    coh_mod.split_table(level, planted, dim)
+                assert str(refused.value) == (
+                    f"non-positive multiplicity {mult} of O{coords} in degree {shift}")
+                planted_kinds[mult] += 1
+
+                if not isinstance(level, ProjBundle):
+                    continue
+                k = coords[-1]
+                parts = [reference_table(level, c).h for _, c in keys if c[-1] == k]
+                negated = next((tuple(-x for x in part) for part in parts if any(part)), None)
+                unplanted = coh_mod.split_table(level, pushed, dim)
+                planted_kinds["negated", negated is None] += 1
+                coh_mod._twist_sums = _negated_at(real_sums, k)
+                try:
+                    if negated is None:  # each part of degree k is zero
+                        assert coh_mod.split_table(level, pushed, dim) == unplanted
+                    else:
+                        with pytest.raises(InternalInconsistency) as refused:
+                            coh_mod.split_table(level, pushed, dim)
+                        assert str(refused.value) == (
+                            f"negative cohomology dimension in {negated}")
+                finally:
+                    coh_mod._twist_sums = real_sums
+    assert all(planted_kinds[kind] for kind in (0, -1, ("negated", False),
+                                                ("negated", True))), planted_kinds
+    return compared
+
+
+class TestClosedLevelSweep:
+    def test_seeds_1_to_3(self):
+        assert closed_level_sweep(range(1, 4)) >= 800
 
 
 def _box(rank, radius):

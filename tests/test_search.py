@@ -247,13 +247,17 @@ class TestRowScan:
     def test_row_fault_caught_by_the_per_hit_recheck(self, monkeypatch):
         # no closed form on a rank-3 bundle: only the re-check can tell
         search = importlib.import_module("ulrichbundles.search")
-        real = search._zero_interval
+        real = search._zero_rows
 
-        def widened(v, rest):
-            generic, first, last = real(v, rest)
-            return generic, first, last + 1
+        def widened(v):
+            row = real(v)
 
-        monkeypatch.setattr(search, "_zero_interval", widened)
+            def widened_row(rest):
+                generic, first, last = row(rest)
+                return generic, first, last + 1
+            return widened_row
+
+        monkeypatch.setattr(search, "_zero_rows", widened)
         with contextlib.redirect_stdout(io.StringIO()) as out:
             code = run(["enum-zero", "PB(P1;[0],[1],[3])", "--box", "2", "--json"])
         assert code == 3
@@ -372,25 +376,25 @@ class TestRowScan:
         assert counts[0] == counts[1]
 
     def test_cancelling_hits_are_three(self, monkeypatch):
-        # h^0 = 1 at one hit and -1 at another sum to a zero table: only
-        # the check of each part as it is summed can tell
+        # h^1 = -1 at each of the five hits (i, -1) and 5 at (-1, 0) sum to
+        # a zero table: only the check of each term as it is summed can
+        # tell.  The planted power sums keep the real twists of each H-degree
+        # (none at k = -1, the dead band, and [0] at k = 0), so the rows'
+        # zero intervals, and with them the hits, stay those of F3
         coh = importlib.import_module("ulrichbundles.cohomology")
-        real = coh._line_table
-        planted = {(-1, 0): (1, 0, 0), (0, -1): (-1, 0, 0)}
+        real = coh._twist_sums
+        planted = {-1: (0, [], [[1], [0]]), 0: (0, [0], [[-5, -5], [0, 1]])}
 
-        def cancelling(v, coords):
-            if coords in planted:
-                h = planted[coords]
-                return coh.CohomologyTable(h, h[0])
-            return real(v, coords)
+        def cancelling(summands, k, n):
+            return planted[k] if k in planted else real(summands, k, n)
 
-        monkeypatch.setattr(coh, "_line_table", cancelling)
+        monkeypatch.setattr(coh, "_twist_sums", cancelling)
         with contextlib.redirect_stdout(io.StringIO()) as out:
             code = run(["enum-zero", "F3", "--box", "2", "--json"])
         assert code == 3
         error = json.loads(out.getvalue())
         assert error["error"] == "internal-inconsistency"
-        assert "negative cohomology dimension" in error["detail"]
+        assert error["detail"] == "negative cohomology dimension in (0, -1, 0)"
 
     @pytest.mark.parametrize("mult", [0, -1])
     def test_non_positive_walk_multiplicity_is_three(self, monkeypatch, mult):
@@ -592,21 +596,44 @@ class TestZeroInterval:
 
     def test_tables_only_at_the_hits(self, monkeypatch):
         # 641601 points, under the default cap of 10^6; tabulated: the
-        # fibre row (i, -1), (-1, 0) and (2, -2), each once by its re-check
+        # fibre row (i, -1), (-1, 0) and (2, -2), each once by the one
+        # pass of its re-check, which looks its power sums up once per
+        # H-degree
         coh = importlib.import_module("ulrichbundles.cohomology")
-        real = coh._line_table
-        calls = []
+        real_table, real_sums, real_bisect = (coh._closed_level_table, coh._twist_sums,
+                                              coh.bisect_left)
+        terms, degrees, evaluated = [], [], []
+        inside = []
 
-        def spy(v, coords):
-            calls.append(coords)
-            return real(v, coords)
+        def table(v, level_terms, dim):
+            terms.extend(level_terms.items())
+            inside.append(True)
+            try:
+                return real_table(v, level_terms, dim)
+            finally:
+                inside.pop()
 
-        monkeypatch.setattr(coh, "_line_table", spy)
+        def sums(summands, k, n):
+            if inside:
+                degrees.append(k)
+            return real_sums(summands, k, n)
+
+        def bisect(twists, x):
+            if inside:
+                evaluated.append(-x - 1)  # x = a + 1 over P^1
+            return real_bisect(twists, x)
+
+        monkeypatch.setattr(coh, "_closed_level_table", table)
+        monkeypatch.setattr(coh, "_twist_sums", sums)
+        monkeypatch.setattr(coh, "bisect_left", bisect)
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert run(["enum-zero", "F3", "--box", "400", "--json"]) == 0
         hits = [tuple(c) for c in json.loads(out.getvalue())["results"]]
         assert len(hits) == 803
-        assert sorted(calls) == hits
+        assert sorted(coords for (shift, coords), mult in terms) == hits
+        assert all(shift == 0 and mult == 1 for (shift, _), mult in terms)
+        assert sorted(evaluated) == sorted(a for a, _ in hits)
+        assert sorted(degrees) == sorted({k for _, k in hits}) == [-2, -1, 0]
 
 
 class TestBoxLimits:
