@@ -245,15 +245,17 @@ def _zero_rows(v: Variety):
     """``_zero_interval`` on v as a function of ``rest``, with what depends
     on v alone worked out once, so that a box scan builds it once and calls
     it per row: on P(E) over P^n or a curve the base's interval, on a
-    deeper tower the walk of each row and then the closed level's rows."""
+    deeper tower the row function of the level its walk stops at, each
+    row then taking its own walk."""
     if isinstance(v, ProjSpace):
         return lambda rest: (False, -v.n, -1)
     if isinstance(v, GenericCurve):
         return lambda rest: (True, v.genus - 1, v.genus - 1)
     if not _closed_level(v):
+        row = _zero_rows(_tower_terms(v, {})[0])
+
         def tower_row(rest):
-            level, terms = _tower_terms(v, {(0, (0, *rest)): 1})
-            row = _zero_rows(level)
+            terms = _tower_terms(v, {(0, (0, *rest)): 1})[1]
             generic, first, last = False, -inf, inf
             for _, (e, *e_rest) in terms:
                 flag, lo, hi = row(tuple(e_rest))
