@@ -118,12 +118,6 @@ def _proj_space_line(n: int, d: int) -> CohomologyTable:
     return CohomologyTable((0,) * (n + 1), 0)
 
 
-def _line_table(v: Variety, coords: tuple) -> CohomologyTable:
-    """Closed table of O(coords) on a level where ``_tower_terms`` stops:
-    the one-term ``_closed_level_table``."""
-    return _closed_level_table(v, {(0, coords): 1}, v.dim)
-
-
 @lru_cache(maxsize=1024)
 def _twist_sums(summands: tuple, k: int, n: int):
     """``(shift, twists, sums)`` for O(kH) on P(E) over a base of dimension n.
@@ -152,10 +146,9 @@ def _non_positive(mult: int, twist: tuple, shift: int) -> InternalInconsistency:
 def _closed_level_table(v: Variety, terms: dict, dim: int) -> CohomologyTable:
     """h^0..h^dim of the sum of O(coords)^mult in degree shift over ``terms
     = {(shift, coords): mult}`` on a level where the walk stops, in one pass
-    over the terms in their order.  On P^n, h^0(O(d)) = C(d + n, n) for d
-    >= 0 and h^n(O(d)) = C(-d - 1, n) for d <= -n - 1; on a curve of genus
-    g the Brill-Noether-general table, flagged generic: h^0 = max(0, chi),
-    chi = d - g + 1.  On P(E) over either, with x = a + n (a - g + 1 over
+    over the terms in their order.  On P^n each term's table is
+    ``_proj_space_line``'s; on a curve of genus g the Brill-Noether-general
+    table, flagged generic: h^0 = max(0, chi), chi = d - g + 1.  On P(E) over either, with x = a + n (a - g + 1 over
     a curve, the case n = 1), the twists e >= -x of ``_twist_sums``
     (looked up once per H-degree k) give h^shift of O(a + kH), the ones
     below h^(shift + n), and by Vandermonde each is a sum over j of C(x, j)
@@ -209,10 +202,8 @@ def _closed_level_table(v: Variety, terms: dict, dim: int) -> CohomologyTable:
         for (shift, (d,)), mult in terms.items():
             if mult < 1:
                 raise _non_positive(mult, (d,), shift)
-            if d >= 0:
-                h[shift] += mult * comb(d + n, n)
-            elif d < -n:
-                h[shift + n] += mult * comb(-d - 1, n)
+            for i, x in enumerate(_proj_space_line(n, d).h, shift):
+                h[i] += mult * x
     elif isinstance(v, GenericCurve):
         g = v.genus
         for (shift, (d,)), mult in terms.items():
@@ -499,19 +490,6 @@ def _check_cap(volume: int, cap: int | None, what: str = "box volume") -> None:
         raise BoxTooLarge(f"{what} {volume} exceeds cap {limit}")
 
 
-class _Rays(tuple):
-    """A fan's rays, hashed once: each ``_vertex_system`` lookup of a box
-    keys on them, and a tuple would hash all its rays every time."""
-
-    def __new__(cls, rays):
-        self = super().__new__(cls, rays)
-        self._hash = tuple.__hash__(self)
-        return self
-
-    def __hash__(self):
-        return self._hash
-
-
 @lru_cache(maxsize=64)
 def _toric_model(v: Variety):
     """``(rays, cones, rows, levels)`` of the fan of P^n or of a split tower
@@ -537,7 +515,7 @@ def _toric_model(v: Variety):
         rays = ((-1,) * n,) + tuple(tuple(int(i == j) for j in range(n))
                                     for i in range(n))
         cones = tuple(frozenset(c) for c in itertools.combinations(range(n + 1), n))
-        return _Rays(rays), cones, ((1,),) + ((0,),) * n, ((tuple(range(n + 1)), n),)
+        return rays, cones, ((1,),) + ((0,),) * n, ((tuple(range(n + 1)), n),)
     if not isinstance(v, ProjBundle):
         raise UnsupportedVariety(f"no fan for {v.name}")
     base_rays, base_cones, base_rows, base_levels = _toric_model(v.base)
@@ -552,7 +530,7 @@ def _toric_model(v: Variety):
     rows = tuple(row + (a[0][j],) for j, row in enumerate(base_rows))
     rows += tuple((0,) * v.base.picard_rank + row for row in fibre_rows)
     fibre_indices = tuple(range(len(base_rays), len(rays)))
-    return _Rays(rays), cones, rows, base_levels + ((fibre_indices, v.rank - 1),)
+    return rays, cones, rows, base_levels + ((fibre_indices, v.rank - 1),)
 
 
 @lru_cache(maxsize=1 << 14)

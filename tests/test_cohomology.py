@@ -35,7 +35,8 @@ from ulrichbundles import (
 from ulrichbundles.cli import run
 from ulrichbundles.cohomology import (
     _binomial,
-    _line_table,
+    _closed_level_table,
+    _proj_space_line,
     _twist_sums,
     push_down,
     pushforward_table,
@@ -244,9 +245,9 @@ class TestSuffixSumTablesOverP1:
     def test_equal_to_pushforward_route(self, name):
         # a, k in [-25, 25] covers k >= 0, the dead band and k <= -rank
         v = parse_variety(name)
-        base_table = partial(_line_table, v.base)
+        base_table = partial(leaf_table, v.base)
         for a, k in itertools.product(range(-25, 26), repeat=2):
-            table = _line_table(v, (a, k))
+            table = _closed_level_table(v, {(0, (a, k)): 1}, v.dim)
             expected = pushforward_table(v.dim, push_down(v, {(0, (a, k)): 1}),
                                          base_table)
             assert table == expected, (name, a, k)
@@ -285,11 +286,21 @@ class TestSuffixSumTablesOverP1:
         assert 0 < len(calls) <= 25  # one per H-degree, not one per box point
 
 
+def leaf_table(v, coords):
+    """O(d) on P^n (Bott's formula) or on a curve (the Brill-Noether-general
+    table, flagged generic), apart from the engine's one pass."""
+    (d,) = coords
+    if isinstance(v, ProjSpace):
+        return _proj_space_line(v.n, d)
+    chi = d - v.genus + 1
+    return CohomologyTable.make((max(0, chi), max(0, chi) - chi), generic=True)
+
+
 def reference_table(v, coords):
-    """The recursive tower expansion: one base table per pushforward term,
-    each expanded again, no equal twists merged."""
-    if not isinstance(v, ProjBundle) or v.base == P1:
-        return _line_table(v, coords)
+    """The recursive tower expansion down to P^n or a curve: one base table
+    per pushforward term, each expanded again, no equal twists merged."""
+    if not isinstance(v, ProjBundle):
+        return leaf_table(v, coords)
     shift, terms = pushforward_terms(v.summand_coords, coords[:-1], coords[-1])
     h = [0] * (v.dim + 1)
     generic = False
