@@ -40,9 +40,11 @@ Five ingredients:
   row, and a mixed pattern is never visited.
 
 chi (``euler_characteristic``) is a closed polynomial on P^n and on every
-P(E) over P^1, F_r included; on deeper towers it sums these over the
-merged walk, which the oracle checks, and so checks the closed levels
-over P^n.  The Ulrich criterion enumerates Sym^k with
+P(E) over P^n, F_r included (``_line_chi``, from coefficients built once
+per E and n), so it expands no Sym^k and its cost does not grow with k;
+on deeper towers it sums these over the merged walk, which the oracle
+checks, down to the level where the tables stop, and so checks the
+closed levels' tables over P^n.  The Ulrich criterion enumerates Sym^k with
 ``picard.sym_power`` instead, so the direct check on P(E) and the
 criterion expand the pushforward in two different ways.  The oracle
 shares no code with either.
@@ -74,7 +76,6 @@ from .picard import (
     ProjSpace,
     SplitBundle,
     Variety,
-    _P1,
 )
 
 
@@ -418,24 +419,65 @@ def _binomial(x: int, j: int) -> int:
     return comb(x, j) if x >= 0 else (-1) ** j * comb(j - x - 1, j)
 
 
-def _over_p1(v: ProjBundle) -> bool:
-    """Where the chi walk stops: a P(E) over P^1, whose chi is closed."""
-    return v.base == _P1
+def _over_proj_space(v: ProjBundle) -> bool:
+    """Where the chi walk stops: a P(E) over P^n, whose chi is closed."""
+    return isinstance(v.base, ProjSpace)
+
+
+@lru_cache(maxsize=1024)
+def _chi_coefficients(summands: tuple, n: int) -> tuple:
+    """Columns ``(c[0][j], ..., c[j][j])``, j = 0..n, of c[M][j] = [w^M u^j]
+    prod_i 1/(1 - w t_i) for the summands O(s_i) of E over P^n, where t_i =
+    (1 + u)^(s_i) - 1: its u^j coefficient is C(s_i, j) and its u^0 one is
+    0, so c[M][j] = 0 for j < M.  Each factor is the recurrence c[M] += t_i
+    c[M - 1], M ascending, with u-degrees above n dropped: O(rank n^3)
+    integer work, once per E and n.
+    """
+    c = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(n)]
+    for (s,) in summands:
+        t = [_binomial(s, j) for j in range(n + 1)]
+        for m in range(1, n + 1):
+            prev, row = c[m - 1], c[m]
+            for j in range(m, n + 1):
+                row[j] += sum(t[i] * prev[j - i] for i in range(1, j - m + 2))
+    return tuple(tuple(row[j] for row in c[:j + 1]) for j in range(n + 1))
 
 
 def _line_chi(v: Variety, coords: tuple) -> int:
-    """chi of O(coords) on a variety where the chi walk stops."""
+    """chi of O(coords) on a variety where the chi walk stops.
+
+    On P(E) over P^n, E = O(s_1) + ... + O(s_rho), the Riemann-Roch
+    polynomial of O(a + kH): for k >= 0, chi is the sum of m_e C(x + e, n)
+    over the twists e of Sym^k E, x = a + n, and by Vandermonde C(x + e, n)
+    is the sum of C(x, n - j) C(e, j); the sum of m_e (1 + u)^e is [z^k] of
+    prod_i 1/(1 - z (1 + t_i)) = (1 - z)^-rho prod_i 1/(1 - w t_i), w = z/(1
+    - z), and [z^k] (1 - z)^-rho w^M = C(k + rho - 1, rho - 1 + M), so
+
+        chi = sum_j C(x, n - j) sum_{M <= j} C(k + rho - 1, rho - 1 + M) c[M][j]
+
+    with the c of ``_chi_coefficients``.  Both sides are polynomials in (a,
+    k), so this holds for every k, the dead band and k <= -rho included;
+    on P^1 it reads C(k + rho - 1, rho - 1)(a + 1) + c1(E) C(k + rho - 1,
+    rho).
+    """
     if isinstance(v, ProjSpace):
         return _binomial(coords[0] + v.n, v.n)
     if isinstance(v, GenericCurve):
         raise GenericModeUnsupported(
             "euler_characteristic is exact-mode only; generic curves are excluded")
     if isinstance(v, ProjBundle):
-        # Riemann-Roch: C(k+rho-1, rho-1)(a+1) + c1(E) C(k+rho-1, rho)
-        (a, k), rho = coords, v.rank
-        c1 = sum(s for (s,) in v.summand_coords)
-        return (_binomial(k + rho - 1, rho - 1) * (a + 1)
-                + c1 * _binomial(k + rho - 1, rho))
+        (a, k), summands, n = coords, v.summand_coords, v.base.n
+        y, r = k + len(summands) - 1, len(summands) - 1
+        b = _binomial(y, r)
+        fibre = [b]  # C(y, r + M), M = 0..n
+        for m in range(r, r + n):
+            b = b * (y - m) // (m + 1)
+            fibre.append(b)
+        x, chi, base = a + n, 0, 1
+        for i, col in enumerate(reversed(_chi_coefficients(summands, n))):
+            chi += base * sum(map(mul, fibre, col))  # base = C(x, i), j = n - i
+            base = base * (x - i) // (i + 1)
+        return chi
     raise UnsupportedVariety(f"no chi polynomial for {v!r}")
 
 
@@ -444,14 +486,15 @@ def euler_characteristic(v: Variety, bundle) -> int:
 
     Always equal to the alternating sum of cohomology(v, bundle), and it
     refuses a bundle on another variety the same way.  On P^n and on every
-    P(E) over P^1, F_r among them, the polynomial shares no code with the
-    tables.  On deeper towers it takes the merged walk of all the summands
-    (``_tower_terms``) down to P^n or to a P(E) over P^1, one level past
-    the tables' stop over P^n, and replaces the closed table of each term
+    P(E) over P^n, F_r among them, the polynomial (``_line_chi``) shares no
+    code with the tables.  On deeper towers it takes the merged walk of all
+    the summands (``_tower_terms``) down to P^n or to a P(E) over P^n, where
+    the tables' walk stops too, and replaces the closed table of each term
     at its bottom by the polynomial, so it checks the closed levels but
     not the walk (``toric_cech_oracle`` does, over P^n and towers over it).
+    Towers over a curve walk down to the curve and are refused there.
     """
-    base, terms = _tower_terms(v, start_terms(v, bundle), _over_p1)
+    base, terms = _tower_terms(v, start_terms(v, bundle), _over_proj_space)
     return sum((-1) ** s * m * _line_chi(base, e) for (s, e), m in terms.items())
 
 

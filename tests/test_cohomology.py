@@ -138,30 +138,70 @@ class TestEulerCharacteristic:
         assert euler_characteristic(v, e) == cohomology(v, e).chi == expected
 
     @pytest.mark.parametrize("rank", [2, 3, 4, 5])
-    def test_closed_polynomial_over_p1(self, rank, monkeypatch):
-        # k >= 0, the dead band -rank < k < 0 and k <= -rank; the tables are
-        # taken first, then the expansion is disabled, so chi must come from
-        # the closed polynomial alone
-        import importlib
-
+    def test_closed_polynomial_over_pn(self, rank, monkeypatch):
+        # over P^1..P^4, with negative and repeated summands: k >= 0, the
+        # dead band -rank < k < 0 and k <= -rank; the tables are taken
+        # first, then the expansion is disabled, so chi must come from the
+        # closed polynomial alone
         coh_mod = importlib.import_module("ulrichbundles.cohomology")
         rng = random.Random(rank)
         cases = []
-        for _ in range(6):
-            e = SplitBundle(P1, tuple(DivisorClass(P1, (rng.randint(-3, 4),))
-                                      for _ in range(rank)))
-            v = ProjBundle(P1, e)
-            for a in range(-5, 6):
-                for k in range(-rank - 5, 7):
-                    d = DivisorClass(v, (a, k))
-                    cases.append((v, d, cohomology(v, d).chi))
+        for n in range(1, 5):
+            base = ProjSpace(n)
+            for _ in range(3):
+                pool = [rng.randint(-3, 4) for _ in range(2)]
+                e = SplitBundle(base, tuple(DivisorClass(base, (rng.choice(pool),))
+                                            for _ in range(rank)))
+                v = ProjBundle(base, e)
+                for a in range(-n - 4, 6):
+                    for k in range(-rank - 5, 7):
+                        d = DivisorClass(v, (a, k))
+                        cases.append((v, d, cohomology(v, d).chi))
 
         def no_expansion(*args):
-            raise AssertionError("chi over P^1 used the pushforward expansion")
+            raise AssertionError("chi over P^n used the pushforward expansion")
 
         monkeypatch.setattr(coh_mod, "pushforward_terms", no_expansion)
         for v, d, chi in cases:
             assert euler_characteristic(v, d) == chi, (v.name, d.coords)
+
+    @pytest.mark.parametrize("argv, k, power", [
+        (["chi", "PB(P2;[0],[1],[2])", "[0,1000000]"], 200, 200),
+        (["chi", "PB(P3;[0],[-2],[1],[1])", "[5,-1000004]"], -204, 200)],
+        ids=["over-P2", "over-P3-dual-branch"])
+    def test_huge_h_degree_is_quick(self, argv, k, power):
+        # the Riemann-Roch polynomial expands no Sym^k: its cost does not
+        # grow with k, where the walk took seconds at k = 3000
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(argv + ["--json"]) == 0
+        assert time.perf_counter() - start < 1.0
+        # at a Sym power of 200, against the multiplicities m_e of the
+        # twists of Sym^200 E, counted here by multiset size and degree,
+        # and chi(O(d)) = C(d + n, n) on P^n
+        v = parse_variety(argv[1])
+        n, summands = v.base.n, [s for (s,) in v.summand_coords]
+        a = json.loads(argv[2])[0]
+        counts = [Counter({0: 1})] + [Counter() for _ in range(power)]
+        for s in summands:  # counts[size][degree]: multisets of the summands so far
+            for size in range(1, power + 1):
+                for degree, m in counts[size - 1].items():
+                    counts[size][degree + s] += m
+        if k >= 0:
+            sign, twists = 1, [(a + e, m) for e, m in counts[power].items()]
+        else:
+            sign = (-1) ** (len(summands) - 1)
+            twists = [(a - sum(summands) - e, m) for e, m in counts[power].items()]
+
+        def p_chi(d):
+            if d >= 0:
+                return comb(d + n, n)
+            return (-1) ** n * comb(-d - 1, n) if d <= -n - 1 else 0
+
+        expected = sign * sum(m * p_chi(d) for d, m in twists)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert run(["chi", argv[1], f"[{a},{k}]", "--json"]) == 0
+        assert json.loads(out.getvalue()) == {"chi": expected}
 
     @pytest.mark.parametrize("r", range(5))
     def test_hirzebruch_polynomial(self, r):
@@ -313,9 +353,12 @@ def reference_table(v, coords):
 
 
 def reference_chi(v, coords):
-    """chi by the same recursion, the closed polynomials at its leaves."""
-    if not isinstance(v, ProjBundle) or v.base == P1:
-        return euler_characteristic(v, DivisorClass(v, coords))
+    """chi by the same recursion, Bott's formula at its P^n leaves; a curve
+    leaf is refused, as ``euler_characteristic`` refuses curves."""
+    if isinstance(v, GenericCurve):
+        raise GenericModeUnsupported("chi is exact-mode only")
+    if not isinstance(v, ProjBundle):
+        return leaf_table(v, coords).chi
     shift, terms = pushforward_terms(v.summand_coords, coords[:-1], coords[-1])
     return (-1) ** shift * sum(mult * reference_chi(v.base, e)
                                for e, mult in terms.items())
@@ -547,6 +590,65 @@ def closed_level_sweep(seeds) -> int:
     assert all(planted_kinds[kind] for kind in (0, -1, ("negated", False),
                                                 ("negated", True))), planted_kinds
     return compared
+
+
+class TestCurveChiRelation:
+    def test_closed_level_tables_obey_riemann_roch(self):
+        # on P(E) -> C_g, E = O(s_1) + ... + O(s_rho): chi(O(a + kH)) =
+        # C(k + rho - 1, rho - 1)(a + 1 - g) + c1(E) C(k + rho - 1, rho) for
+        # every k; chi refuses curves, so only the tables are checked
+        rng = random.Random("curve-chi")
+        checked = 0
+        for i in range(60):
+            g = i % 5
+            v = _seeded_bundle(rng, GenericCurve(g), (2, 5))
+            rho, c1 = v.rank, sum(s for (s,) in v.summand_coords)
+            for a, k in itertools.product(range(-12, 13), range(-rho - 8, 9)):
+                table = _closed_level_table(v, {(0, (a, k)): 1}, v.dim)
+                expected = (_binomial(k + rho - 1, rho - 1) * (a + 1 - g)
+                            + c1 * _binomial(k + rho - 1, rho))
+                assert table.chi == expected, (v.name, a, k)
+                checked += 1
+        assert checked > 30000
+
+
+def chi_varieties(rng) -> list:
+    """A seeded P(E) of rank 2-6 over each of P^1..P^5 and two seeded
+    depth-2 towers P(E') -> P(E) -> P^n, n in 1..3, of ranks 2-3, all with
+    negative and repeated summands (``_seeded_bundle``)."""
+    return ([_seeded_bundle(rng, ProjSpace(n), (2, 6)) for n in range(1, 6)]
+            + [_seeded_bundle(rng, _seeded_bundle(rng, ProjSpace(rng.randint(1, 3)),
+                                                  (2, 3)), (2, 3)) for _ in range(2)])
+
+
+def chi_sweep(seeds) -> int:
+    """Engine chi on 20 seeded divisors, coordinates in [-7, 7], over each
+    ``chi_varieties`` entry per seed, against three routes: the recursive
+    walk with Bott's formula at its P^n leaves (``reference_chi``), the
+    alternating sum of the table's entries, and Serre duality, chi(L) =
+    (-1)^dim chi(K - L).  Returns the number of divisors checked."""
+    checked = 0
+    for seed in seeds:
+        rng = random.Random(f"chi/{seed}")
+        for v in chi_varieties(rng):
+            canonical, sign = canonical_class(v), (-1) ** v.dim
+            for _ in range(20):
+                d = DivisorClass(v, tuple(rng.randint(-7, 7) for _ in range(v.picard_rank)))
+                chi = euler_characteristic(v, d)
+                h = cohomology(v, d).h
+                assert chi == reference_chi(v, d.coords), (seed, v.name, d.coords)
+                assert chi == sum((-1) ** i * x for i, x in enumerate(h)), (
+                    seed, v.name, d.coords, h)
+                assert chi == sign * euler_characteristic(v, canonical - d), (
+                    seed, v.name, d.coords)
+                checked += 1
+    return checked
+
+
+class TestChiSweep:
+    def test_seeds_1_to_3(self):
+        # CI runs seeds 1-100
+        assert chi_sweep(range(1, 4)) == 3 * 7 * 20
 
 
 class TestClosedLevelSweep:

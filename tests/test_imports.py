@@ -164,7 +164,8 @@ def test_every_cache_is_bounded():
     # a long-running caller of cli.run keeps every cache; only the
     # zero-argument parser build may stay unbounded, as it holds one entry
     caches = functools_caches()
-    assert {"ulrichbundles.cohomology._fan_patterns",
+    assert {"ulrichbundles.cohomology._chi_coefficients",
+            "ulrichbundles.cohomology._fan_patterns",
             "ulrichbundles.cohomology._vertex_system",
             "ulrichbundles.kernelbundle.monomial_exponents",
             "ulrichbundles.kernelbundle.staircase_matrix",
