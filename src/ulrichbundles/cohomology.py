@@ -59,7 +59,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, inf, prod
-from operator import add, lt, mul
+from operator import add, mul
 
 from . import exactlinalg
 from .errors import (
@@ -517,10 +517,15 @@ def euler_characteristic(v: Variety, bundle) -> int:
 # are all negative or none is (Milnor, "Construction of universal bundles
 # II", 1956; Munkres, *Elements of Algebraic Topology*, 62).  The scan
 # counts those level-uniform patterns plane by plane: for a fixed m[:-2]
-# and each x = m[-2], a ray is negative on an interval of the last axis
-# (before or from the t where its sign flips, or always or never), so each
-# level choice cuts each row down to one interval, and a mixed pattern is
-# never visited.
+# and each row x = m[-2], a ray is negative on an interval of the last
+# axis t = m[-1], so each level choice cuts each row down to one interval,
+# and a mixed pattern is never visited.  How a ray cuts depends on its
+# last two coordinates (b, c).  With c = 0 its sign is fixed along each
+# row, so it keeps a window of row indices (the complement for the
+# none-negative choice); with b = 0 != c it flips at one t for the whole
+# plane, a scalar bound; only with b, c != 0 does it flip at a t of its
+# own on each row, a list.  On P^n, F_r and P1xP1 each level has at most
+# one such ray.
 
 DEFAULT_CAP = 10 ** 6
 
@@ -672,18 +677,21 @@ def toric_cech_oracle(v: Variety, d: DivisorClass,
 
     Works on P^n and every split tower over it (``_toric_model``).  For
     each prefix m[:-2] of the character box it walks the levels depth
-    first, each level all negative or none negative, and keeps per x =
-    m[-2] the interval of the last axis where every choice so far holds;
-    a branch empty for every x is pruned.  A leaf is a level-uniform sign
-    pattern and adds the sum of its intervals' lengths times the pattern's
-    reduced Betti numbers; P^1 is one row.  Each axis of the box spans at
-    least five characters, so BoxTooLarge is raised before any work when
-    5^dim exceeds ``cap``, and while the vertices are read as soon as
-    the box they span does.  Raises ScanBoxTooSmall, naming the first such
-    character in scan order, if a contributing character lies on the
-    boundary shell, which would mean the box bound is wrong (a hard engine
-    failure, not a fact).  A divisor of another variety is refused by the
-    oracle's own check, not the engine's.
+    first, each level all negative or none negative, and keeps per row x
+    = m[-2] the interval of the last axis t = m[-1] where every choice so
+    far holds: a window of rows and an interval of t shared by every row,
+    cut by the rays that read at most one of x and t, and per-row starts
+    and stops only where a ray reads both.  A branch whose window or shared
+    interval is empty is pruned.  A leaf is a level-uniform sign pattern;
+    if a row is left, it adds the sum of its rows' intervals' lengths times
+    the pattern's reduced Betti numbers.  P^1 is one row.  Each axis of the
+    box spans at least five characters, so BoxTooLarge is raised before
+    any work when 5^dim exceeds ``cap``, and while the vertices are read
+    as soon as the box they span does.  Raises ScanBoxTooSmall, naming the
+    first such character in scan order, if a contributing character lies
+    on the boundary shell, which would mean the box bound is wrong (a hard
+    engine failure, not a fact).  A divisor of another variety is refused
+    by the oracle's own check, not the engine's.
     """
     if d.variety != v:
         raise UnsupportedVariety(f"oracle divisor is not on {v.name}")
@@ -694,8 +702,11 @@ def toric_cech_oracle(v: Variety, d: DivisorClass,
     # P^1 is one row: a one-point second-to-last axis that no ray reads
     *outer, (x_lo, x_hi) = lead or [(0, 0)]
     xs = range(x_lo, x_hi + 1)
-    top = hi + 1
-    # per level: its mask and its rays as (u[:-2], a, u[-2], u[-1])
+    rows_end, top = len(xs), hi + 1
+    # the starts and stops of rows that no list has cut: a first list
+    # replaces them as it is, as the leaves clip every row to [tb, te)
+    lows, tops = [lo] * rows_end, [top] * rows_end
+    # per level: its mask and its rays as (u[:-2], a, b, c), (b, c) = u[-2:]
     level_rays = [(sum(1 << i for i in members),
               [(rays[i][:-2], coeffs[i], rays[i][-2] if lead else 0, rays[i][-1])
                for i in members])
@@ -708,48 +719,74 @@ def toric_cech_oracle(v: Variety, d: DivisorClass,
     for prefix in itertools.product(*(range(a, b + 1) for a, b in outer)):
         edge = ([True] * len(xs) if any(x in bound for x, bound in zip(prefix, outer))
                 else inner_edge)
-        # ray i is negative at (prefix, x, t) iff s + c t < 0, with s =
-        # <prefix, u[:-2]> + a + b x: for t < flip when c > 0 (a "down"
-        # ray), for t >= flip when c < 0 (an "up" ray), and always or never
-        # when c = 0 (a down ray flipping at top or at lo)
-        level_flips = []
+        # a ray is negative at (prefix, x, t) iff s + b x + c t < 0, with s
+        # = <prefix, u[:-2]> + a.  When c = 0 its sign is fixed along each
+        # row: it is negative on the row indices before a cut (b > 0, or b
+        # = 0 and s < 0) or from the cut on (b < 0), a window.  Otherwise it
+        # is negative for t < flip (c > 0, a "down" ray) or for t >= flip
+        # (c < 0, an "up" ray), with one flip for the plane when b = 0 and a
+        # list of flips, one per row, only when b != 0.
+        level_cuts = []
         for bits, members in level_rays:
+            # all negative: rows [n0, n1) and t in [nb, ne), then the up
+            # lists raise each row's start and the down lists lower its
+            # stop; none negative: p0, p1, pb, pe, and the other way round
+            n0, n1, nb, ne = p0, p1, pb, pe = 0, rows_end, lo, top
             down, up = [], []
             for u, a, b, c in members:
                 s = sum(map(mul, prefix, u)) + a
-                if c > 0:
+                if c == 0:
+                    if b < 0:
+                        cut = s // -b + 1 - x_lo
+                        n0, p1 = max(n0, cut), min(p1, cut)
+                    else:
+                        cut = -(s // b) - x_lo if b else rows_end * (s < 0)
+                        n1, p0 = min(n1, cut), max(p0, cut)
+                elif b == 0:
+                    if c > 0:
+                        flip = -(s // c)
+                        ne, pb = min(ne, flip), max(pb, flip)
+                    else:
+                        flip = s // -c + 1
+                        nb, pe = max(nb, flip), min(pe, flip)
+                elif c > 0:
                     down.append([-((s + b * x) // c) for x in xs])
-                elif c < 0:
-                    up.append([(s + b * x) // -c + 1 for x in xs])
                 else:
-                    down.append([top if s + b * x < 0 else lo for x in xs])
-            level_flips.append((bits, down, up))
+                    up.append([(s + b * x) // -c + 1 for x in xs])
+            level_cuts.append(((bits, n0, n1, nb, ne, up, down),
+                               (0, p0, p1, pb, pe, down, up)))
         first = None  # (row, t, contrib) of the first contributing shell character
-        stack = [(0, 0, [lo] * len(xs), [top] * len(xs))]
+        stack = [(0, 0, 0, rows_end, lo, top, lows, tops)]
         while stack:
-            j, mask, starts, stops = stack.pop()
-            if j < len(level_flips):
-                # all negative: from every up flip and before every down
-                # flip; none negative: the other way round
-                bits, down, up = level_flips[j]
-                for child, rise, fall in ((mask | bits, up, down), (mask, down, up)):
+            j, mask, r0, r1, tb, te, starts, stops = stack.pop()
+            if j < len(level_cuts):
+                for bits, w0, w1, b0, e0, rise, fall in level_cuts[j]:
+                    c0, c1, cb, ce = max(r0, w0), min(r1, w1), max(tb, b0), min(te, e0)
+                    if c0 >= c1 or cb >= ce:
+                        continue
                     begin, end = starts, stops
                     for flips in rise:
-                        begin = [a if a > f else f for a, f in zip(begin, flips)]
+                        begin = flips if begin is lows else [
+                            a if a > f else f for a, f in zip(begin, flips)]
                     for flips in fall:
-                        end = [b if b < f else f for b, f in zip(end, flips)]
-                    if any(map(lt, begin, end)):
-                        stack.append((j + 1, child, begin, end))
+                        end = flips if end is tops else [
+                            b if b < f else f for b, f in zip(end, flips)]
+                    stack.append((j + 1, mask | bits, c0, c1, cb, ce, begin, end))
+                continue
+            spans = [(i, a, b) for i, a, b in zip(
+                         range(r0, r1),
+                         [a if a > tb else tb for a in starts[r0:r1]],
+                         [b if b < te else te for b in stops[r0:r1]]) if a < b]
+            if not spans:
                 continue
             contrib = patterns.get(mask)
             if contrib is None:
                 contrib = patterns[mask] = _reduced_betti(cones, len(rays), mask, v.dim)
-            count = sum([b - a for a, b in zip(starts, stops) if a < b])
+            count = sum([b - a for _, a, b in spans])
             for p, betti in enumerate(contrib):
                 h[p] += count * betti
-            hit = next(((i, a if edge[i] or a == lo else hi)
-                        for i, (a, b) in enumerate(zip(starts, stops))
-                        if a < b and (edge[i] or a == lo or b == top)), None)
+            hit = next(((i, a if edge[i] or a == lo else hi) for i, a, b in spans
+                        if edge[i] or a == lo or b == top), None)
             if hit and (first is None or hit < first[:2]):
                 first = hit + (contrib,)
         if first:

@@ -22,6 +22,7 @@ from ulrichbundles import (
     UnsupportedVariety,
     cohomology,
     hirzebruch,
+    parse_divisor,
     parse_variety,
     toric_cech_oracle,
 )
@@ -344,6 +345,30 @@ def test_runs_agree_with_characters(text, radius, count):
     assert oracle_sweep(range(1, count + 1), [(text, radius, count)]) == 2 * count
 
 
+def pooled_oracle_sweep(argvs) -> int:
+    """The oracle against ``reference_oracle`` on the variety and divisor
+    of each distinct ``oracle`` CLI request: the same table, or the same
+    exception with the same message.  CI runs the distinct requests of the
+    benchmark's ``oracle`` pool, whose divisors reach past
+    ``oracle_sweep``'s: up to 14 on P^3, 30 on the surfaces.  Returns the
+    number of requests compared."""
+    compared = 0
+    for argv in dict.fromkeys(map(tuple, argvs)):
+        assert argv[0] == "oracle" and argv[3:] == ("--json",), argv
+        v = parse_variety(argv[1])
+        d = parse_divisor(argv[2], v)
+        assert outcome(toric_cech_oracle, v, d) == outcome(reference_oracle, v, d), argv
+        compared += 1
+    return compared
+
+
+def test_pooled_oracle_sweep_slice():
+    # the benchmark's tail request and a wide box on a surface
+    assert pooled_oracle_sweep([("oracle", "P3", "[-14]", "--json"),
+                                ("oracle", "F3", "[-25,8]", "--json"),
+                                ("oracle", "P3", "[-14]", "--json")]) == 2
+
+
 def test_refusals_agree():
     p4 = ProjSpace(4)
     d = DivisorClass(p4, (30,))  # a box of at least 35^4 characters
@@ -351,11 +376,73 @@ def test_refusals_agree():
     assert outcome(reference_oracle, p4, d) == outcome(toric_cech_oracle, p4, d)
 
 
+def ray_role(u):
+    """How the scan reads ray u in a plane, from (b, c) = (u[-2], u[-1]), b
+    = 0 on P^1: a per-row list (b, c != 0), a constant bound (b = 0 != c)
+    or a row window (c = 0 != b), with the sign that orients it, or a ray
+    that reads the prefix only (b = c = 0)."""
+    b, c = u[-2] if len(u) > 1 else 0, u[-1]
+    if c:
+        return ("list" if b else "constant", c > 0)
+    return ("window", b > 0) if b else ("prefix",)
+
+
 def test_agreement_inputs_hold_every_kind_of_ray():
-    # on P^n the last coordinates of the rays are -1, 0 (n > 1) and 1, so
-    # a bit is constant, set before its threshold, or set from it on
-    for n in (2, 3, 4):
-        assert {u[-1] for u in _toric_model(ProjSpace(n))[0]} == {-1, 0, 1}
+    # so that oracle_sweep runs every branch of the plane scan
+    roles = {ray_role(u) for text, _, _ in AGREEMENT
+             for u in _toric_model(parse_variety(text))[0]}
+    assert roles == {("list", True), ("list", False), ("constant", True),
+                     ("constant", False), ("window", True), ("window", False),
+                     ("prefix",)}
+
+
+def plane_edges(v, d, box):
+    """Where, over the planes of ``box``, each window ray's cut falls
+    against the rows ("before", "inside", "past") and where each constant
+    bound's flip falls against the last axis ("lo", "top"), both solved on
+    Fractions."""
+    rays, _, rows, _ = _toric_model(v)
+    coeffs = [sum(map(mul, row, d.coords)) for row in rows]
+    *outer, (x_lo, x_hi), (lo, hi) = box
+    edges = set()
+    for prefix in itertools.product(*(range(a, b + 1) for a, b in outer)):
+        for u, a in zip(rays, coeffs):
+            s, (b, c), role = sum(map(mul, prefix, u[:-2])) + a, u[-2:], ray_role(u)[0]
+            if role == "window":
+                cut = Fraction(-s, b)  # the ray reads s + b x
+                edges.add(("window", "before" if cut < x_lo else
+                           "past" if cut > x_hi else "inside"))
+            elif role == "constant":
+                # the first t on the side of the flip where t is larger
+                flip = floor(Fraction(-s, c)) + 1 if c < 0 else ceil(Fraction(-s, c))
+                edges.update(("constant", c > 0, name)
+                             for name, at in (("lo", lo), ("top", hi + 1)) if flip == at)
+    return edges
+
+
+# (variety, divisor, patched box, an edge of a window or a constant bound
+# that the box makes the scan meet); each box holds every contributing
+# character off its shell, so both scans give a table
+EDGE_CASES = [
+    (rank2_tower(2), (-3, -3, -3), [(-11, 2), (-7, 5), (-5, 8)], ("window", "before")),
+    (rank2_tower(2), (-3, -3, -3), [(-11, 2), (-8, 5), (-5, 8)], ("window", "inside")),
+    (rank2_tower(2), (-3, -3, -3), [(-11, 2), (-8, 4), (-5, 8)], ("window", "past")),
+    ("F1", (-1, 1), [(-3, 2), (0, 3)], ("constant", True, "lo")),
+    ("F1", (1, -3), [(-4, 3), (-2, 2)], ("constant", False, "lo")),
+    ("F1", (0, -3), [(-5, 2), (-5, -1)], ("constant", True, "top")),
+    ("F1", (-3, 2), [(-5, 2), (-2, 2)], ("constant", False, "top")),
+]
+
+
+@pytest.mark.parametrize("text, coords, box, edge", EDGE_CASES)
+def test_window_and_constant_edges(monkeypatch, text, coords, box, edge):
+    v = parse_variety(text)
+    d = DivisorClass(v, coords)
+    assert edge in plane_edges(v, d, box)
+    monkeypatch.setattr(coh_mod, "_scan_bounds", lambda rays, coeffs, dim, cap: box)
+    table = outcome(reference_oracle, v, d)
+    assert isinstance(table, tuple) and any(table)
+    assert outcome(toric_cech_oracle, v, d) == table
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -391,6 +478,22 @@ def test_shell_violations_by_runs(monkeypatch, bounds, named):
     m = ast.literal_eval(message[len("character "):message.index(" on ")])
     assert m == named
     assert outcome(reference_oracle, P2, d) == (ScanBoxTooSmall, message)
+
+
+def test_shell_character_in_the_first_row_of_a_window(monkeypatch):
+    # O(-3f - 3C+) on P1 x P1 has h^2 = 4 on x, t in {-2, -1}; the ray
+    # (-1, 0) is negative from x = -2 on, so the rows of the all-negative
+    # pattern are a window that starts at row x = -2, the fourth one.  Cut
+    # to t >= -1, the box names that window's first row
+    q = hirzebruch(0)
+    d = DivisorClass(q, (-3, -3))
+    rays, _, rows, _ = _toric_model(q)
+    assert rays[0] == (-1, 0) and sum(map(mul, rows[0], d.coords)) == -3
+    monkeypatch.setattr(coh_mod, "_scan_bounds",
+                        lambda rays, coeffs, dim, cap: [(-5, 2), (-1, 2)])
+    named = (ScanBoxTooSmall, "character (-2, -1) on the scan shell contributes (0, 0, 1)")
+    assert outcome(reference_oracle, q, d) == named
+    assert outcome(toric_cech_oracle, q, d) == named
 
 
 def test_first_shell_character_across_patterns(monkeypatch):
